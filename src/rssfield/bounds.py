@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from .empbayes import HyperEstimate
 from .gp import KernelParams, chol_with_jitter, kernel_matrix, prior_mean
@@ -39,18 +39,24 @@ class HcrbReport:
 
 
 def grid_mean_gradient(node_xy, tx, mu_alpha: float) -> np.ndarray:
-    """Derivative of the node prior mean w.r.t. (mu_p, mu_alpha, tx_x, tx_y)."""
-    node = np.asarray(node_xy, dtype=float).reshape(2)
-    d = float(clamped_distances(node[None, :], tx)[0])
+    """Derivative of the node prior mean w.r.t. (mu_p, mu_alpha, tx_x, tx_y).
+
+    One node (shape (2,)) gives shape (4,); an (m, 2) array of nodes gives
+    one row per node.
+    """
+    nodes = np.asarray(node_xy, dtype=float)
+    xy = nodes.reshape(-1, 2)
+    d = clamped_distances(xy, tx)
     c = -10.0 * mu_alpha * LOG10_E
-    return np.array(
+    grad = np.column_stack(
         [
-            1.0,
+            np.ones(xy.shape[0]),
             -log_distance_feature(d),
-            c * (tx.x - node[0]) / d**2,
-            c * (tx.y - node[1]) / d**2,
+            c * (tx.x - xy[:, 0]) / d**2,
+            c * (tx.y - xy[:, 1]) / d**2,
         ]
     )
+    return grad[0] if nodes.ndim == 1 else grad
 
 
 def _unpack_train(train):
@@ -65,6 +71,13 @@ def _unpack_train(train):
 
 
 def _reports(train, grid, hyper, kernel, noise, node_indices) -> list:
+    """Bounds at the given nodes from one factorization C = K_X + S = L L^T.
+
+    Every C^-1 product is a pair of triangular solves, A^T C^-1 B =
+    (L^-1 A)^T (L^-1 B), with W = L^-1 K_Xg shared by the GP variance
+    k(g, g) - sum(W^2) and by the predictive-mean derivative terms; the
+    information matrix is (L^-1 J)^T (L^-1 J).
+    """
     xy, z, d_hat = _unpack_train(train)
     if d_hat is None:
         d_hat = clamped_distances(xy, hyper.tx)
@@ -82,8 +95,15 @@ def _reports(train, grid, hyper, kernel, noise, node_indices) -> list:
     a_mat = c_const * (np.array([tx.x, tx.y])[None, :] - xy) / d_hat[:, None] ** 2
     jac = np.column_stack([np.ones(n), -q_hat, a_mat])  # (N, 4)
 
-    cinv_jac = cho_solve((low, True), jac)
-    info = jac.T @ cinv_jac  # (4, 4)
+    # derivative of the training covariance w.r.t. the fix, through 1/d^2
+    rho_sq = noise.rho_u**2
+    a1_diag = -2.0 * rho_sq * (tx.x - xy[:, 0]) / d_hat**4
+    a2_diag = -2.0 * rho_sq * (tx.y - xy[:, 1]) / d_hat**4
+    u = cho_solve((low, True), prior_mean(xy, hyper))
+
+    # L^-1 [J, u*a1, u*a2]
+    v = solve_triangular(low, np.column_stack([jac, u * a1_diag, u * a2_diag]), lower=True)
+    info = v[:, :4].T @ v[:, :4]  # (4, 4)
     eig = np.linalg.eigvalsh(info)
     singular = bool(eig[0] <= _SINGULAR_RCOND * max(eig[-1], 0.0) or eig[0] <= 0.0)
     if singular:
@@ -91,44 +111,32 @@ def _reports(train, grid, hyper, kernel, noise, node_indices) -> list:
     else:
         info_inv = np.linalg.inv(info)
 
-    # derivative of the training covariance w.r.t. the fix, through 1/d^2
-    rho_sq = noise.rho_u**2
-    a1_diag = -2.0 * rho_sq * (tx.x - xy[:, 0]) / d_hat**4
-    a2_diag = -2.0 * rho_sq * (tx.y - xy[:, 1]) / d_hat**4
-
-    m_train = prior_mean(xy, hyper)
-    u = cho_solve((low, True), m_train)
-
     nodes_xy = grid.xy[node_indices]
-    k_xg = kernel_matrix(xy, nodes_xy, kernel, tx)  # (N, m)
-    cinv_k = cho_solve((low, True), k_xg)  # (N, m)
+    k_gx = kernel_matrix(nodes_xy, xy, kernel, tx)  # (m, N); k_gx.T is K_Xg
+    w = solve_triangular(low, k_gx.T, lower=True, overwrite_b=True)  # (N, m), reuses k_gx
 
     kdiag = kernel.sigma_k**2 + kernel.sigma_alpha_k**2 * log_distance_feature(
         clamped_distances(nodes_xy, tx)
     ) ** 2 + kernel.sigma_p_k**2
-    gp_var = kdiag - np.sum(k_xg * cinv_k, axis=0)
+    gp_var = kdiag - np.einsum("ij,ij->j", w, w)
 
-    term2 = cinv_jac.T @ k_xg  # (4, m)
-    term3_x = (u * a1_diag) @ cinv_k  # (m,)
-    term3_y = (u * a2_diag) @ cinv_k
-
-    reports = []
-    for j, i in enumerate(node_indices):
-        g = grid_mean_gradient(nodes_xy[j], tx, hyper.mu_alpha) - term2[:, j]
-        g[2] += term3_x[j]
-        g[3] += term3_y[j]
-        added = max(float(g @ info_inv @ g), 0.0)
-        var_i = max(float(gp_var[j]), 0.0)
-        reports.append(
-            HcrbReport(
-                node_index=int(i),
-                gp_variance=var_i,
-                added_term=added,
-                bound=var_i + added,
-                singular=singular,
-            )
+    # g = dm_g/dtheta - J^T C^-1 K_Xg + (u*a1, u*a2)^T C^-1 K_Xg, one row per node
+    terms = v.T @ w  # (6, m)
+    g = grid_mean_gradient(nodes_xy, tx, hyper.mu_alpha) - terms[:4].T
+    g[:, 2] += terms[4]
+    g[:, 3] += terms[5]
+    added = np.maximum(np.sum((g @ info_inv) * g, axis=1), 0.0)
+    var = np.maximum(gp_var, 0.0)
+    return [
+        HcrbReport(
+            node_index=int(i),
+            gp_variance=float(v_i),
+            added_term=float(a_i),
+            bound=float(v_i + a_i),
+            singular=singular,
         )
-    return reports
+        for i, v_i, a_i in zip(node_indices, var, added)
+    ]
 
 
 def hcrb_all(

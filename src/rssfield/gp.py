@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.blas import dsyrk
 from scipy.optimize import minimize
 
 from .empbayes import HyperEstimate
@@ -87,17 +88,24 @@ class FieldPosterior:
 
 
 def chol_with_jitter(mat: np.ndarray, what: str = "covariance") -> tuple:
-    """Lower Cholesky factor, escalating diagonal jitter 1e-10 .. 1e-4*diag."""
-    diag_mean = float(np.mean(np.diag(mat))) if mat.size else 0.0
+    """Lower Cholesky factor, escalating diagonal jitter 1e-10 .. 1e-4*diag.
+
+    ``mat`` is never modified: the retries factor one copy of it whose
+    diagonal is reset to diag(mat) + jitter at each rung.
+    """
+    diag = np.diag(mat)
+    diag_mean = float(np.mean(diag)) if mat.size else 0.0
     jitter = 0.0
     limit = max(1e-4 * diag_mean, 1e-10)
+    bumped = mat
     while True:
         try:
-            bumped = mat if jitter == 0.0 else mat + jitter * np.eye(mat.shape[0])
+            if jitter > 0.0:
+                if bumped is mat:
+                    bumped = np.array(mat, dtype=float)
+                bumped[np.diag_indices_from(bumped)] = diag + jitter
             return cholesky(bumped, lower=True), jitter
-        except np.linalg.LinAlgError:
-            pass
-        except ValueError:
+        except (np.linalg.LinAlgError, ValueError):
             pass
         jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
         if jitter > limit:
@@ -106,18 +114,42 @@ def chol_with_jitter(mat: np.ndarray, what: str = "covariance") -> tuple:
             )
 
 
+def subtract_gram(c: np.ndarray, w: np.ndarray, alpha: float = 1.0) -> None:
+    """c -= alpha * W^T W in place, for an exactly symmetric c.
+
+    The product runs through scipy's BLAS (dsyrk), which also factors the
+    result next: numpy and scipy each ship an OpenBLAS with its own thread
+    pool, and a call into one right after a call into the other waits on the
+    first pool's still-spinning threads. dsyrk fills one triangle; subtracting
+    it and its transpose, then resetting the diagonal, keeps c exactly
+    symmetric.
+    """
+    s = dsyrk(alpha, w, trans=1, lower=1)  # lower triangle of alpha W^T W, zeros above
+    diag = np.diag(c) - np.diag(s)
+    c -= s
+    c -= s.T
+    c[np.diag_indices_from(c)] = diag
+
+
 def kernel_matrix(a_xy, b_xy, params: KernelParams, tx: Position) -> np.ndarray:
-    """Composite kernel between all rows of a_xy and b_xy."""
+    """Composite kernel between all rows of a_xy and b_xy.
+
+    Assembled in the distance buffer. The rank-one term is formed as
+    outer(qa, qb) before scaling, so kernel_matrix(a, a) is exactly symmetric.
+    """
     a = np.asarray(a_xy, dtype=float).reshape(-1, 2)
     b = np.asarray(b_xy, dtype=float).reshape(-1, 2)
-    d = distance_matrix(a, b)
+    out = distance_matrix(a, b)
     qa = log_distance_feature(clamped_distances(a, tx))
     qb = log_distance_feature(clamped_distances(b, tx))
-    return (
-        params.sigma_k**2 * np.exp(-d / params.decay_scale)
-        + params.sigma_alpha_k**2 * np.outer(qa, qb)
-        + params.sigma_p_k**2
-    )
+    out /= -params.decay_scale
+    np.exp(out, out=out)
+    out *= params.sigma_k**2
+    rank_one = np.outer(qa, qb)
+    rank_one *= params.sigma_alpha_k**2
+    out += rank_one
+    out += params.sigma_p_k**2
+    return out
 
 
 def kernel_eval(xi: Position, xj: Position, params: KernelParams, tx: Position) -> float:
@@ -286,10 +318,11 @@ def posterior(
 ) -> FieldPosterior:
     """Posterior field at the grid nodes given one snapshot of reports.
 
-    mean = m_g + K_gX (K_X + S)^-1 (z - m_X) and cov = K_g - K_gX (K_X +
-    S)^-1 K_gX^T, solved through a Cholesky factorization (never an explicit
-    inverse). With no training data the prior is returned. The returned
-    covariance is verified positive definite (after the jitter ladder).
+    With L the lower Cholesky factor of K_X + S (never an explicit inverse):
+    mean = m_g + K_gX (K_X + S)^-1 (z - m_X) through two triangular solves,
+    and cov = K_g - W^T W with W = L^-1 K_Xg, which is exactly symmetric.
+    With no training data the prior is returned. The returned covariance is
+    verified positive definite (after the jitter ladder).
     """
     xy, z = train
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
@@ -297,9 +330,9 @@ def posterior(
     m_grid = prior_mean(grid.xy, hyper)
 
     if xy.shape[0] == 0:
-        cov = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx) if compute_cov else None
-        if cov is not None:
-            cov = 0.5 * (cov + cov.T)
+        cov = None
+        if compute_cov:
+            cov = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
             chol_with_jitter(cov, "grid prior covariance")
         return FieldPosterior(t=t, mean=m_grid, cov=cov, hyper=hyper, kernel=kernel)
 
@@ -315,8 +348,8 @@ def posterior(
 
     cov = None
     if compute_cov:
-        v = cho_solve((low, True), k_gx.T)
-        cov = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx) - k_gx @ v
-        cov = 0.5 * (cov + cov.T)
+        w = solve_triangular(low, k_gx.T, lower=True, overwrite_b=True)  # reuses k_gx
+        cov = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
+        subtract_gram(cov, w)
         chol_with_jitter(cov, "grid posterior covariance")
     return FieldPosterior(t=t, mean=mean, cov=cov, hyper=hyper, kernel=kernel)

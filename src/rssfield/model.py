@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 # Distances are clamped below at this floor (meters) before any logarithm or
 # 1/d^2 weighting; the log-distance model diverges as d -> 0.
@@ -72,10 +73,6 @@ class Grid:
     @property
     def n_nodes(self) -> int:
         return self.xy.shape[0]
-
-    @property
-    def nodes(self) -> list[Position]:
-        return [Position(float(x), float(y)) for x, y in self.xy]
 
 
 def uniform_grid(width: float, height: float, nx: int, ny: int) -> Grid:
@@ -171,8 +168,7 @@ def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All Euclidean distances between rows of a (n,2) and b (m,2)."""
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    return cdist(a, b)
 
 
 def clamped_distances(points: np.ndarray, origin: Position) -> np.ndarray:

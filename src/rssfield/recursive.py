@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from .empbayes import refine_all, with_kernel_variances
 from .gp import (
@@ -22,6 +22,7 @@ from .gp import (
     fit_kernel,
     kernel_matrix,
     prior_mean,
+    subtract_gram,
 )
 from .localize import CentroidState
 from .model import Grid, MeasurementSnapshot, clamped_distances
@@ -51,8 +52,9 @@ class RecursiveState:
     """Carried state: last posterior plus its own prior mean and covariance.
 
     The cached grid prior belongs to the previous step's hyper-parameters and
-    kernel; the update subtracts it from the carried posterior before adding
-    the current prior back in. cov_tx is the transmitter fix used inside
+    kernel (grid_prior_cov is K_g under posterior.kernel and cov_tx); the
+    update subtracts it from the carried posterior before adding the current
+    prior back in. cov_tx is the transmitter fix used inside
     covariance evaluations: under the frozen-kernel cadence it stays at its
     initialization value, which keeps every blended grid covariance dominated
     by the (then constant) grid prior and hence positive definite; the mean
@@ -80,6 +82,13 @@ def init_state(snapshot0: MeasurementSnapshot, grid: Grid, config: RecursiveConf
     )
 
 
+def _grid_prior_cov(state: RecursiveState, grid: Grid, kernel, cov_tx) -> np.ndarray:
+    """K_g under (kernel, cov_tx): the state's own when both are unchanged."""
+    if kernel == state.posterior.kernel and cov_tx == state.cov_tx:
+        return state.grid_prior_cov
+    return kernel_matrix(grid.xy, grid.xy, kernel, cov_tx)
+
+
 def rgp_step(
     state: RecursiveState,
     snapshot: MeasurementSnapshot,
@@ -87,6 +96,14 @@ def rgp_step(
     config: RecursiveConfig,
 ) -> RecursiveState:
     """Advance the recursion by one snapshot.
+
+    The data term conditions on the snapshot through L, the lower Cholesky
+    factor of K_X + S: mu_post = K_gX (K_X + S)^-1 (z - m_X) and
+    sigma_post = W^T W with W = L^-1 K_Xg. The grid prior K_g is taken from
+    the state when the kernel and the covariance-side fix equal the state's
+    own (every step under ``freeze_after_init`` or a fixed
+    ``PipelineConfig.kernel``) and recomputed otherwise. Every term of the
+    blended covariance is exactly symmetric, so the result is too.
 
     An empty snapshot carries the state forward unchanged (the step behaves
     as lambda = 0) with a warning.
@@ -133,17 +150,19 @@ def rgp_step(
     resid = snapshot.rss - prior_mean(xy, hyper)
     k_gx = kernel_matrix(grid.xy, xy, kernel, cov_tx)
     mu_post = k_gx @ cho_solve((low, True), resid)
-    sigma_post = k_gx @ cho_solve((low, True), k_gx.T)
+    w = solve_triangular(low, k_gx.T, lower=True, overwrite_b=True)  # reuses k_gx
 
     m_grid = prior_mean(grid.xy, hyper)
-    k_grid = kernel_matrix(grid.xy, grid.xy, kernel, cov_tx)
+    k_grid = _grid_prior_cov(state, grid, kernel, cov_tx)
     mu_prior = state.posterior.mean - state.grid_prior_mean
-    sigma_prior = state.grid_prior_cov - state.posterior.cov
 
     lam = state.lam
     mean = m_grid + (1.0 - lam) * mu_prior + lam * mu_post
-    cov = k_grid - ((1.0 - lam) * sigma_prior + lam * sigma_post)
-    cov = 0.5 * (cov + cov.T)
+    # cov = K_g - ((1 - lam) (K_g,prev - C_prev) + lam W^T W), in one buffer
+    cov = state.grid_prior_cov - state.posterior.cov
+    cov *= 1.0 - lam
+    subtract_gram(cov, w, -lam)
+    np.subtract(k_grid, cov, out=cov)
     chol_with_jitter(cov, "recursive grid covariance")
 
     new_post = FieldPosterior(t=snapshot.t, mean=mean, cov=cov, hyper=hyper, kernel=kernel)

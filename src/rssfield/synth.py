@@ -148,8 +148,9 @@ def shadowing_covariance(positions, sigma_v: float, d_corr: float) -> np.ndarray
     return sigma_v**2 * np.exp(-distance_matrix(pts, pts) / d_corr)
 
 
-class _LruBytes:
-    """Tiny FIFO cache keyed by byte fingerprints (numpy arrays are large)."""
+class _FifoCache:
+    """Bounded cache keyed by byte fingerprints of numpy arrays; when full it
+    evicts the oldest insertion, whatever was read since."""
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
@@ -164,8 +165,8 @@ class _LruBytes:
         self._data[key] = value
 
 
-_grid_chol_cache = _LruBytes(4)
-_cond_cache = _LruBytes(4)
+_grid_chol_cache = _FifoCache(4)
+_cond_cache = _FifoCache(4)
 
 
 def _grid_corr_chol(grid: Grid, d_corr: float) -> np.ndarray:
@@ -173,7 +174,9 @@ def _grid_corr_chol(grid: Grid, d_corr: float) -> np.ndarray:
     hit = _grid_chol_cache.get(key)
     if hit is not None:
         return hit
-    corr = np.exp(-distance_matrix(grid.xy, grid.xy) / d_corr)
+    corr = distance_matrix(grid.xy, grid.xy)
+    corr /= -d_corr
+    np.exp(corr, out=corr)
     corr[np.diag_indices_from(corr)] += _SHADOW_JITTER
     low = cholesky(corr, lower=True)
     _grid_chol_cache.put(key, low)

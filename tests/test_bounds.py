@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_factor, cho_solve
 
 from rssfield.bounds import HcrbReport, grid_mean_gradient, hcrb, hcrb_all
 from rssfield.empbayes import HyperEstimate
-from rssfield.gp import KernelParams, posterior
+from rssfield.gp import KernelParams, kernel_matrix, posterior, prior_mean
 from rssfield.model import LOG10_E, Grid, NoiseModel, Position, clamped_distances
 
 
@@ -34,6 +35,46 @@ def test_added_term_nonnegative_on_random_scenarios():
         for rep in hcrb_all(train, grid, hyper, kernel, noise):
             assert rep.added_term >= 0.0
             assert rep.bound >= rep.gp_variance
+
+
+def cho_solve_oracle(train, grid, hyper, kernel, noise):
+    """GP variance and added term through explicit C^-1 products (cho_solve)."""
+    xy, z = train
+    tx = hyper.tx
+    d_hat = clamped_distances(xy, tx)
+    factor = cho_factor(kernel_matrix(xy, xy, kernel, tx) + np.diag(noise.variances(d_hat)), lower=True)
+    k_xg = kernel_matrix(xy, grid.xy, kernel, tx)
+    cinv_k = cho_solve(factor, k_xg)
+    gp_var = np.diag(kernel_matrix(grid.xy, grid.xy, kernel, tx)) - np.sum(k_xg * cinv_k, axis=0)
+
+    c = -10 * hyper.mu_alpha * LOG10_E
+    jac = np.column_stack([
+        np.ones(len(xy)), -10 * np.log10(d_hat),
+        c * (tx.x - xy[:, 0]) / d_hat**2, c * (tx.y - xy[:, 1]) / d_hat**2,
+    ])
+    cinv_jac = cho_solve(factor, jac)
+    info_inv = np.linalg.inv(jac.T @ cinv_jac)
+    u = cho_solve(factor, prior_mean(xy, hyper))
+    a1 = -2 * noise.rho_u**2 * (tx.x - xy[:, 0]) / d_hat**4
+    a2 = -2 * noise.rho_u**2 * (tx.y - xy[:, 1]) / d_hat**4
+    added = []
+    for j, node in enumerate(grid.xy):
+        g = grid_mean_gradient(node, tx, hyper.mu_alpha) - cinv_jac.T @ k_xg[:, j]
+        g[2] += (u * a1) @ cinv_k[:, j]
+        g[3] += (u * a2) @ cinv_k[:, j]
+        added.append(g @ info_inv @ g)
+    return gp_var, np.array(added)
+
+
+def test_matches_cho_solve_formulas():
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        train, grid, hyper, kernel, noise = random_setup(rng, n_train=25, n_grid=30)
+        reports = hcrb_all(train, grid, hyper, kernel, noise)
+        assert not any(r.singular for r in reports)
+        gp_var, added = cho_solve_oracle(train, grid, hyper, kernel, noise)
+        assert_allclose([r.gp_variance for r in reports], gp_var, rtol=1e-10)
+        assert_allclose([r.added_term for r in reports], added, rtol=1e-10, atol=1e-12 * np.max(added))
 
 
 def test_leading_bracket_structure():

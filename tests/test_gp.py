@@ -8,6 +8,7 @@ from rssfield.empbayes import HyperEstimate
 from rssfield.gp import (
     FieldPosterior,
     KernelParams,
+    chol_with_jitter,
     fit_kernel,
     kernel_eval,
     kernel_matrix,
@@ -17,7 +18,15 @@ from rssfield.gp import (
     prior_mean,
     _nlml_parts,
 )
-from rssfield.model import Grid, NoiseModel, Position, clamped_distances, distance_matrix, log_distance_feature
+from rssfield.model import (
+    Grid,
+    NoiseModel,
+    NumericalError,
+    Position,
+    clamped_distances,
+    distance_matrix,
+    log_distance_feature,
+)
 
 
 TX = Position(0.0, 0.0)
@@ -53,6 +62,42 @@ def test_kernel_eval_long_distance_limit():
     xi, xj = Position(10.0, 0.0), Position(1e7, 0.0)
     qi, qj = 10 * math.log10(10.0), 10 * math.log10(1e7)
     assert_allclose(kernel_eval(xi, xj, params, TX), 0.04 * qi * qj + 1.0, rtol=1e-9)
+
+
+def test_kernel_matrix_exactly_symmetric_and_matches_three_term_formula():
+    rng = np.random.default_rng(11)
+    params = KernelParams.from_decay(sigma_k=2.5, decay_scale=70.0, sigma_alpha_k=0.2, sigma_p_k=1.3)
+    tx = Position(120.0, 90.0)
+    a = rng.uniform(0, 300, (40, 2))
+    b = rng.uniform(0, 300, (25, 2))
+    k_aa = kernel_matrix(a, a, params, tx)
+    assert np.array_equal(k_aa, k_aa.T)
+
+    def formula(p, r):
+        d = np.sqrt(((p[:, None, :] - r[None, :, :]) ** 2).sum(axis=2))
+        qp = 10 * np.log10(np.maximum(np.hypot(p[:, 0] - tx.x, p[:, 1] - tx.y), 1.0))
+        qr = 10 * np.log10(np.maximum(np.hypot(r[:, 0] - tx.x, r[:, 1] - tx.y), 1.0))
+        return 2.5**2 * np.exp(-d / 70.0) + 0.2**2 * np.outer(qp, qr) + 1.3**2
+
+    assert_allclose(k_aa, formula(a, a), rtol=1e-10)
+    assert_allclose(kernel_matrix(a, b, params, tx), formula(a, b), rtol=1e-10)
+    assert np.array_equal(kernel_matrix(b, a, params, tx), kernel_matrix(a, b, params, tx).T)
+
+
+def test_chol_with_jitter_escalates_on_rank_deficient_input_without_modifying_it():
+    mat = np.ones((4, 4))  # rank one: the unjittered factorization fails
+    mat.setflags(write=False)
+    low, jitter = chol_with_jitter(mat, "rank-one matrix")
+    assert jitter > 0.0
+    assert jitter in [10.0**-k for k in range(4, 11)]
+    assert np.array_equal(mat, np.ones((4, 4)))
+    assert_allclose(low @ low.T, mat + jitter * np.eye(4), rtol=1e-12, atol=1e-12)
+    # a positive-definite input needs no jitter
+    _, none = chol_with_jitter(np.eye(3) * 2.0)
+    assert none == 0.0
+    # an indefinite one exhausts the ladder
+    with pytest.raises(NumericalError, match="indefinite"):
+        chol_with_jitter(np.diag([1.0, -1.0]), "indefinite")
 
 
 def test_prior_mean_closed_form():
@@ -112,6 +157,20 @@ def test_posterior_matches_joint_gaussian_conditioning_oracle():
         cov = k_gg - k_gx @ inv @ k_gx.T
         assert_allclose(post.mean, mu, atol=1e-8)
         assert_allclose(post.cov, 0.5 * (cov + cov.T), atol=1e-8)
+
+
+def test_posterior_cov_matches_dense_formula_and_is_exactly_symmetric():
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        (xy, z), grid, hyper, kernel, noise = _random_case(rng, n_train=30, n_grid=40)
+        post = posterior((xy, z), grid, hyper, kernel, noise)
+        assert np.array_equal(post.cov, post.cov.T)
+
+        d_hat = clamped_distances(xy, hyper.tx)
+        k_xx = kernel_matrix(xy, xy, kernel, hyper.tx) + np.diag(noise.variances(d_hat))
+        k_gx = kernel_matrix(grid.xy, xy, kernel, hyper.tx)
+        dense = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx) - k_gx @ np.linalg.solve(k_xx, k_gx.T)
+        assert_allclose(post.cov, dense, rtol=0, atol=1e-10 * np.max(np.abs(dense)))
 
 
 def test_posterior_no_training_data_returns_prior():

@@ -94,6 +94,16 @@ def test_distance_matrix_matches_pairwise():
             assert_allclose(d[i, j], pairwise_distance(Position(*a[i]), Position(*b[j])), rtol=1e-14)
 
 
+def test_distance_matrix_equals_broadcast_formula_exactly():
+    rng = np.random.default_rng(5)
+    for n, m in [(1, 1), (13, 29), (200, 150)]:
+        a = rng.uniform(-500, 500, (n, 2))
+        b = rng.uniform(-500, 500, (m, 2))
+        diff = a[:, None, :] - b[None, :, :]
+        assert np.array_equal(distance_matrix(a, b), np.sqrt(np.sum(diff * diff, axis=2)))
+    assert distance_matrix(np.zeros((0, 2)), b).shape == (0, 150)
+
+
 def test_grid_rejects_duplicates_and_empty():
     with pytest.raises(ValueError):
         Grid(np.array([[0.0, 0.0], [0.0, 0.0]]))

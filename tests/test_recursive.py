@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import rssfield as rf
+from rssfield import recursive
 from rssfield.empbayes import HyperEstimate
 from rssfield.gp import KernelParams, chol_with_jitter, kernel_matrix, posterior, prior_mean
 from rssfield.localize import CentroidState
@@ -193,6 +194,60 @@ def test_covariance_stays_pd_along_a_noisy_run():
         state = rgp_step(state, snap, sc.grid, rcfg)  # raises if non-PD
         cov = np.array(state.posterior.cov)
         assert_allclose(cov, cov.T, atol=1e-10)
+
+
+def intermittent_run(kernel_refit, steps=5, empty_at=3, seed=8):
+    """States of an Intermittent run with an empty snapshot at t = empty_at."""
+    sc = rf.benchmark_scenario(
+        seed=seed, sigma_v_sq=10.0, nx=6, ny=5, n_sensors=30, area=(300.0, 300.0),
+        dynamics=rf.Intermittent(0.3),
+    )
+    noise = NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
+    rcfg = RecursiveConfig(
+        pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2, refine_passes=3),
+        lam=0.5,
+        kernel_refit=kernel_refit,
+    )
+    snap0, _ = rf.sample_snapshot(sc, 0)
+    states = [init_state(snap0, sc.grid, rcfg)]
+    for t in range(1, steps + 1):
+        if t == empty_at:
+            empty = MeasurementSnapshot(t=t, sensor_ids=(), positions=np.zeros((0, 2)), rss=np.zeros(0))
+            with pytest.warns(RuntimeWarning, match="empty snapshot"):
+                states.append(rgp_step(states[-1], empty, sc.grid, rcfg))
+        else:
+            snap, _ = rf.sample_snapshot(sc, t)
+            states.append(rgp_step(states[-1], snap, sc.grid, rcfg))
+    return sc.grid, states
+
+
+def test_grid_prior_reuse_gives_identical_states(monkeypatch):
+    grid, reused = intermittent_run("freeze_after_init")
+    # under a frozen kernel every step keeps the initial grid prior itself
+    assert all(s.grid_prior_cov is reused[0].grid_prior_cov for s in reused)
+
+    monkeypatch.setattr(
+        recursive, "_grid_prior_cov",
+        lambda state, grid, kernel, cov_tx: kernel_matrix(grid.xy, grid.xy, kernel, cov_tx),
+    )
+    _, recomputed = intermittent_run("freeze_after_init")
+    for a, b in zip(reused, recomputed):
+        assert a.posterior.t == b.posterior.t
+        assert_array_equal(a.posterior.mean, b.posterior.mean)
+        assert_array_equal(a.posterior.cov, b.posterior.cov)
+        assert_array_equal(a.grid_prior_mean, b.grid_prior_mean)
+        assert_array_equal(a.grid_prior_cov, b.grid_prior_cov)
+        assert np.array_equal(a.posterior.cov, a.posterior.cov.T)
+
+
+def test_every_step_refit_recomputes_grid_prior():
+    grid, states = intermittent_run("every_step", steps=3, empty_at=None, seed=10)
+    for prev, cur in zip(states, states[1:]):
+        assert (cur.posterior.kernel, cur.cov_tx) != (prev.posterior.kernel, prev.cov_tx)
+        assert cur.grid_prior_cov is not prev.grid_prior_cov
+        assert_array_equal(
+            cur.grid_prior_cov, kernel_matrix(grid.xy, grid.xy, cur.posterior.kernel, cur.cov_tx)
+        )
 
 
 def test_config_validation():
