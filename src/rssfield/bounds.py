@@ -18,10 +18,10 @@ from .empbayes import HyperEstimate
 from .gp import KernelParams, chol_with_jitter, kernel_matrix, prior_mean
 from .model import (
     Grid,
-    LOG10_E,
     NoiseModel,
     clamped_distances,
     log_distance_feature,
+    mean_tx_gradient,
 )
 
 _SINGULAR_RCOND = 1e-10
@@ -47,13 +47,11 @@ def grid_mean_gradient(node_xy, tx, mu_alpha: float) -> np.ndarray:
     nodes = np.asarray(node_xy, dtype=float)
     xy = nodes.reshape(-1, 2)
     d = clamped_distances(xy, tx)
-    c = -10.0 * mu_alpha * LOG10_E
     grad = np.column_stack(
         [
             np.ones(xy.shape[0]),
             -log_distance_feature(d),
-            c * (tx.x - xy[:, 0]) / d**2,
-            c * (tx.y - xy[:, 1]) / d**2,
+            mean_tx_gradient(xy, tx.as_array(), mu_alpha, d),
         ]
     )
     return grad[0] if nodes.ndim == 1 else grad
@@ -91,8 +89,7 @@ def _reports(train, grid, hyper, kernel, noise, node_indices) -> list:
     low, _ = chol_with_jitter(c_mat, "training covariance")
 
     # Jacobian of the training prior mean w.r.t. (mu_p, mu_alpha, tx)
-    c_const = -10.0 * hyper.mu_alpha * LOG10_E
-    a_mat = c_const * (np.array([tx.x, tx.y])[None, :] - xy) / d_hat[:, None] ** 2
+    a_mat = mean_tx_gradient(xy, tx.as_array(), hyper.mu_alpha, d_hat)
     jac = np.column_stack([np.ones(n), -q_hat, a_mat])  # (N, 4)
 
     # derivative of the training covariance w.r.t. the fix, through 1/d^2

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
 from .empbayes import HyperEstimate
@@ -172,7 +173,10 @@ def _nlml_parts(theta, dists, noise_diag, resid, qouter, frozen):
     """Negative log marginal likelihood and gradient in log-parameter space.
 
     theta is log([vk, s]) when the rank-one/constant variances are frozen,
-    log([vk, s, va, vp]) otherwise.
+    log([vk, s, va, vp]) otherwise. The gradient traces run element-wise in
+    numpy: C^-1 comes from LAPACK's potri on the Cholesky factor, and a numpy
+    BLAS product between scipy's LAPACK calls would wait on the other
+    OpenBLAS thread pool (see ``subtract_gram``).
     """
     vk, s = math.exp(theta[0]), math.exp(theta[1])
     if frozen is None:
@@ -191,38 +195,40 @@ def _nlml_parts(theta, dists, noise_diag, resid, qouter, frozen):
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
     nlml = 0.5 * float(resid @ beta) + 0.5 * logdet + 0.5 * n * _LOG2PI
 
-    cinv = cho_solve((low, True), np.eye(n))
-    diff = cinv - np.outer(beta, beta)
+    # potri fills the lower triangle of C^-1; the upper one is still the
+    # factor's zeros, so adding the strict lower transpose completes it
+    diff, info = dpotri(low, lower=1)
+    if info != 0:
+        return 1e25, np.zeros(len(theta))
+    diff += np.tril(diff, -1).T
+    diff -= np.outer(beta, beta)  # C^-1 - beta beta^T
 
-    def trace_term(dc):
-        return 0.5 * float(np.sum(diff * dc))
-
-    grad = [trace_term(vk * expo), trace_term(vk * expo * (dists / s))]
+    # dC/d log vk = vk * expo and dC/d log s = vk * expo * dists / s
+    diff_expo = diff * expo
+    grad = [0.5 * vk * float(np.sum(diff_expo)), 0.5 * vk / s * float(np.sum(diff_expo * dists))]
     if frozen is None:
-        grad.append(trace_term(va * qouter))
+        grad.append(0.5 * va * float(np.sum(diff * qouter)))
         # dC/d log vp is the constant matrix vp * J
         grad.append(0.5 * vp * float(np.sum(diff)))
     return nlml, np.array(grad)
 
 
-def negative_log_marginal_likelihood(train, hyper, kernel: KernelParams, noise: NoiseModel) -> float:
-    """NLML of the residuals under kernel + noise (for diagnostics and tests)."""
+def _nlml_inputs(train, hyper, noise: NoiseModel) -> tuple:
+    """(dists, noise_diag, resid, qouter): the per-snapshot arguments of
+    ``_nlml_parts`` after theta and before ``frozen``."""
     xy, z = train
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     z = np.asarray(z, dtype=float).reshape(-1)
     d_hat = clamped_distances(xy, hyper.tx)
-    resid = z - prior_mean(xy, hyper)
     q = log_distance_feature(d_hat)
+    return distance_matrix(xy, xy), noise.variances(d_hat), z - prior_mean(xy, hyper), np.outer(q, q)
+
+
+def negative_log_marginal_likelihood(train, hyper, kernel: KernelParams, noise: NoiseModel) -> float:
+    """NLML of the residuals under kernel + noise (for diagnostics and tests)."""
     theta = np.log([kernel.sigma_k**2, kernel.decay_scale])
     frozen = (kernel.sigma_alpha_k**2, kernel.sigma_p_k**2)
-    val, _ = _nlml_parts(
-        theta,
-        distance_matrix(xy, xy),
-        noise.variances(d_hat),
-        resid,
-        np.outer(q, q),
-        frozen,
-    )
+    val, _ = _nlml_parts(theta, *_nlml_inputs(train, hyper, noise), frozen)
     return val
 
 
@@ -257,22 +263,13 @@ def fit_kernel(
     broken by start order). Requires var_p and var_alpha of ``hyper`` to be
     either both known (frozen in the kernel) or both delegated (fitted).
     """
-    xy, z = train
-    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if xy.shape[0] < 3:
+    dists, noise_diag, resid, qouter = _nlml_inputs(train, hyper, noise)
+    if resid.shape[0] < 3:
         raise ValueError("need at least 3 sensors to fit the kernel")
     if (hyper.var_p is None) != (hyper.var_alpha is None):
         raise ValueError("var_p and var_alpha must be both known or both delegated")
     fit_vars = hyper.var_p is None
     frozen = None if fit_vars else (hyper.var_alpha, hyper.var_p)
-
-    d_hat = clamped_distances(xy, hyper.tx)
-    resid = z - prior_mean(xy, hyper)
-    q = log_distance_feature(d_hat)
-    dists = distance_matrix(xy, xy)
-    noise_diag = noise.variances(d_hat)
-    qouter = np.outer(q, q)
 
     lo, hi = math.log(_VAR_LO), math.log(_VAR_HI)
     slo, shi = math.log(_SCALE_LO), math.log(_SCALE_HI)

@@ -192,6 +192,19 @@ def log_distance_feature(d_hat):
     return float(out) if np.isscalar(d_hat) else out
 
 
+def mean_tx_gradient(points, tx_xy, mu_alpha: float, d_hat) -> np.ndarray:
+    """Derivative of the prior mean mu_p - mu_alpha * 10 log10(d) w.r.t. the
+    transmitter position, one (d/dx0, d/dy0) row per point.
+
+    Equals -10 mu_alpha log10(e) (x0 - x_i) / d_i^2, with d_hat the
+    (clamped) point-to-transmitter distances.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    tx = np.asarray(tx_xy, dtype=float).reshape(1, 2)
+    d = np.asarray(d_hat, dtype=float).reshape(-1, 1)
+    return -10.0 * mu_alpha * LOG10_E * (tx - pts) / d**2
+
+
 def rho_u_from(alpha: float, sigma_d: float) -> float:
     """Location-error scale 10 * alpha * sigma_d * log10(e), in mdB."""
     if alpha < 0 or sigma_d < 0:

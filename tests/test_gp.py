@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_solve, cholesky
 
 from rssfield.empbayes import HyperEstimate
 from rssfield.gp import (
@@ -237,6 +238,41 @@ def test_nlml_gradient_matches_finite_differences():
             fm, _ = _nlml_parts(tm, *args)
             fd[j] = (fp - fm) / (2 * eps)
         assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
+
+
+def _nlml_explicit_inverse(theta, dists, noise_diag, resid, qouter, frozen):
+    """Oracle: NLML and gradient with C^-1 = cho_solve(L, I) and one trace per dC."""
+    vk, s = math.exp(theta[0]), math.exp(theta[1])
+    va, vp = (math.exp(theta[2]), math.exp(theta[3])) if frozen is None else frozen
+    expo = np.exp(-dists / s)
+    c = vk * expo + va * qouter + vp + np.diag(noise_diag)
+    low = cholesky(c, lower=True)
+    beta = cho_solve((low, True), resid)
+    nlml = 0.5 * resid @ beta + np.sum(np.log(np.diag(low))) + 0.5 * len(resid) * math.log(2 * math.pi)
+    diff = cho_solve((low, True), np.eye(len(resid))) - np.outer(beta, beta)
+    dcs = [vk * expo, vk * expo * dists / s]
+    if frozen is None:
+        dcs += [va * qouter, vp * np.ones_like(c)]
+    return nlml, np.array([0.5 * np.sum(diff * dc) for dc in dcs])
+
+
+def test_nlml_parts_match_explicit_inverse_oracle():
+    rng = np.random.default_rng(12)
+    n = 120
+    xy = rng.uniform(0, 400, (n, 2))
+    hyper = hyper_for(tx=Position(200.0, 200.0))
+    z = prior_mean(xy, hyper) + rng.normal(0, 3, n)
+    d_hat = clamped_distances(xy, hyper.tx)
+    q = log_distance_feature(d_hat)
+    data = (distance_matrix(xy, xy), NoiseModel(rho_u=150.0, sigma_w=2.0).variances(d_hat),
+            z - prior_mean(xy, hyper), np.outer(q, q))
+    for _ in range(4):
+        theta = rng.uniform([-2, 1, -6, -3], [3, 6, -1, 2])
+        for th, frozen in ((theta, None), (theta[:2], (math.exp(theta[2]), math.exp(theta[3])))):
+            val, grad = _nlml_parts(th, *data, frozen)
+            want_val, want_grad = _nlml_explicit_inverse(th, *data, frozen)
+            assert_allclose(val, want_val, rtol=1e-10)
+            assert_allclose(grad, want_grad, rtol=1e-10)
 
 
 def test_fit_kernel_recovers_scales_from_simulated_fields():
