@@ -11,7 +11,6 @@ from .model import (
     clamped_distances,
     distance_matrix,
     log_distance_feature,
-    pairwise_distance,
     rho_u_from,
     uniform_grid,
 )
@@ -40,10 +39,8 @@ from .gp import (
     FieldPosterior,
     KernelParams,
     fit_kernel,
-    kernel_eval,
     kernel_matrix,
     negative_log_marginal_likelihood,
-    noise_cov,
     posterior,
     prior_mean,
 )

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .empbayes import HyperEstimate
-from .gp import KernelParams, chol_with_jitter, kernel_matrix, prior_mean
+# chol_with_jitter and kernel_matrix are unused here; the benchmark tracer resolves them by module name
+from .gp import KernelParams, chol_with_jitter, condition, kernel_diag, kernel_matrix, prior_mean  # noqa: F401
 from .model import (
     Grid,
     NoiseModel,
@@ -57,17 +58,6 @@ def grid_mean_gradient(node_xy, tx, mu_alpha: float) -> np.ndarray:
     return grad[0] if nodes.ndim == 1 else grad
 
 
-def _unpack_train(train):
-    if len(train) == 3:
-        xy, z, d_hat = train
-    else:
-        xy, z = train
-        d_hat = None
-    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    return xy, z, d_hat
-
-
 def _reports(train, grid, hyper, kernel, noise, node_indices) -> list:
     """Bounds at the given nodes from one factorization C = K_X + S = L L^T.
 
@@ -76,27 +66,23 @@ def _reports(train, grid, hyper, kernel, noise, node_indices) -> list:
     k(g, g) - sum(W^2) and by the predictive-mean derivative terms; the
     information matrix is (L^-1 J)^T (L^-1 J).
     """
-    xy, z, d_hat = _unpack_train(train)
-    if d_hat is None:
-        d_hat = clamped_distances(xy, hyper.tx)
-    d_hat = np.asarray(d_hat, dtype=float).reshape(-1)
+    xy, _ = train
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     n = xy.shape[0]
     tx = hyper.tx
-
-    q_hat = log_distance_feature(d_hat)
-    c_mat = kernel_matrix(xy, xy, kernel, tx)
-    c_mat[np.diag_indices_from(c_mat)] += noise.variances(d_hat)
-    low, _ = chol_with_jitter(c_mat, "training covariance")
+    d_hat = clamped_distances(xy, tx)
+    nodes_xy = grid.xy[node_indices]
+    # u = C^-1 m_X; k_gx is (m, N) and k_gx.T is K_Xg
+    low, k_gx, u = condition(xy, nodes_xy, prior_mean(xy, hyper), kernel, tx, noise.variances(d_hat))
 
     # Jacobian of the training prior mean w.r.t. (mu_p, mu_alpha, tx)
     a_mat = mean_tx_gradient(xy, tx.as_array(), hyper.mu_alpha, d_hat)
-    jac = np.column_stack([np.ones(n), -q_hat, a_mat])  # (N, 4)
+    jac = np.column_stack([np.ones(n), -log_distance_feature(d_hat), a_mat])  # (N, 4)
 
     # derivative of the training covariance w.r.t. the fix, through 1/d^2
     rho_sq = noise.rho_u**2
     a1_diag = -2.0 * rho_sq * (tx.x - xy[:, 0]) / d_hat**4
     a2_diag = -2.0 * rho_sq * (tx.y - xy[:, 1]) / d_hat**4
-    u = cho_solve((low, True), prior_mean(xy, hyper))
 
     # L^-1 [J, u*a1, u*a2]
     v = solve_triangular(low, np.column_stack([jac, u * a1_diag, u * a2_diag]), lower=True)
@@ -108,14 +94,8 @@ def _reports(train, grid, hyper, kernel, noise, node_indices) -> list:
     else:
         info_inv = np.linalg.inv(info)
 
-    nodes_xy = grid.xy[node_indices]
-    k_gx = kernel_matrix(nodes_xy, xy, kernel, tx)  # (m, N); k_gx.T is K_Xg
     w = solve_triangular(low, k_gx.T, lower=True, overwrite_b=True)  # (N, m), reuses k_gx
-
-    kdiag = kernel.sigma_k**2 + kernel.sigma_alpha_k**2 * log_distance_feature(
-        clamped_distances(nodes_xy, tx)
-    ) ** 2 + kernel.sigma_p_k**2
-    gp_var = kdiag - np.einsum("ij,ij->j", w, w)
+    gp_var = kernel_diag(nodes_xy, kernel, tx) - np.einsum("ij,ij->j", w, w)
 
     # g = dm_g/dtheta - J^T C^-1 K_Xg + (u*a1, u*a2)^T C^-1 K_Xg, one row per node
     terms = v.T @ w  # (6, m)

@@ -78,6 +78,12 @@ def _train_inputs(args, cfg):
     return snaps, scenario.grid, np.array(truths)
 
 
+def _truth_at(truth, i):
+    """Truth for the i-th snapshot: a row of the synthetic (T, M) truths, or
+    the single field read from a truth file."""
+    return truth[i] if truth.ndim == 2 else truth
+
+
 def cmd_synth(args):
     cfg = _load(args)
     out = _outdir(cfg)
@@ -98,7 +104,7 @@ def cmd_fit_static(args, *, with_bounds=False):
     out = _outdir(cfg)
     snaps, grid, truth = _train_inputs(args, cfg)
     snap = snaps[0]
-    result = run_static(snap, grid, cfg.pipeline_config_for(snap))
+    result = run_static(snap, grid, cfg.pipeline_config())
     bounds = None
     if with_bounds:
         bounds = hcrb_all(
@@ -115,8 +121,7 @@ def _report_fit(result, truth, t):
     hyper = result.hyper
     print(f"t={t} mu_alpha={hyper.mu_alpha:.4f} mu_p={hyper.mu_p:.4f} tx=({hyper.tx.x:.2f},{hyper.tx.y:.2f})")
     if truth is not None:
-        vec = truth[t] if isinstance(truth, np.ndarray) and truth.ndim == 2 else truth
-        print(f"t={t} mse={ex.compute_mse(result.posterior.mean, vec):.6g}")
+        print(f"t={t} mse={ex.compute_mse(result.posterior.mean, _truth_at(truth, t)):.6g}")
 
 
 def cmd_fit_recursive(args):
@@ -124,7 +129,7 @@ def cmd_fit_recursive(args):
     out = _outdir(cfg)
     snaps, grid, truth = _train_inputs(args, cfg)
     rcfg = RecursiveConfig(
-        pipeline=cfg.pipeline_config_for(snaps[0]),
+        pipeline=cfg.pipeline_config(),
         lam=cfg.lam,
         kernel_refit=cfg.kernel_refit,
     )
@@ -135,8 +140,7 @@ def cmd_fit_recursive(args):
             state = rgp_step(state, snap, grid, rcfg)
         ex.emit_field(state.posterior, None, out / f"field_rgp_t{snap.t}.csv", grid)
         if truth is not None:
-            vec = truth[i] if isinstance(truth, np.ndarray) and truth.ndim == 2 else truth
-            mses.append((snap.t, ex.compute_mse(state.posterior.mean, vec)))
+            mses.append((snap.t, ex.compute_mse(state.posterior.mean, _truth_at(truth, i))))
     for t, mse in mses:
         print(f"t={t} mse={mse:.6g}")
     print(f"wrote {len(snaps)} field file(s) to {out}")
@@ -148,7 +152,7 @@ def cmd_baseline_okd(args):
     out = _outdir(cfg)
     snaps, grid, truth = _train_inputs(args, cfg)
     snap = snaps[0]
-    result = run_static(snap, grid, cfg.pipeline_config_for(snap), compute_cov=False)
+    result = run_static(snap, grid, cfg.pipeline_config(), compute_cov=False)
     pred, var = okd_predict(
         (snap.positions, snap.rss), grid, result.hyper, return_variance=True
     )
@@ -156,8 +160,7 @@ def cmd_baseline_okd(args):
     ex.write_field_csv(path, grid, pred, var)
     print(f"wrote {path}")
     if truth is not None:
-        vec = truth[0] if isinstance(truth, np.ndarray) and truth.ndim == 2 else truth
-        print(f"t=0 mse={ex.compute_mse(pred, vec):.6g}")
+        print(f"t=0 mse={ex.compute_mse(pred, _truth_at(truth, 0)):.6g}")
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ product; and the transmitter fix is sharpened by alternating the two.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -81,19 +81,19 @@ def estimate_means(z, q_hat, d_hat) -> tuple:
     return float(mu_p), float(mu_alpha)
 
 
-def estimate_variances(z, mu_p, mu_alpha, q_hat, sigma_z_given) -> tuple:
+def estimate_variances(z, mu_p, mu_alpha, q_hat, known_var) -> tuple:
     """Nonnegative least squares for (var_p, var_alpha).
 
-    Fits the element-wise squared residuals, less the known measurement
-    covariance diagonal, against the columns [1, q_hat^2]. Solved exactly:
-    the unconstrained 2x2 solution if feasible, else the best of the three
-    boundary candidates.
+    Fits the element-wise squared residuals, less the known per-sensor
+    measurement variances ``known_var``, against the columns [1, q_hat^2].
+    Solved exactly: the unconstrained 2x2 solution if feasible, else the best
+    of the three boundary candidates.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     q = np.asarray(q_hat, dtype=float).reshape(-1)
-    sigma = np.asarray(sigma_z_given, dtype=float)
+    known = np.asarray(known_var, dtype=float).reshape(-1)
     resid = z - (mu_p - q * mu_alpha)
-    a = resid**2 - np.diag(sigma)
+    a = resid**2 - known
     b = q**2
 
     n = float(z.shape[0])
@@ -128,7 +128,7 @@ def refine_all(
     area_bounds=None,
     passes: int = 10,
     tol: float = 1e-9,
-    sigma_z_given: Optional[np.ndarray] = None,
+    sigma_z_given: Optional[Callable] = None,
 ) -> tuple:
     """Full hyper-parameter pass: centroid -> means -> refine x0 -> means.
 
@@ -138,11 +138,11 @@ def refine_all(
     CentroidState); the refined fix is folded back into the centroid state so
     the recursion carries the best available estimate forward.
 
-    When ``sigma_z_given`` (the measurement covariance for known shadowing
-    parameters) is provided the variance hyper-parameters are estimated here;
-    otherwise they are left for the GP kernel fit. It may be a matrix or a
-    callable of the final distance vector (the location-error part of the
-    covariance depends on the refined fix).
+    When ``sigma_z_given`` is provided the variance hyper-parameters are
+    estimated here; otherwise they are left for the GP kernel fit. It maps
+    the final distance vector to the known per-sensor measurement variances
+    (known shadowing parameters; the location-error part depends on the
+    refined fix).
     """
     if snapshot.n_sensors == 0:
         raise DegenerateFitError("snapshot is empty")
@@ -167,8 +167,7 @@ def refine_all(
 
     var_p = var_alpha = None
     if sigma_z_given is not None:
-        given = sigma_z_given(d_hat) if callable(sigma_z_given) else sigma_z_given
-        var_p, var_alpha = estimate_variances(snapshot.rss, mu_p, mu_alpha, q_hat, given)
+        var_p, var_alpha = estimate_variances(snapshot.rss, mu_p, mu_alpha, q_hat, sigma_z_given(d_hat))
     hyper = HyperEstimate(mu_p=mu_p, mu_alpha=mu_alpha, var_p=var_p, var_alpha=var_alpha, tx=tx)
     return hyper, state
 

@@ -35,7 +35,7 @@ from .model import (
     uniform_grid,
 )
 from .pipeline import PipelineConfig, run_static
-from .synth import Scenario, sample_snapshot, shadowing_covariance
+from .synth import Scenario, sample_snapshot
 
 
 class ConfigError(ValueError):
@@ -147,9 +147,11 @@ class ExperimentConfig:
         )
 
     def pipeline_config(self) -> PipelineConfig:
+        """Static-fit config; the empirical variance path also gets the known
+        per-sensor measurement variances as a function of the fitted distances."""
         if self.variance_path not in ("kernel", "empirical"):
             raise ConfigError(f"unknown variance_path {self.variance_path!r}")
-        return PipelineConfig(
+        cfg = PipelineConfig(
             noise=self.noise_model(),
             area_bounds=((0.0, self.area[0]), (0.0, self.area[1])),
             refine_passes=self.refine_passes,
@@ -157,18 +159,13 @@ class ExperimentConfig:
             maxiter=self.nlml_maxiter,
             fixed_tx=self.tx_position() if self.tx_known else None,
         )
-
-    def pipeline_config_for(self, snapshot: MeasurementSnapshot) -> PipelineConfig:
-        """Pipeline config bound to one snapshot (the empirical variance path
-        needs the sensor positions to assemble the known covariance)."""
-        cfg = self.pipeline_config()
         if self.variance_path == "empirical":
-            sigma_v_mat = shadowing_covariance(snapshot.positions, self.sigma_v, self.d_corr)
+            sv_sq = self.sigma_v**2
             rho_sq = self.effective_rho_u() ** 2
             sw_sq = self.sigma_w**2
 
             def builder(d_hat):
-                return sigma_v_mat + np.diag(sw_sq + rho_sq / np.asarray(d_hat) ** 2)
+                return sv_sq + (sw_sq + rho_sq / np.asarray(d_hat) ** 2)
 
             cfg.sigma_z_given = builder
         return cfg
@@ -370,7 +367,7 @@ def run_single_case(scenario, truth, snapshot, positions, rho_u, config: Experim
     snap = MeasurementSnapshot(
         t=snapshot.t, sensor_ids=snapshot.sensor_ids, positions=positions, rss=snapshot.rss
     )
-    pcfg = config.pipeline_config_for(snap)
+    pcfg = config.pipeline_config()
     pcfg.noise = NoiseModel(rho_u=rho_u, sigma_w=config.sigma_w)
     result = run_static(snap, scenario.grid, pcfg, compute_cov=False)
     mse = compute_mse(result.posterior.mean, truth.grid_field)

@@ -153,20 +153,33 @@ def kernel_matrix(a_xy, b_xy, params: KernelParams, tx: Position) -> np.ndarray:
     return out
 
 
-def kernel_eval(xi: Position, xj: Position, params: KernelParams, tx: Position) -> float:
-    """Kernel value for a single pair of positions."""
-    return float(kernel_matrix(xi.as_array(), xj.as_array(), params, tx)[0, 0])
+def kernel_diag(xy, params: KernelParams, tx: Position) -> np.ndarray:
+    """Diagonal of kernel_matrix(xy, xy): sigma_k^2 + sigma_alpha^2 q^2 + sigma_p^2."""
+    q = log_distance_feature(clamped_distances(xy, tx))
+    return params.sigma_k**2 + params.sigma_alpha_k**2 * q**2 + params.sigma_p_k**2
+
+
+def condition(xy, targets_xy, rhs, kernel: KernelParams, kernel_tx: Position, noise_var) -> tuple:
+    """Condition the GP on reports at xy: (L, K_gX, (K_X + S)^-1 rhs).
+
+    L is the lower Cholesky factor of the training covariance K_X + S with
+    S = diag(noise_var), escalating jitter if needed; K_gX is the kernel
+    between the targets and the reports. Both kernels use (kernel,
+    kernel_tx). Callers that need W = L^-1 K_Xg take one triangular solve
+    into K_gX's buffer. (Rasmussen & Williams, GPML 2006, Algorithm 2.1.)
+    """
+    c = kernel_matrix(xy, xy, kernel, kernel_tx)
+    c[np.diag_indices_from(c)] += noise_var
+    low, _ = chol_with_jitter(c, "training covariance")
+    solved = cho_solve((low, True), rhs)
+    k_gx = kernel_matrix(targets_xy, xy, kernel, kernel_tx)
+    return low, k_gx, solved
 
 
 def prior_mean(positions, hyper: HyperEstimate) -> np.ndarray:
     """Log-distance prior mean mu_p - mu_alpha * 10 log10(d_hat), dBm."""
     q = log_distance_feature(clamped_distances(positions, hyper.tx))
     return hyper.mu_p - hyper.mu_alpha * q
-
-
-def noise_cov(d_hat, noise: NoiseModel) -> np.ndarray:
-    """Diagonal measurement-noise covariance sigma_w^2 I + rho_u^2 diag(1/d^2)."""
-    return np.diag(noise.variances(np.asarray(d_hat, dtype=float)))
 
 
 def _nlml_parts(theta, dists, noise_diag, resid, qouter, frozen):
@@ -333,14 +346,8 @@ def posterior(
             chol_with_jitter(cov, "grid prior covariance")
         return FieldPosterior(t=t, mean=m_grid, cov=cov, hyper=hyper, kernel=kernel)
 
-    d_hat = clamped_distances(xy, hyper.tx)
-    c = kernel_matrix(xy, xy, kernel, hyper.tx)
-    c[np.diag_indices_from(c)] += noise.variances(d_hat)
-    low, _ = chol_with_jitter(c, "training covariance")
-
-    resid = z - prior_mean(xy, hyper)
-    beta = cho_solve((low, True), resid)
-    k_gx = kernel_matrix(grid.xy, xy, kernel, hyper.tx)
+    noise_var = noise.variances(clamped_distances(xy, hyper.tx))
+    low, k_gx, beta = condition(xy, grid.xy, z - prior_mean(xy, hyper), kernel, hyper.tx, noise_var)
     mean = m_grid + k_gx @ beta
 
     cov = None

@@ -159,11 +159,6 @@ class NoiseModel:
         return self.sigma_w**2 + self.rho_u**2 / d**2
 
 
-def pairwise_distance(a: Position, b: Position) -> float:
-    """Euclidean distance between two positions, meters."""
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
 def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All Euclidean distances between rows of a (n,2) and b (m,2)."""
     a = np.asarray(a, dtype=float).reshape(-1, 2)

@@ -38,8 +38,8 @@ class PipelineConfig:
     refine_passes: int = 10
     n_starts: int = 4
     maxiter: int = 200
-    # measurement covariance for known shadowing parameters (matrix or a
-    # callable of the fitted distances); enables the empirical variance path
+    # known per-sensor measurement variances as a callable of the fitted
+    # distances (known shadowing parameters); enables the empirical variance path
     sigma_z_given: Optional[object] = None
     # fixed kernel scales; skips the marginal-likelihood fit when given
     kernel: Optional[KernelParams] = None
@@ -61,8 +61,8 @@ def _hyper_with_fixed_tx(snapshot: MeasurementSnapshot, config: PipelineConfig) 
     mu_p, mu_alpha = estimate_means(snapshot.rss, q_hat, d_hat)
     var_p = var_alpha = None
     if config.sigma_z_given is not None:
-        given = config.sigma_z_given(d_hat) if callable(config.sigma_z_given) else config.sigma_z_given
-        var_p, var_alpha = estimate_variances(snapshot.rss, mu_p, mu_alpha, q_hat, given)
+        known_var = config.sigma_z_given(d_hat)
+        var_p, var_alpha = estimate_variances(snapshot.rss, mu_p, mu_alpha, q_hat, known_var)
     return HyperEstimate(mu_p=mu_p, mu_alpha=mu_alpha, var_p=var_p, var_alpha=var_alpha, tx=config.fixed_tx)
 
 

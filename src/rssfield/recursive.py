@@ -13,12 +13,13 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .empbayes import refine_all, with_kernel_variances
 from .gp import (
     FieldPosterior,
     chol_with_jitter,
+    condition,
     fit_kernel,
     kernel_matrix,
     prior_mean,
@@ -97,9 +98,9 @@ def rgp_step(
 ) -> RecursiveState:
     """Advance the recursion by one snapshot.
 
-    The data term conditions on the snapshot through L, the lower Cholesky
-    factor of K_X + S: mu_post = K_gX (K_X + S)^-1 (z - m_X) and
-    sigma_post = W^T W with W = L^-1 K_Xg. The grid prior K_g is taken from
+    The data term conditions on the snapshot through ``gp.condition``, with L
+    the lower Cholesky factor of K_X + S: mu_post = K_gX (K_X + S)^-1 (z - m_X)
+    and sigma_post = W^T W with W = L^-1 K_Xg. The grid prior K_g is taken from
     the state when the kernel and the covariance-side fix equal the state's
     own (every step under ``freeze_after_init`` or a fixed
     ``PipelineConfig.kernel``) and recomputed otherwise. Every term of the
@@ -142,14 +143,10 @@ def rgp_step(
         hyper = with_kernel_variances(hyper, kernel.sigma_alpha_k, kernel.sigma_p_k)
 
     xy = snapshot.positions
-    d_hat = clamped_distances(xy, hyper.tx)
-    c = kernel_matrix(xy, xy, kernel, cov_tx)
-    c[np.diag_indices_from(c)] += pconf.noise.variances(d_hat)
-    low, _ = chol_with_jitter(c, "training covariance")
-
+    noise_var = pconf.noise.variances(clamped_distances(xy, hyper.tx))
     resid = snapshot.rss - prior_mean(xy, hyper)
-    k_gx = kernel_matrix(grid.xy, xy, kernel, cov_tx)
-    mu_post = k_gx @ cho_solve((low, True), resid)
+    low, k_gx, beta = condition(xy, grid.xy, resid, kernel, cov_tx, noise_var)
+    mu_post = k_gx @ beta
     w = solve_triangular(low, k_gx.T, lower=True, overwrite_b=True)  # reuses k_gx
 
     m_grid = prior_mean(grid.xy, hyper)

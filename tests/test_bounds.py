@@ -158,16 +158,6 @@ def test_singular_information_matrix_uses_pseudo_inverse():
     assert rep.bound >= rep.gp_variance
 
 
-def test_explicit_d_hat_is_honored():
-    rng = np.random.default_rng(6)
-    (xy, z), grid, hyper, kernel, noise = random_setup(rng)
-    d_hat = clamped_distances(xy, hyper.tx)
-    with_d = hcrb_all((xy, z, d_hat), grid, hyper, kernel, noise)
-    without = hcrb_all((xy, z), grid, hyper, kernel, noise)
-    for a, b in zip(with_d, without):
-        assert_allclose(a.bound, b.bound, rtol=1e-12)
-
-
 def test_report_invariants():
     rep = HcrbReport(node_index=0, gp_variance=2.0, added_term=0.5, bound=2.5)
     assert rep.bound >= rep.gp_variance

@@ -83,9 +83,9 @@ def test_means_constraint_always_satisfied():
 def test_variances_zero_target():
     q = 10 * np.log10(np.array([10.0, 50.0, 200.0]))
     z = -10.0 - 3.0 * q
-    sigma = np.diag((z - z) + 2.0)  # any known diagonal
-    # residuals are exactly zero, so the target is -diag(sigma): fit clamps to 0
-    vp, va = estimate_variances(z, -10.0, 3.0, q, sigma - 2.0 * np.eye(3))
+    sigma = (z - z) + 2.0  # any known variances
+    # residuals are exactly zero, so the target is -sigma: fit clamps to 0
+    vp, va = estimate_variances(z, -10.0, 3.0, q, sigma - 2.0)
     assert (vp, va) == (0.0, 0.0)
 
 
@@ -96,7 +96,7 @@ def test_variances_exact_construction():
     target = 4.0 + 9.0 * q**2
     resid = np.sqrt(target)  # (z - mu_z)^2 == target exactly
     z = (mu_p - mu_alpha * q) + resid
-    vp, va = estimate_variances(z, mu_p, mu_alpha, q, np.zeros((25, 25)))
+    vp, va = estimate_variances(z, mu_p, mu_alpha, q, np.zeros(25))
     assert_allclose([vp, va], [4.0, 9.0], rtol=1e-8)
 
 
@@ -107,7 +107,7 @@ def test_variances_active_constraint():
     # squared residuals decreasing in q^2 force a negative unconstrained va
     target = np.maximum(50.0 - 0.05 * q**2, 1.0)
     z = (mu_p - mu_alpha * q) + np.sqrt(target)
-    vp, va = estimate_variances(z, mu_p, mu_alpha, q, np.zeros((40, 40)))
+    vp, va = estimate_variances(z, mu_p, mu_alpha, q, np.zeros(40))
     assert va == 0.0
     assert vp >= 0.0
     assert_allclose(vp, np.mean(target), rtol=1e-8)
@@ -119,7 +119,7 @@ def test_variances_never_negative():
         n = int(rng.integers(3, 25))
         q = 10 * np.log10(rng.uniform(2, 400, n))
         z = rng.normal(-60, 15, n)
-        vp, va = estimate_variances(z, -60.0, 2.5, q, np.diag(rng.uniform(0, 40, n)))
+        vp, va = estimate_variances(z, -60.0, 2.5, q, rng.uniform(0, 40, n))
         assert vp >= 0.0 and va >= 0.0
 
 
@@ -156,8 +156,9 @@ def test_refine_all_empty_snapshot_rejected():
 
 def test_refine_all_estimates_variances_when_covariance_known():
     sc, snap = _noise_free_world(seed=12)
-    sigma = np.zeros((snap.n_sensors, snap.n_sensors))
-    hyper, _ = refine_all(snap, CentroidState.empty(), area_bounds=sc.area_bounds, sigma_z_given=sigma)
+    hyper, _ = refine_all(
+        snap, CentroidState.empty(), area_bounds=sc.area_bounds, sigma_z_given=np.zeros_like
+    )
     assert hyper.var_p is not None and hyper.var_p >= 0.0
     assert hyper.var_alpha is not None and hyper.var_alpha >= 0.0
     # noise-free data with a correct covariance leaves nothing to explain

@@ -370,7 +370,7 @@ def test_pipeline_empirical_variance_path():
     snap, _ = rf.sample_snapshot(scenario, 0)
     from rssfield.pipeline import run_static
 
-    result = run_static(snap, scenario.grid, cfg.pipeline_config_for(snap))
+    result = run_static(snap, scenario.grid, cfg.pipeline_config())
     # the variance fields come from the residual fit, and the kernel freezes
     # them rather than re-learning
     assert result.hyper.var_p is not None and result.hyper.var_p >= 0.0

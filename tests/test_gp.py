@@ -11,10 +11,9 @@ from rssfield.gp import (
     KernelParams,
     chol_with_jitter,
     fit_kernel,
-    kernel_eval,
+    kernel_diag,
     kernel_matrix,
     negative_log_marginal_likelihood,
-    noise_cov,
     posterior,
     prior_mean,
     _nlml_parts,
@@ -47,22 +46,24 @@ def test_kernel_eval_three_term_oracle():
         qi = 10 * math.log10(max(math.hypot(xi.x, xi.y), 1.0))
         qj = 10 * math.log10(max(math.hypot(xj.x, xj.y), 1.0))
         expected = 4.0 * math.exp(-d / 80.0) + 0.09 * qi * qj + 2.25
-        assert_allclose(kernel_eval(xi, xj, params, TX), expected, rtol=1e-12)
-        assert_allclose(kernel_eval(xj, xi, params, TX), kernel_eval(xi, xj, params, TX), rtol=1e-15)
+        k_ij = kernel_matrix(xi.as_array(), xj.as_array(), params, TX)[0, 0]
+        assert_allclose(k_ij, expected, rtol=1e-12)
+        assert_allclose(kernel_matrix(xj.as_array(), xi.as_array(), params, TX)[0, 0], k_ij, rtol=1e-15)
 
 
 def test_kernel_eval_zero_separation():
     params = KernelParams.from_decay(sigma_k=3.0, decay_scale=50.0, sigma_alpha_k=0.2, sigma_p_k=1.0)
-    x = Position(30.0, 40.0)  # 50 m from the transmitter
+    x = np.array([30.0, 40.0])  # 50 m from the transmitter
     q = 10 * math.log10(50.0)
-    assert_allclose(kernel_eval(x, x, params, TX), 9.0 + 0.04 * q * q + 1.0, rtol=1e-12)
+    assert_allclose(kernel_matrix(x, x, params, TX)[0, 0], 9.0 + 0.04 * q * q + 1.0, rtol=1e-12)
+    assert_allclose(kernel_diag(x, params, TX), [9.0 + 0.04 * q * q + 1.0], rtol=1e-12)
 
 
 def test_kernel_eval_long_distance_limit():
     params = KernelParams.from_decay(sigma_k=3.0, decay_scale=50.0, sigma_alpha_k=0.2, sigma_p_k=1.0)
-    xi, xj = Position(10.0, 0.0), Position(1e7, 0.0)
+    xi, xj = np.array([10.0, 0.0]), np.array([1e7, 0.0])
     qi, qj = 10 * math.log10(10.0), 10 * math.log10(1e7)
-    assert_allclose(kernel_eval(xi, xj, params, TX), 0.04 * qi * qj + 1.0, rtol=1e-9)
+    assert_allclose(kernel_matrix(xi, xj, params, TX)[0, 0], 0.04 * qi * qj + 1.0, rtol=1e-9)
 
 
 def test_kernel_matrix_exactly_symmetric_and_matches_three_term_formula():
@@ -120,11 +121,9 @@ def test_prior_mean_batch_matches_elementwise():
 
 def test_noise_cov_values():
     nm = NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
-    cov = noise_cov(np.array([100.0, 50.0]), nm)
-    assert_allclose(np.diag(cov), [11.0, 7.0 + 16.0], rtol=1e-12)
-    assert_allclose(cov - np.diag(np.diag(cov)), 0.0)
-    flat = noise_cov(np.array([10.0, 100.0]), NoiseModel(rho_u=0.0, sigma_w=2.0))
-    assert_allclose(np.diag(flat), [4.0, 4.0])
+    assert_allclose(nm.variances(np.array([100.0, 50.0])), [11.0, 7.0 + 16.0], rtol=1e-12)
+    flat = NoiseModel(rho_u=0.0, sigma_w=2.0).variances(np.array([10.0, 100.0]))
+    assert_allclose(flat, [4.0, 4.0])
 
 
 def _random_case(rng, n_train=3, n_grid=2):
@@ -207,7 +206,7 @@ def test_posterior_variance_bounded_by_prior_and_shrinks_with_data():
     rng = np.random.default_rng(5)
     (xy, z), grid, hyper, kernel, noise = _random_case(rng, n_train=5, n_grid=4)
     noise = NoiseModel(rho_u=0.0, sigma_w=0.0)  # noiseless-kernel small case
-    prior_var = np.array([kernel_eval(Position(*g), Position(*g), kernel, hyper.tx) for g in grid.xy])
+    prior_var = kernel_diag(grid.xy, kernel, hyper.tx)
     post_all = posterior((xy, z), grid, hyper, kernel, noise)
     assert np.all(post_all.cov.diagonal() <= prior_var + 1e-10)
     assert np.all(post_all.cov.diagonal() >= -1e-10)

@@ -14,18 +14,17 @@ from rssfield.model import (
     clamped_distances,
     distance_matrix,
     log_distance_feature,
-    pairwise_distance,
     rho_u_from,
     uniform_grid,
 )
 
 
 def test_pairwise_distance_identity():
-    assert pairwise_distance(Position(0, 0), Position(0, 0)) == 0.0
+    assert distance_matrix([0, 0], [0, 0])[0, 0] == 0.0
 
 
 def test_pairwise_distance_pythagorean():
-    assert pairwise_distance(Position(0, 0), Position(3, 4)) == 5.0
+    assert distance_matrix([0, 0], [3, 4])[0, 0] == 5.0
 
 
 def test_pairwise_distance_random_pairs_match_coordinate_formula():
@@ -33,14 +32,15 @@ def test_pairwise_distance_random_pairs_match_coordinate_formula():
     for _ in range(100):
         ax, ay, bx, by = rng.uniform(-1e3, 1e3, size=4)
         expected = math.sqrt((ax - bx) ** 2 + (ay - by) ** 2)
-        assert_allclose(pairwise_distance(Position(ax, ay), Position(bx, by)), expected, rtol=1e-14)
+        assert_allclose(distance_matrix([ax, ay], [bx, by])[0, 0], expected, rtol=1e-14)
 
 
 def test_pairwise_distance_triangle_inequality():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        a, b, c = (Position(*rng.uniform(-100, 100, 2)) for _ in range(3))
-        assert pairwise_distance(a, c) <= pairwise_distance(a, b) + pairwise_distance(b, c) + 1e-12
+        pts = rng.uniform(-100, 100, (3, 2))
+        d = distance_matrix(pts, pts)
+        assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-12
 
 
 def test_log_distance_feature_values():
@@ -91,7 +91,7 @@ def test_distance_matrix_matches_pairwise():
     d = distance_matrix(a, b)
     for i in range(5):
         for j in range(7):
-            assert_allclose(d[i, j], pairwise_distance(Position(*a[i]), Position(*b[j])), rtol=1e-14)
+            assert_allclose(d[i, j], math.hypot(*(a[i] - b[j])), rtol=1e-14)
 
 
 def test_distance_matrix_equals_broadcast_formula_exactly():
