@@ -12,10 +12,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.optimize import least_squares
 
 from .empbayes import HyperEstimate
-from .gp import prior_mean
+from .gp import matvec, prior_mean
 from .model import Grid, distance_matrix
 
 _DUP_EPS = 1e-9
@@ -123,9 +125,11 @@ def okd_predict(
     """Ordinary-kriging field estimate at the grid nodes, dBm.
 
     Detrends by the estimated path-loss mean, kriges the residuals with the
-    bordered (unbiasedness-constrained) system shared across all nodes, and
-    re-adds the trend. A singular system falls back to the pseudo-inverse
-    with a warning.
+    bordered (unbiasedness-constrained) system B shared across all nodes, and
+    re-adds the trend. B is symmetric, so the prediction at the nodes is
+    rhs^T B^-1 [resid; 0]: one LU factorization and a single right-hand side;
+    only the variance solves for the weights of every node. A singular system
+    falls back to the pseudo-inverse with a warning.
     """
     xy, z = train
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
@@ -139,26 +143,35 @@ def okd_predict(
     if variogram is None:
         variogram = fit_variogram(resid, xy)
 
-    cov_train = variogram.covariance(distance_matrix(xy, xy))
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = cov_train
+    bordered = np.zeros((n + 1, n + 1), order="F")
+    bordered[:n, :n] = variogram.covariance(distance_matrix(xy, xy))
     bordered[:n, n] = 1.0
     bordered[n, :n] = 1.0
-
     cov_to_nodes = variogram.covariance(distance_matrix(xy, grid.xy))  # (N, M)
-    rhs = np.vstack([cov_to_nodes, np.ones((1, grid.n_nodes))])
+    resid0 = np.append(resid, 0.0)
 
-    try:
-        sol = np.linalg.solve(bordered, rhs)
-    except np.linalg.LinAlgError:
+    # LAPACK getrf/getrs is numpy's solve, run in scipy's BLAS pool (see the
+    # rssfield.gp docstring); info > 0 is the exactly singular case
+    lu, piv, info = dgetrf(bordered)
+    inv = None
+    if info > 0:
         warnings.warn("singular kriging system; using pseudo-inverse", RuntimeWarning, stacklevel=2)
-        sol = np.linalg.pinv(bordered) @ rhs
-
-    weights = sol[:n, :]  # (N, M)
-    nu = sol[n, :]  # (M,) Lagrange multipliers
-    pred = weights.T @ resid + prior_mean(grid.xy, hyper)
+        inv = np.linalg.pinv(bordered)
+        sol0 = matvec(inv, resid0)
+    else:
+        sol0, _ = dgetrs(lu, piv, resid0)
+    pred = matvec(cov_to_nodes.T, sol0[:n]) + sol0[n] + prior_mean(grid.xy, hyper)
     if not return_variance:
         return pred
+
+    rhs = np.ones((n + 1, grid.n_nodes), order="F")
+    rhs[:n] = cov_to_nodes
+    if inv is None:
+        sol, _ = dgetrs(lu, piv, rhs, overwrite_b=True)
+    else:
+        sol = dgemm(1.0, inv.T, rhs, trans_a=1)  # inv @ rhs
+    weights = sol[:n, :]  # (N, M)
+    nu = sol[n, :]  # (M,) Lagrange multipliers
     c0 = variogram.sill + variogram.nugget
     var = c0 - np.sum(weights * cov_to_nodes, axis=0) - nu
     return pred, np.maximum(var, 0.0)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dgemm
 
 from .empbayes import HyperEstimate
 # chol_with_jitter and kernel_matrix are unused here; the benchmark tracer resolves them by module name
@@ -98,7 +99,7 @@ def _reports(train, grid, hyper, kernel, noise, node_indices) -> list:
     gp_var = kernel_diag(nodes_xy, kernel, tx) - np.einsum("ij,ij->j", w, w)
 
     # g = dm_g/dtheta - J^T C^-1 K_Xg + (u*a1, u*a2)^T C^-1 K_Xg, one row per node
-    terms = v.T @ w  # (6, m)
+    terms = dgemm(1.0, v, w, trans_a=1)  # V^T W, (6, m); both operands F-ordered
     g = grid_mean_gradient(nodes_xy, tx, hyper.mu_alpha) - terms[:4].T
     g[:, 2] += terms[4]
     g[:, 3] += terms[5]

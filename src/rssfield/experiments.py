@@ -160,15 +160,18 @@ class ExperimentConfig:
             fixed_tx=self.tx_position() if self.tx_known else None,
         )
         if self.variance_path == "empirical":
-            sv_sq = self.sigma_v**2
-            rho_sq = self.effective_rho_u() ** 2
-            sw_sq = self.sigma_w**2
-
-            def builder(d_hat):
-                return sv_sq + (sw_sq + rho_sq / np.asarray(d_hat) ** 2)
-
-            cfg.sigma_z_given = builder
+            cfg.sigma_z_given = _known_variances(self.sigma_v**2, cfg.noise)
         return cfg
+
+
+def _known_variances(sigma_v_sq: float, noise: NoiseModel):
+    """Known per-sensor measurement variances sigma_v^2 + sigma_w^2 + rho_u^2 / d^2
+    as a callable of the fitted distances (the empirical variance path)."""
+
+    def known(d_hat):
+        return sigma_v_sq + noise.variances(d_hat)
+
+    return known
 
 
 _SCENARIO_KEYS = {
@@ -369,6 +372,9 @@ def run_single_case(scenario, truth, snapshot, positions, rho_u, config: Experim
     )
     pcfg = config.pipeline_config()
     pcfg.noise = NoiseModel(rho_u=rho_u, sigma_w=config.sigma_w)
+    if pcfg.sigma_z_given is not None:
+        # the known variance follows the swept shadowing and the case's noise model
+        pcfg.sigma_z_given = _known_variances(scenario.params.sigma_v**2, pcfg.noise)
     result = run_static(snap, scenario.grid, pcfg, compute_cov=False)
     mse = compute_mse(result.posterior.mean, truth.grid_field)
     tx = result.hyper.tx

@@ -13,6 +13,17 @@ Kernel scales are learned by minimizing the negative log marginal likelihood
 with analytic gradients; when the variance hyper-parameters were already
 estimated empirically, sigma_alpha and sigma_p are frozen to their square
 roots and only the spatial scales are fitted.
+
+BLAS threading: numpy and scipy each ship their own OpenBLAS, each with its
+own thread pool, and a call into one library right after a threaded call into
+the other waits on the first pool's still-spinning threads. Every product on
+the estimation path that is large enough for OpenBLAS to thread therefore goes
+through scipy (``matvec``, ``subtract_gram``, ``scipy.linalg.blas.dgemm``), so
+only scipy's pool runs between its LAPACK calls. The numpy products that
+remain (vector . vector, 4 x 4 blocks and a few others) are listed with their
+reasons in tests/test_blas_guard.py. scipy's BLAS wrappers copy any operand
+that is not Fortran-ordered, so each call passes the F-ordered view of its
+operand (the transpose of a C-ordered array) and sets the transpose flag.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
@@ -115,15 +126,24 @@ def chol_with_jitter(mat: np.ndarray, what: str = "covariance") -> tuple:
             )
 
 
+def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x through scipy's dgemv, bit-identical to numpy's product.
+
+    Keeps the product in scipy's BLAS thread pool (see the module docstring).
+    The F-ordered operand goes in as is: a C-ordered a enters as a.T with the
+    transpose flag, which is also the kernel numpy picks for it.
+    """
+    if a.flags.f_contiguous:
+        return dgemv(1.0, a, x)
+    return dgemv(1.0, a.T, x, trans=1)
+
+
 def subtract_gram(c: np.ndarray, w: np.ndarray, alpha: float = 1.0) -> None:
     """c -= alpha * W^T W in place, for an exactly symmetric c.
 
-    The product runs through scipy's BLAS (dsyrk), which also factors the
-    result next: numpy and scipy each ship an OpenBLAS with its own thread
-    pool, and a call into one right after a call into the other waits on the
-    first pool's still-spinning threads. dsyrk fills one triangle; subtracting
-    it and its transpose, then resetting the diagonal, keeps c exactly
-    symmetric.
+    The product runs through scipy's dsyrk (see the module docstring). dsyrk
+    fills one triangle; subtracting it and its transpose, then resetting the
+    diagonal, keeps c exactly symmetric.
     """
     s = dsyrk(alpha, w, trans=1, lower=1)  # lower triangle of alpha W^T W, zeros above
     diag = np.diag(c) - np.diag(s)
@@ -186,10 +206,9 @@ def _nlml_parts(theta, dists, noise_diag, resid, qouter, frozen):
     """Negative log marginal likelihood and gradient in log-parameter space.
 
     theta is log([vk, s]) when the rank-one/constant variances are frozen,
-    log([vk, s, va, vp]) otherwise. The gradient traces run element-wise in
-    numpy: C^-1 comes from LAPACK's potri on the Cholesky factor, and a numpy
-    BLAS product between scipy's LAPACK calls would wait on the other
-    OpenBLAS thread pool (see ``subtract_gram``).
+    log([vk, s, va, vp]) otherwise. C^-1 comes from LAPACK's potri on the
+    Cholesky factor, and the gradient traces run element-wise, with no BLAS
+    product (see the module docstring).
     """
     vk, s = math.exp(theta[0]), math.exp(theta[1])
     if frozen is None:
@@ -348,7 +367,7 @@ def posterior(
 
     noise_var = noise.variances(clamped_distances(xy, hyper.tx))
     low, k_gx, beta = condition(xy, grid.xy, z - prior_mean(xy, hyper), kernel, hyper.tx, noise_var)
-    mean = m_grid + k_gx @ beta
+    mean = m_grid + matvec(k_gx, beta)
 
     cov = None
     if compute_cov:

@@ -22,6 +22,7 @@ from .gp import (
     condition,
     fit_kernel,
     kernel_matrix,
+    matvec,
     prior_mean,
     subtract_gram,
 )
@@ -146,7 +147,7 @@ def rgp_step(
     noise_var = pconf.noise.variances(clamped_distances(xy, hyper.tx))
     resid = snapshot.rss - prior_mean(xy, hyper)
     low, k_gx, beta = condition(xy, grid.xy, resid, kernel, cov_tx, noise_var)
-    mu_post = k_gx @ beta
+    mu_post = matvec(k_gx, beta)
     w = solve_triangular(low, k_gx.T, lower=True, overwrite_b=True)  # reuses k_gx
 
     m_grid = prior_mean(grid.xy, hyper)

@@ -17,6 +17,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
 
+from .gp import matvec
 from .model import (
     Grid,
     MeasurementSnapshot,
@@ -138,6 +139,14 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+def _correlation(a_xy, b_xy, d_corr: float) -> np.ndarray:
+    """Shadowing correlation exp(-d_ij / d_corr), in the distance buffer."""
+    corr = distance_matrix(a_xy, b_xy)
+    corr /= -d_corr
+    np.exp(corr, out=corr)
+    return corr
+
+
 def shadowing_covariance(positions, sigma_v: float, d_corr: float) -> np.ndarray:
     """Exponential shadowing covariance sigma_v^2 * exp(-d_ij / d_corr)."""
     if sigma_v < 0:
@@ -145,7 +154,7 @@ def shadowing_covariance(positions, sigma_v: float, d_corr: float) -> np.ndarray
     if d_corr <= 0:
         raise ValueError("d_corr must be > 0")
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
-    return sigma_v**2 * np.exp(-distance_matrix(pts, pts) / d_corr)
+    return sigma_v**2 * _correlation(pts, pts, d_corr)
 
 
 class _FifoCache:
@@ -174,9 +183,7 @@ def _grid_corr_chol(grid: Grid, d_corr: float) -> np.ndarray:
     hit = _grid_chol_cache.get(key)
     if hit is not None:
         return hit
-    corr = distance_matrix(grid.xy, grid.xy)
-    corr /= -d_corr
-    np.exp(corr, out=corr)
+    corr = _correlation(grid.xy, grid.xy, d_corr)
     corr[np.diag_indices_from(corr)] += _SHADOW_JITTER
     low = cholesky(corr, lower=True)
     _grid_chol_cache.put(key, low)
@@ -193,10 +200,12 @@ def _sensor_conditional(grid: Grid, sensor_xy: np.ndarray, d_corr: float):
     if hit is not None:
         return hit
     low_gg = _grid_corr_chol(grid, d_corr)
-    corr_gs = np.exp(-distance_matrix(grid.xy, sensor_xy) / d_corr)
-    w = cho_solve((low_gg, True), corr_gs)  # (M, N)
-    corr_ss = np.exp(-distance_matrix(sensor_xy, sensor_xy) / d_corr)
-    cond = corr_ss - corr_gs.T @ w
+    corr_gs = _correlation(grid.xy, sensor_xy, d_corr)
+    w = cho_solve((low_gg, True), corr_gs)  # (M, N), F-ordered
+    cond = _correlation(sensor_xy, sensor_xy, d_corr)
+    # numpy's BLAS on purpose: scipy's OpenBLAS splits this threaded product
+    # differently, which would change every snapshot's bits; runs once per roster
+    cond -= corr_gs.T @ w
     cond[np.diag_indices_from(cond)] += _SHADOW_JITTER
     low_cond = cholesky(cond, lower=True)
     _cond_cache.put(key, (w, low_cond))
@@ -261,13 +270,13 @@ def _shadowing_at(scenario: Scenario, t: int, sensor_xy: np.ndarray):
     if p.sigma_v == 0.0:
         return np.zeros(m), np.zeros(sensor_xy.shape[0])
     low_gg = _grid_corr_chol(scenario.grid, p.d_corr)
-    v_g = p.sigma_v * (low_gg @ _rng(scenario.seed, _K_GRID_FIELD).standard_normal(m))
+    v_g = p.sigma_v * matvec(low_gg, _rng(scenario.seed, _K_GRID_FIELD).standard_normal(m))
     if sensor_xy.shape[0] == 0:
         return v_g, np.zeros(0)
     field_step = t if isinstance(scenario.dynamics, Moving) else 0
     w, low_cond = _sensor_conditional(scenario.grid, sensor_xy, p.d_corr)
     xi = _rng(scenario.seed, _K_SENSOR_FIELD, field_step).standard_normal(sensor_xy.shape[0])
-    v_s = w.T @ v_g + p.sigma_v * (low_cond @ xi)
+    v_s = matvec(w.T, v_g) + p.sigma_v * matvec(low_cond, xi)
     return v_g, v_s
 
 

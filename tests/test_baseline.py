@@ -8,7 +8,7 @@ import rssfield as rf
 from rssfield.baseline import VariogramModel, fit_variogram, okd_predict
 from rssfield.empbayes import HyperEstimate
 from rssfield.gp import prior_mean
-from rssfield.model import Grid, Position
+from rssfield.model import Grid, Position, distance_matrix
 
 
 HYPER = HyperEstimate(mu_p=-10.0, mu_alpha=3.0, var_p=0.0, var_alpha=0.0, tx=Position(0.0, 0.0))
@@ -102,6 +102,52 @@ def test_okd_matches_directly_solved_bordered_system():
     pred = okd_predict((xy, z), Grid(node), HYPER, vg)
     assert_allclose(pred[0], expected, atol=1e-8)
     assert_allclose(sol[:4].sum(), 1.0, atol=1e-10)
+
+
+def _okd_full_weights_oracle(xy, z, grid_xy, vg, solve):
+    """Prediction from the weights of every node: sol = solve(B, rhs)."""
+    n = xy.shape[0]
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = vg.covariance(distance_matrix(xy, xy))
+    bordered[:n, n] = bordered[n, :n] = 1.0
+    rhs = np.vstack([vg.covariance(distance_matrix(xy, grid_xy)), np.ones((1, grid_xy.shape[0]))])
+    sol = solve(bordered, rhs)
+    return sol[:n].T @ (z - prior_mean(xy, HYPER)) + prior_mean(grid_xy, HYPER)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_okd_one_solve_prediction_matches_full_weights_formula(seed):
+    rng = np.random.default_rng(100 + seed)
+    n, m = int(rng.integers(5, 120)), int(rng.integers(1, 300))
+    xy = rng.uniform(0, 400, (n, 2))
+    z = rng.uniform(-95, -40, n)
+    grid = Grid(rng.uniform(0, 400, (m, 2)))
+    vg = VariogramModel(nugget=rng.uniform(0, 2), sill=rng.uniform(1, 12), range_m=rng.uniform(10, 150))
+    expected = _okd_full_weights_oracle(xy, z, grid.xy, vg, np.linalg.solve)
+    pred = okd_predict((xy, z), grid, HYPER, vg)
+    pred_v, _ = okd_predict((xy, z), grid, HYPER, vg, return_variance=True)
+    assert_allclose(pred, expected, rtol=1e-10, atol=0.0)
+    assert np.array_equal(pred_v, pred)
+
+
+@pytest.mark.parametrize("return_variance", [False, True])
+def test_okd_singular_system_falls_back_to_pseudo_inverse(return_variance):
+    # a duplicate sensor position makes two rows of the bordered system equal
+    rng = np.random.default_rng(9)
+    xy = rng.uniform(10, 200, (14, 2))
+    xy[1] = xy[0]
+    z = rng.uniform(-90, -50, 14)
+    grid = Grid(rng.uniform(10, 200, (20, 2)))
+    vg = VariogramModel(nugget=0.4, sill=6.0, range_m=50.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        _okd_full_weights_oracle(xy, z, grid.xy, vg, np.linalg.solve)
+    expected = _okd_full_weights_oracle(xy, z, grid.xy, vg, lambda b, r: np.linalg.pinv(b) @ r)
+    with pytest.warns(RuntimeWarning, match="singular kriging system; using pseudo-inverse"):
+        out = okd_predict((xy, z), grid, HYPER, vg, return_variance=return_variance)
+    pred = out[0] if return_variance else out
+    assert_allclose(pred, expected, rtol=1e-10, atol=0.0)
+    if return_variance:
+        assert np.all(out[1] >= 0.0)
 
 
 def test_okd_variance_nonnegative():

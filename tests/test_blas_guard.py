@@ -1,0 +1,78 @@
+"""Guard: numpy BLAS/LAPACK calls in the library need a deliberate decision.
+
+numpy and scipy each ship their own OpenBLAS with its own thread pool, and a
+call into one right after a threaded call into the other waits on the first
+pool's spinning threads (see the ``rssfield.gp`` module docstring). Products
+on the estimation path therefore go through scipy. This test scans the source
+for every ``@``, ``np.dot`` and ``np.linalg.*`` call and fails on any that is
+not listed below with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rssfield"
+
+# (file, source text of the expression) -> why it may stay in numpy
+ALLOWED = {
+    ("baseline.py", "np.linalg.pinv(bordered)"):
+        "singular-system fallback only; kept in numpy so the fallback's result is unchanged",
+    ("bounds.py", "v[:, :4].T @ v[:, :4]"):
+        "4 x 4 information matrix; below OpenBLAS's threading threshold",
+    ("bounds.py", "np.linalg.eigvalsh(info)"): "4 x 4 information matrix",
+    ("bounds.py", "np.linalg.pinv(info, rcond=_SINGULAR_RCOND, hermitian=True)"): "4 x 4 information matrix",
+    ("bounds.py", "np.linalg.inv(info)"): "4 x 4 information matrix",
+    ("bounds.py", "g @ info_inv"): "(m, 4) times 4 x 4; below OpenBLAS's threading threshold at m = 4096",
+    ("empbayes.py", "r @ r"): "vector . vector",
+    ("experiments.py", "diff @ diff"): "vector . vector",
+    ("gp.py", "resid @ beta"): "vector . vector",
+    ("localize.py", "r @ r"): "vector . vector",
+    ("localize.py", "w @ snapshot.positions"):
+        "vector times the (N, 2) positions; below OpenBLAS's threading threshold",
+    ("synth.py", "corr_gs.T @ w"):
+        "once per sensor roster (cached); scipy's OpenBLAS splits this threaded product "
+        "differently from numpy's, so routing it would change every snapshot's bits",
+}
+
+
+def _is_numpy_call(node) -> bool:
+    """np.dot(...), numpy.dot(...) or np.linalg.<anything>(...)."""
+    if not isinstance(node, ast.Call):
+        return False
+    parts = []
+    func = node.func
+    while isinstance(func, ast.Attribute):
+        parts.append(func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name) or func.id not in ("np", "numpy"):
+        return False
+    parts.reverse()
+    return parts == ["dot"] or (len(parts) == 2 and parts[0] == "linalg")
+
+
+def _is_matmul(node) -> bool:
+    return isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+
+
+def _numpy_blas_calls():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if _is_matmul(node) or _is_numpy_call(node):
+                found.append((path.name, ast.get_source_segment(text, node), node.lineno))
+    return found
+
+
+def test_every_numpy_blas_call_is_allowlisted():
+    unlisted = [f"{name}:{line}: {expr}" for name, expr, line in _numpy_blas_calls() if (name, expr) not in ALLOWED]
+    assert not unlisted, (
+        "numpy BLAS/LAPACK calls outside the allowlist (route them through scipy, "
+        "e.g. rssfield.gp.matvec, or allowlist them with a reason):\n" + "\n".join(unlisted)
+    )
+
+
+def test_allowlist_has_no_stale_entries():
+    present = {(name, expr) for name, expr, _ in _numpy_blas_calls()}
+    stale = sorted(set(ALLOWED) - present)
+    assert not stale, f"allowlisted calls no longer in the source: {stale}"

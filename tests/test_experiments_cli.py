@@ -378,6 +378,40 @@ def test_pipeline_empirical_variance_path():
     assert_allclose(result.kernel.sigma_alpha_k, math.sqrt(result.hyper.var_alpha), rtol=1e-12)
 
 
+def test_empirical_known_variance_follows_swept_shadowing_and_case_noise(tmp_path, monkeypatch):
+    # run_cases sweeps sigma_v^2 per scenario and sets rho_u per case; the
+    # known variance handed to estimate_variances must follow both
+    from rssfield import empbayes
+    from rssfield.experiments import run_single_case
+
+    handed = []
+    original = empbayes.estimate_variances
+
+    def recording(z, mu_p, mu_alpha, q_hat, known_var):
+        handed.append((np.array(q_hat), np.array(known_var)))
+        return original(z, mu_p, mu_alpha, q_hat, known_var)
+
+    monkeypatch.setattr(empbayes, "estimate_variances", recording)
+    cfg = _tiny_cases_config(tmp_path)
+    cfg.variance_path = "empirical"
+    scenario = cfg.scenario(seed=3, sigma_v_sq=4.0)
+    snap, truth = rf.sample_snapshot(scenario, 0)
+    sw_sq = cfg.sigma_w**2
+
+    run_single_case(scenario, truth, snap, truth.sensor_true_positions, 0.0, cfg)  # case1
+    assert handed
+    for _, known in handed:
+        assert np.array_equal(known, np.full(snap.n_sensors, 4.0 + sw_sq))
+
+    handed.clear()
+    rho = cfg.effective_rho_u()
+    run_single_case(scenario, truth, snap, snap.positions, rho, cfg)  # case2
+    assert handed
+    for q_hat, known in handed:
+        d_hat = 10.0 ** (q_hat / 10.0)  # q = 10 log10(d_hat)
+        assert_allclose(known, 4.0 + sw_sq + rho**2 / d_hat**2, rtol=1e-12)
+
+
 def test_cli_exit_codes(tmp_path):
     # config error
     bad_cfg = write_cfg(tmp_path, "[scenario]\nnot_a_key = 1\n")

@@ -13,6 +13,7 @@ from rssfield.gp import (
     fit_kernel,
     kernel_diag,
     kernel_matrix,
+    matvec,
     negative_log_marginal_likelihood,
     posterior,
     prior_mean,
@@ -100,6 +101,20 @@ def test_chol_with_jitter_escalates_on_rank_deficient_input_without_modifying_it
     # an indefinite one exhausts the ladder
     with pytest.raises(NumericalError, match="indefinite"):
         chol_with_jitter(np.diag([1.0, -1.0]), "indefinite")
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (7, 3), (218, 1088), (1088, 218), (2000, 600)])
+def test_matvec_is_bit_identical_to_numpy_on_both_memory_orders(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape)
+    x = rng.standard_normal(shape[1])
+    for arr in (a, np.asfortranarray(a)):
+        got = matvec(arr, x)
+        assert got.shape == (shape[0],)
+        assert np.array_equal(got, arr @ x)
+    # a transposed view, as the callers pass it
+    y = rng.standard_normal(shape[0])
+    assert np.array_equal(matvec(a.T, y), a.T @ y)
 
 
 def test_prior_mean_closed_form():
