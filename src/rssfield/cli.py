@@ -2,7 +2,7 @@
 
 Subcommands: synth, fit-static, fit-recursive, bound, baseline-okd, cases,
 eval, ingest-real. Exit codes: 0 success, 2 configuration error, 3 numerical
-failure, 4 I/O or data error.
+failure, 4 I/O or data error (including sensor data too degenerate to fit).
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ import numpy as np
 from . import experiments as ex
 from .baseline import okd_predict
 from .bounds import hcrb_all
+from .empbayes import DegenerateFitError
 from .model import MeasurementSnapshot, NumericalError
 from .pipeline import run_static
-from .recursive import RecursiveConfig, init_state, rgp_step
+from .recursive import init_state, rgp_step
 from .synth import sample_snapshot
 
 EXIT_OK = 0
@@ -27,19 +28,22 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
+# command-line flag -> the (section, key) of the config it overrides
+_OVERRIDES = {
+    "seed": ("run", "seed"),
+    "out": ("run", "out_dir"),
+    "lam": ("estimator", "lambda"),
+    "steps": ("estimator", "steps"),
+    "replicates": ("run", "replicates"),
+}
+
+
 def _load(args) -> ex.ExperimentConfig:
-    cfg = ex.load_config(args.config) if args.config else ex.ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "lam", None) is not None:
-        cfg.lam = args.lam
-    if getattr(args, "steps", None) is not None:
-        cfg.steps = args.steps
-    if getattr(args, "replicates", None) is not None:
-        cfg.replicates = args.replicates
-    return cfg
+    flags, overrides = vars(args), {}
+    for dest, (section, key) in _OVERRIDES.items():
+        if flags[dest] is not None:
+            overrides.setdefault(section, {})[key] = flags[dest]
+    return ex.load_config(args.config, overrides)
 
 
 def _outdir(cfg) -> Path:
@@ -128,11 +132,7 @@ def cmd_fit_recursive(args):
     cfg = _load(args)
     out = _outdir(cfg)
     snaps, grid, truth = _train_inputs(args, cfg)
-    rcfg = RecursiveConfig(
-        pipeline=cfg.pipeline_config(),
-        lam=cfg.lam,
-        kernel_refit=cfg.kernel_refit,
-    )
+    rcfg = cfg.recursive_config()
     state = init_state(snaps[0], grid, rcfg)
     mses = []
     for i, snap in enumerate(snaps):
@@ -201,11 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, measurements=False):
         p.add_argument("--config", help="experiment config file (INI)")
-        p.add_argument("--seed", type=int, help="override run seed")
+        # converted and checked with the config keys they override (_OVERRIDES)
+        p.add_argument("--seed", help="override run seed")
         p.add_argument("--out", help="override output directory")
-        p.add_argument("--lambda", dest="lam", type=float, help="forgetting factor")
-        p.add_argument("--steps", type=int, help="number of time steps")
-        p.add_argument("--replicates", type=int, help="number of replicates")
+        p.add_argument("--lambda", dest="lam", help="forgetting factor")
+        p.add_argument("--steps", help="number of time steps")
+        p.add_argument("--replicates", help="number of replicates")
         if measurements:
             p.add_argument("--measurements", help="measurement CSV (else synthetic)")
             p.add_argument("--truth", help="truth CSV (grid + reference RSS)")
@@ -247,8 +248,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ex.DataError, OSError) as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
+    except (ex.DataError, DegenerateFitError, OSError) as exc:
+        print(f"I/O or data error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -7,9 +7,15 @@ measurements  t,sensor_id,x_hat_m,y_hat_m,rss_dbm
 truth         node_id,x_m,y_m,rss_dbm
 field         node_id,x_m,y_m,post_mean_dbm,post_var_db2[,hcrb_db2]
 
-Metrics files are byte-reproducible for a fixed config and seed; wall-clock
-timings go to a separate timings file, which is the one file allowed to
-differ between reruns.
+The readers check the exact header, the field count of every row and that
+every number is finite, and name the offending file and row in a DataError.
+
+Metrics files are byte-reproducible for a fixed config and seed on a fixed
+BLAS build and thread count: the synthetic snapshots themselves differ in
+their last bits between OPENBLAS_NUM_THREADS=1 and =2 at the reference size
+(see ``synth``), and the library sets no thread count. Wall-clock timings go
+to a separate timings file, which is the one file allowed to differ between
+reruns.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .model import (
     uniform_grid,
 )
 from .pipeline import PipelineConfig, run_static
+from .recursive import RecursiveConfig
 from .synth import Scenario, sample_snapshot
 
 
@@ -48,6 +55,77 @@ class DataError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+_MEAS_HEADER = ("t", "sensor_id", "x_hat_m", "y_hat_m", "rss_dbm")
+_TRUTH_HEADER = ("node_id", "x_m", "y_m", "rss_dbm")
+_FIELD_HEADER = ("node_id", "x_m", "y_m", "post_mean_dbm", "post_var_db2")
+_BOUND_HEADER = ("hcrb_db2",)
+
+
+def _time_index(text: str) -> int:
+    t = int(text)
+    if t < 0:
+        raise ValueError(f"negative time index {t}")
+    return t
+
+
+def _finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value {text!r}")
+    return v
+
+
+# column -> converter of its cells; every other column holds a finite number
+_COLUMNS = {"t": _time_index, "sensor_id": str, "node_id": str}
+
+
+def _read_rows(path, *headers):
+    """(header, rows) of a CSV whose header is exactly one of ``headers``.
+
+    Every row must have one cell per column, and each cell is converted by
+    its column's converter; a violation raises a DataError naming the file
+    and the row. Blank lines are skipped; a file without rows is an error.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    header = tuple(h.strip() for h in lines[0]) if lines else ()
+    if header not in headers:
+        raise DataError(f"{path}: expected header " + " or ".join(",".join(h) for h in headers))
+    convert = [_COLUMNS.get(name, _finite) for name in header]
+    rows = []
+    for lineno, row in enumerate(lines[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {lineno}: expected {len(header)} fields, got {len(row)}")
+        try:
+            rows.append(tuple(conv(cell) for conv, cell in zip(convert, row)))
+        except ValueError as exc:
+            raise DataError(f"{path}: row {lineno}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return header, rows
+
+
+def _grid(path, xy) -> Grid:
+    try:
+        return Grid(xy)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _write_rows(path, header, rows):
+    """One CSV: the header, then one line per row; floats go through _fmt so
+    they round-trip exactly, everything else through str."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row) + "\n")
 
 
 def compute_mse(estimate, truth) -> float:
@@ -66,7 +144,13 @@ def compute_mse(estimate, truth) -> float:
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment configuration (defaults follow the reference setup)."""
+    """Parsed experiment configuration (defaults follow the reference setup).
+
+    Construction, and with it ``dataclasses.replace``, checks the whole config
+    with the library's own checks (grid, scenario, noise model, dynamics,
+    variance path, recursive knobs), so an invalid value raises ConfigError
+    before any work starts. Assigning a field later is not re-checked.
+    """
 
     # scenario
     area: tuple = (500.0, 500.0)
@@ -86,7 +170,6 @@ class ExperimentConfig:
     step_std: float = 5.0
     power_schedule: tuple = ()
     # estimator
-    estimator: str = "sgp"  # sgp | rgp | okd
     lam: float = 0.5
     steps: int = 1
     kernel_refit: str = "freeze_after_init"
@@ -100,6 +183,18 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
     sigma_v_sq_sweep: tuple = (4.0, 10.0, 16.0)
+
+    def __post_init__(self):
+        for name in ("n_sensors", "steps", "replicates"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if not self.sigma_v_sq_sweep or not all(v >= 0 for v in self.sigma_v_sq_sweep):
+            raise ConfigError("sigma_v_sq_sweep needs one or more values >= 0")
+        try:
+            self.scenario()
+            self.recursive_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def effective_rho_u(self) -> float:
         return self.rho_u if self.rho_u is not None else rho_u_from(self.alpha, self.sigma_d)
@@ -163,6 +258,11 @@ class ExperimentConfig:
             cfg.sigma_z_given = _known_variances(self.sigma_v**2, cfg.noise)
         return cfg
 
+    def recursive_config(self) -> RecursiveConfig:
+        return RecursiveConfig(
+            pipeline=self.pipeline_config(), lam=self.lam, kernel_refit=self.kernel_refit
+        )
+
 
 def _known_variances(sigma_v_sq: float, noise: NoiseModel):
     """Known per-sensor measurement variances sigma_v^2 + sigma_w^2 + rho_u^2 / d^2
@@ -174,107 +274,105 @@ def _known_variances(sigma_v_sq: float, noise: NoiseModel):
     return known
 
 
-_SCENARIO_KEYS = {
-    "area_width", "area_height", "grid_nx", "grid_ny", "n_sensors", "alpha",
-    "power_dbm", "sigma_w", "sigma_v", "d_corr", "sigma_d", "tx_x", "tx_y",
-    "tx_known", "dynamics", "drop_fraction", "step_std", "power_schedule",
-}
-_ESTIMATOR_KEYS = {
-    "estimator", "lambda", "steps", "kernel_refit", "variance_path", "rho_u",
-    "n_starts", "refine_passes", "nlml_maxiter",
-}
-_RUN_KEYS = {"replicates", "seed", "out_dir", "sigma_v_sq_sweep"}
+def _bool(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"not a boolean: {text!r}")
+    return states[text.lower()]
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse the INI-style experiment config (sections scenario/estimator/run)."""
-    parser = configparser.ConfigParser()
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _schedule(text: str) -> tuple:
+    """'0:-10, 5:-5' -> ((0, -10.0), (5, -5.0))"""
+    return tuple((int(t), float(p)) for t, p in (part.split(":") for part in text.split(",")))
+
+
+# (section, key) -> (ExperimentConfig field, converter, slot). A blank value
+# keeps the field's default. area and tx take two keys each, one per slot of
+# their (x, y) pair; every other field takes one key (slot None).
+_KEYS = {
+    ("scenario", "area_width"): ("area", float, 0),
+    ("scenario", "area_height"): ("area", float, 1),
+    ("scenario", "grid_nx"): ("grid_nx", int, None),
+    ("scenario", "grid_ny"): ("grid_ny", int, None),
+    ("scenario", "n_sensors"): ("n_sensors", int, None),
+    ("scenario", "alpha"): ("alpha", float, None),
+    ("scenario", "power_dbm"): ("power", float, None),
+    ("scenario", "sigma_w"): ("sigma_w", float, None),
+    ("scenario", "sigma_v"): ("sigma_v", float, None),
+    ("scenario", "d_corr"): ("d_corr", float, None),
+    ("scenario", "sigma_d"): ("sigma_d", float, None),
+    ("scenario", "tx_x"): ("tx", float, 0),
+    ("scenario", "tx_y"): ("tx", float, 1),
+    ("scenario", "tx_known"): ("tx_known", _bool, None),
+    ("scenario", "dynamics"): ("dynamics", str, None),
+    ("scenario", "drop_fraction"): ("drop_fraction", float, None),
+    ("scenario", "step_std"): ("step_std", float, None),
+    ("scenario", "power_schedule"): ("power_schedule", _schedule, None),
+    ("estimator", "lambda"): ("lam", float, None),
+    ("estimator", "steps"): ("steps", int, None),
+    ("estimator", "kernel_refit"): ("kernel_refit", str, None),
+    ("estimator", "variance_path"): ("variance_path", str, None),
+    ("estimator", "rho_u"): ("rho_u", float, None),
+    ("estimator", "n_starts"): ("n_starts", int, None),
+    ("estimator", "refine_passes"): ("refine_passes", int, None),
+    ("estimator", "nlml_maxiter"): ("nlml_maxiter", int, None),
+    ("run", "replicates"): ("replicates", int, None),
+    ("run", "seed"): ("seed", int, None),
+    ("run", "out_dir"): ("out_dir", str, None),
+    ("run", "sigma_v_sq_sweep"): ("sigma_v_sq_sweep", _floats, None),
+}
+
+
+def parse_config(text: str, overrides: Optional[dict] = None) -> ExperimentConfig:
+    """Parse the INI-style experiment config (sections scenario/estimator/run).
+
+    ``overrides`` ({section: {key: value}}, e.g. from command-line flags) are
+    applied on top of ``text`` and go through the same key table and checks.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
         parser.read_string(text)
+        parser.read_dict(overrides or {})
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
-    cfg = ExperimentConfig()
-    try:
-        for section, allowed in (
-            ("scenario", _SCENARIO_KEYS),
-            ("estimator", _ESTIMATOR_KEYS),
-            ("run", _RUN_KEYS),
-        ):
-            if not parser.has_section(section):
+    values, pairs = {}, {}
+    for section in parser.sections():
+        for key, raw in parser[section].items():
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            field, convert, slot = _KEYS[section, key]
+            if not raw:
                 continue
-            for key in parser[section]:
-                if key not in allowed:
-                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-        s = parser["scenario"] if parser.has_section("scenario") else {}
-        g = lambda k, d: s.get(k, d) if hasattr(s, "get") else d
-        cfg.area = (float(g("area_width", cfg.area[0])), float(g("area_height", cfg.area[1])))
-        cfg.grid_nx = int(g("grid_nx", cfg.grid_nx))
-        cfg.grid_ny = int(g("grid_ny", cfg.grid_ny))
-        cfg.n_sensors = int(g("n_sensors", cfg.n_sensors))
-        cfg.alpha = float(g("alpha", cfg.alpha))
-        cfg.power = float(g("power_dbm", cfg.power))
-        cfg.sigma_w = float(g("sigma_w", cfg.sigma_w))
-        cfg.sigma_v = float(g("sigma_v", cfg.sigma_v))
-        cfg.d_corr = float(g("d_corr", cfg.d_corr))
-        cfg.sigma_d = float(g("sigma_d", cfg.sigma_d))
-        tx_x, tx_y = g("tx_x", ""), g("tx_y", "")
-        if str(tx_x).strip() and str(tx_y).strip():
-            cfg.tx = Position(float(tx_x), float(tx_y))
-        cfg.tx_known = str(g("tx_known", "false")).strip().lower() in ("1", "true", "yes")
-        cfg.dynamics = str(g("dynamics", cfg.dynamics)).strip()
-        cfg.drop_fraction = float(g("drop_fraction", cfg.drop_fraction))
-        cfg.step_std = float(g("step_std", cfg.step_std))
-        sched = str(g("power_schedule", "")).strip()
-        if sched:
-            pairs = []
-            for part in sched.split(","):
-                t_str, p_str = part.split(":")
-                pairs.append((int(t_str), float(p_str)))
-            cfg.power_schedule = tuple(pairs)
-
-        e = parser["estimator"] if parser.has_section("estimator") else {}
-        g = lambda k, d: e.get(k, d) if hasattr(e, "get") else d
-        cfg.estimator = str(g("estimator", cfg.estimator)).strip()
-        cfg.lam = float(g("lambda", cfg.lam))
-        cfg.steps = int(g("steps", cfg.steps))
-        cfg.kernel_refit = str(g("kernel_refit", cfg.kernel_refit)).strip()
-        cfg.variance_path = str(g("variance_path", cfg.variance_path)).strip()
-        rho = str(g("rho_u", "")).strip()
-        cfg.rho_u = float(rho) if rho else None
-        cfg.n_starts = int(g("n_starts", cfg.n_starts))
-        cfg.refine_passes = int(g("refine_passes", cfg.refine_passes))
-        cfg.nlml_maxiter = int(g("nlml_maxiter", cfg.nlml_maxiter))
-
-        r = parser["run"] if parser.has_section("run") else {}
-        g = lambda k, d: r.get(k, d) if hasattr(r, "get") else d
-        cfg.replicates = int(g("replicates", cfg.replicates))
-        cfg.seed = int(g("seed", cfg.seed))
-        cfg.out_dir = str(g("out_dir", cfg.out_dir)).strip()
-        sweep = str(g("sigma_v_sq_sweep", "")).strip()
-        if sweep:
-            cfg.sigma_v_sq_sweep = tuple(float(v) for v in sweep.split(","))
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid config value: {exc}") from exc
-
-    if cfg.steps < 1:
-        raise ConfigError("steps must be >= 1")
-    if cfg.replicates < 1:
-        raise ConfigError("replicates must be >= 1")
-    if cfg.estimator not in ("sgp", "rgp", "okd"):
-        raise ConfigError(f"unknown estimator {cfg.estimator!r}")
-    return cfg
+            try:
+                value = convert(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+            if slot is None:
+                values[field] = value
+            else:
+                # a pair starts from the field default, or (None, None) if that is None
+                pairs.setdefault(field, list(getattr(ExperimentConfig, field) or (None, None)))[slot] = value
+    for field, xy in pairs.items():
+        if None in xy:
+            raise ConfigError(f"{field} needs both of its keys")
+        values[field] = Position(*xy) if field == "tx" else tuple(xy)
+    return ExperimentConfig(**values)
 
 
-def load_config(path) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig:
+    """The config file at ``path`` (the defaults if None) with ``overrides``."""
+    text = ""
+    if path is not None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +398,7 @@ class MetricsRecord:
             raise ValueError("mse must be >= 0")
 
 
+# column names are MetricsRecord attributes; write_metrics reads them by name
 _METRICS_HEADER = ["case", "sigma_v_sq", "replicate", "t", "mse", "mu_alpha", "mu_p", "tx_err_m"]
 _TIMINGS_HEADER = ["case", "sigma_v_sq", "replicate", "t", "runtime_ms"]
 
@@ -309,30 +408,8 @@ def write_metrics(records, out_dir, stem: str):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / f"{stem}_metrics.csv"
-    with open(metrics_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_METRICS_HEADER) + "\n")
-        for rec in records:
-            fh.write(
-                ",".join(
-                    [
-                        rec.case,
-                        _fmt(rec.sigma_v_sq),
-                        str(rec.replicate),
-                        str(rec.t),
-                        _fmt(rec.mse),
-                        _fmt(rec.mu_alpha),
-                        _fmt(rec.mu_p),
-                        _fmt(rec.tx_err_m),
-                    ]
-                )
-                + "\n"
-            )
-    with open(out / f"{stem}_timings.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_TIMINGS_HEADER) + "\n")
-        for rec in records:
-            fh.write(
-                f"{rec.case},{_fmt(rec.sigma_v_sq)},{rec.replicate},{rec.t},{_fmt(rec.runtime_ms)}\n"
-            )
+    for path, header in ((metrics_path, _METRICS_HEADER), (out / f"{stem}_timings.csv", _TIMINGS_HEADER)):
+        _write_rows(path, header, ([getattr(rec, name) for name in header] for rec in records))
     return metrics_path
 
 
@@ -349,10 +426,7 @@ def write_summary(records, out_dir, stem: str):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{stem}_summary.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("case,sigma_v_sq,n,mean_mse\n")
-        for case, sv, n, mean in _summarize(records):
-            fh.write(f"{case},{_fmt(sv)},{n},{_fmt(mean)}\n")
+    _write_rows(path, ("case", "sigma_v_sq", "n", "mean_mse"), _summarize(records))
     return path
 
 
@@ -426,77 +500,25 @@ def run_cases(config: ExperimentConfig, out_dir=None):
 # real-data ingestion
 
 
-_MEAS_HEADER = ["t", "sensor_id", "x_hat_m", "y_hat_m", "rss_dbm"]
-_TRUTH_HEADER = ["node_id", "x_m", "y_m", "rss_dbm"]
-
-
 def read_measurements(path):
     """Rows of the measurement CSV as (t, sensor_id, x, y, rss) tuples."""
-    rows = []
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _MEAS_HEADER:
-            raise DataError(f"{path}: expected header {','.join(_MEAS_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataError(f"{path}: row {lineno}: expected 5 fields, got {len(row)}")
-            try:
-                t = int(row[0])
-                x, y, rss = float(row[2]), float(row[3]), float(row[4])
-            except ValueError as exc:
-                raise DataError(f"{path}: row {lineno}: {exc}") from exc
-            if t < 0 or not all(map(math.isfinite, (x, y, rss))):
-                raise DataError(f"{path}: row {lineno}: non-finite value or negative t")
-            rows.append((t, row[1], x, y, rss))
-    return rows
+    return _read_rows(path, _MEAS_HEADER)[1]
 
 
 def write_measurements(path, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_MEAS_HEADER) + "\n")
-        for t, sid, x, y, rss in rows:
-            fh.write(f"{t},{sid},{_fmt(x)},{_fmt(y)},{_fmt(rss)}\n")
+    _write_rows(path, _MEAS_HEADER, rows)
 
 
 def read_truth(path):
     """Truth CSV as (grid, rss vector)."""
-    ids, xy, rss = [], [], []
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _TRUTH_HEADER:
-            raise DataError(f"{path}: expected header {','.join(_TRUTH_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}: row {lineno}: expected 4 fields, got {len(row)}")
-            try:
-                ids.append(row[0])
-                xy.append((float(row[1]), float(row[2])))
-                rss.append(float(row[3]))
-            except ValueError as exc:
-                raise DataError(f"{path}: row {lineno}: {exc}") from exc
-    return Grid(np.array(xy)), np.array(rss)
+    _, rows = _read_rows(path, _TRUTH_HEADER)
+    table = np.array([row[1:] for row in rows])
+    return _grid(path, table[:, :2]), table[:, 2]
 
 
 def write_truth(path, grid: Grid, rss):
     rss = np.asarray(rss, dtype=float).reshape(-1)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_TRUTH_HEADER) + "\n")
-        for i, ((x, y), v) in enumerate(zip(grid.xy, rss)):
-            fh.write(f"{i},{_fmt(x)},{_fmt(y)},{_fmt(v)}\n")
+    _write_rows(path, _TRUTH_HEADER, ((i, x, y, v) for i, ((x, y), v) in enumerate(zip(grid.xy, rss))))
 
 
 def ingest_real(measurements_path, split_seed: int):
@@ -538,19 +560,10 @@ def ingest_real(measurements_path, split_seed: int):
 
 
 def write_field_csv(path, grid: Grid, mean, var, hcrb=None):
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    var = np.asarray(var, dtype=float).reshape(-1)
-    header = "node_id,x_m,y_m,post_mean_dbm,post_var_db2"
-    if hcrb is not None:
-        hcrb = np.asarray(hcrb, dtype=float).reshape(-1)
-        header += ",hcrb_db2"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i in range(grid.n_nodes):
-            row = [str(i), _fmt(grid.xy[i, 0]), _fmt(grid.xy[i, 1]), _fmt(mean[i]), _fmt(var[i])]
-            if hcrb is not None:
-                row.append(_fmt(hcrb[i]))
-            fh.write(",".join(row) + "\n")
+    columns = [mean, var] + ([hcrb] if hcrb is not None else [])
+    table = np.column_stack([grid.xy] + [np.asarray(c, dtype=float).reshape(-1) for c in columns])
+    header = _FIELD_HEADER + (_BOUND_HEADER if hcrb is not None else ())
+    _write_rows(path, header, ((i, *row) for i, row in enumerate(table)))
 
 
 def emit_field(posterior: FieldPosterior, bounds, path, grid: Grid):
@@ -563,27 +576,7 @@ def emit_field(posterior: FieldPosterior, bounds, path, grid: Grid):
 
 def read_field_csv(path):
     """(grid, mean, var, hcrb-or-None) from a field CSV."""
-    xy, mean, var, hcrb = [], [], [], []
-    has_hcrb = False
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:5] != ["node_id", "x_m", "y_m", "post_mean_dbm", "post_var_db2"]:
-            raise DataError(f"{path}: unexpected field header")
-        has_hcrb = len(header) == 6 and header[5] == "hcrb_db2"
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                xy.append((float(row[1]), float(row[2])))
-                mean.append(float(row[3]))
-                var.append(float(row[4]))
-                if has_hcrb:
-                    hcrb.append(float(row[5]))
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}: row {lineno}: {exc}") from exc
-    return Grid(np.array(xy)), np.array(mean), np.array(var), (np.array(hcrb) if has_hcrb else None)
+    header, rows = _read_rows(path, _FIELD_HEADER, _FIELD_HEADER + _BOUND_HEADER)
+    table = np.array([row[1:] for row in rows])
+    hcrb = table[:, 4] if len(header) > len(_FIELD_HEADER) else None
+    return _grid(path, table[:, :2]), table[:, 2], table[:, 3], hcrb

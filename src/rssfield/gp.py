@@ -38,7 +38,7 @@ from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
-from .empbayes import HyperEstimate
+from .empbayes import DegenerateFitError, HyperEstimate
 from .model import (
     Grid,
     NoiseModel,
@@ -297,7 +297,7 @@ def fit_kernel(
     """
     dists, noise_diag, resid, qouter = _nlml_inputs(train, hyper, noise)
     if resid.shape[0] < 3:
-        raise ValueError("need at least 3 sensors to fit the kernel")
+        raise DegenerateFitError("need at least 3 sensors to fit the kernel")
     if (hyper.var_p is None) != (hyper.var_alpha is None):
         raise ValueError("var_p and var_alpha must be both known or both delegated")
     fit_vars = hyper.var_p is None

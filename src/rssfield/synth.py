@@ -5,7 +5,10 @@ seed: the grid component is drawn once and sensor shadowing is drawn from its
 exact conditional given the grid, so the joint law over sensors and nodes is
 the exponential-covariance Gaussian. Every stochastic draw is keyed off a
 seed tree (scenario seed x purpose x time step), so replicates and steps are
-bit-reproducible and order-independent.
+bit-reproducible and order-independent on a fixed BLAS build and thread
+count. The sensor conditional's threaded matrix product is split differently
+at different thread counts, so reference-size snapshots hash differently at
+OPENBLAS_NUM_THREADS=1 and =2; the library sets no thread count.
 """
 
 from __future__ import annotations

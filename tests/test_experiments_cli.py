@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from rssfield.experiments import (
     run_cases,
     write_field_csv,
     write_measurements,
+    write_truth,
 )
 from rssfield.gp import FieldPosterior, KernelParams
 from rssfield.model import Position, uniform_grid
@@ -56,7 +60,6 @@ sigma_v = 2.0
 dynamics = moving
 step_std = 4.0
 [estimator]
-estimator = rgp
 lambda = 0.7
 steps = 5
 [run]
@@ -66,7 +69,6 @@ sigma_v_sq_sweep = 4, 9
 """)
     assert cfg.area == (300.0, 250.0)
     assert cfg.n_sensors == 50
-    assert cfg.estimator == "rgp"
     assert cfg.lam == 0.7
     assert cfg.steps == 5
     assert cfg.replicates == 3
@@ -89,6 +91,32 @@ def test_parse_config_rejects_unknown_keys_and_bad_values():
         parse_config("[run]\nreplicates = 0\n")
     with pytest.raises(ConfigError):
         parse_config("[scenario]\nalpha = much\n")
+    with pytest.raises(ConfigError, match="tx"):
+        parse_config("[scenario]\ntx_x = 10\n")
+    with pytest.raises(ConfigError):
+        parse_config("[scenario]\ntx_known = ture\n")
+    with pytest.raises(ConfigError, match="dynamics"):
+        parse_config("[scenario]\ndynamics = sideways\n")
+    with pytest.raises(ConfigError, match="variance_path"):
+        parse_config("[estimator]\nvariance_path = guess\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("[estimatr]\nlambda = 0.5\n")
+    # dataclasses.replace re-runs the checks
+    with pytest.raises(ConfigError, match="lambda"):
+        dataclasses.replace(ExperimentConfig(), lam=2.0)
+
+
+def test_parse_config_blank_value_keeps_default_and_overrides_win():
+    cfg = parse_config("[estimator]\nrho_u =\nlambda = 0.7\n", {"estimator": {"lambda": "0.25"}})
+    assert cfg.rho_u is None
+    assert cfg.lam == 0.25
+
+
+def test_readme_config_example_parses_to_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    assert parse_config(blocks[0]) == ExperimentConfig()
 
 
 def test_power_schedule_config_round_trip():
@@ -159,6 +187,36 @@ def test_measurements_round_trip_and_validation(tmp_path):
     header.write_text("a,b,c\n")
     with pytest.raises(DataError, match="header"):
         read_measurements(header)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("t,sensor_id,x_hat_m,y_hat_m,rss_dbm\n")
+    with pytest.raises(DataError, match="no data rows"):
+        read_measurements(empty)
+
+
+@pytest.mark.parametrize("reader, text", [
+    (read_measurements, "t,sensor_id,x_hat_m,y_hat_m,rss_dbm\n0,a,1,2,-60\n0,b,3,inf,-61\n"),
+    (read_measurements, "t,sensor_id,x_hat_m,y_hat_m,rss_dbm\n0,a,1,2,-60\n-1,b,3,4,-61\n"),
+    (read_truth, "node_id,x_m,y_m,rss_dbm\n0,1,2,-60\n1,3,4,nan\n"),
+    (read_truth, "node_id,x_m,y_m,rss_dbm\n0,1,2,-60\n1,3,4\n"),
+    (read_field_csv, "node_id,x_m,y_m,post_mean_dbm,post_var_db2\n0,1,2,-60,1\n1,3,4,-61,-inf\n"),
+    (read_field_csv, "node_id,x_m,y_m,post_mean_dbm,post_var_db2\n0,1,2,-60,1\n1,3,4,-61,1,7\n"),
+], ids=["meas-inf", "meas-negative-t", "truth-nan", "truth-short-row", "field-inf", "field-long-row"])
+def test_readers_name_the_bad_row(tmp_path, reader, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=r"bad\.csv: row 3"):
+        reader(path)
+
+
+def test_readers_reject_unknown_column_and_duplicate_nodes(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_text("node_id,x_m,y_m,post_mean_dbm,post_var_db2,extra\n0,1,2,-60,1,7\n")
+    with pytest.raises(DataError, match="header"):
+        read_field_csv(path)
+    duplicate = tmp_path / "truth.csv"
+    duplicate.write_text("node_id,x_m,y_m,rss_dbm\n0,1,2,-60\n1,1,2,-61\n")
+    with pytest.raises(DataError, match="duplicate"):
+        read_truth(duplicate)
 
 
 def test_ingest_real_split_sizes(tmp_path):
@@ -428,3 +486,67 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 0
     rc = cli.main(["eval", "--field", str(out / "truth_t0.csv"), "--truth", str(bad_truth)])
     assert rc == 4
+
+
+def _cfg_with(line):
+    """SMALL_SCENARIO with one key line set (replacing the key's own line)."""
+    key = line.split("=")[0].strip()
+    section = {"lambda": "estimator", "kernel_refit": "estimator", "sigma_v_sq_sweep": "run"}.get(key, "scenario")
+    text = re.sub(rf"^{key} = .*\n", "", SMALL_SCENARIO, flags=re.M)
+    return text.replace(f"[{section}]", f"[{section}]\n{line}")
+
+
+@pytest.mark.parametrize("command, line, flags", [
+    ("fit-recursive", "lambda = 1.5", []),
+    ("fit-recursive", None, ["--lambda", "0"]),
+    ("fit-recursive", "kernel_refit = sometimes", []),
+    ("fit-static", "grid_nx = 0", []),
+    ("synth", "n_sensors = 0", []),
+    ("synth", None, ["--steps", "0"]),
+    ("fit-recursive", None, ["--steps", "0"]),
+    ("cases", None, ["--replicates", "0"]),
+    ("cases", "sigma_v_sq_sweep = 4, -4", []),
+    ("synth", None, ["--seed", "seven"]),
+])
+def test_cli_invalid_config_exits_2_before_any_work(tmp_path, capsys, command, line, flags):
+    cfg = write_cfg(tmp_path, _cfg_with(line) if line else SMALL_SCENARIO)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not out.exists()
+
+
+def _hostile_inputs(case, tmp_path):
+    """(measurements, truth) CSVs for one hostile case on SMALL_SCENARIO's grid."""
+    rng = np.random.default_rng(5)
+    grid = uniform_grid(200, 200, 4, 4)
+    pos = rng.uniform(0, 200, (25, 2))
+    if case == "coincident":
+        pos[:] = pos[0]
+    elif case == "two sensors":
+        pos = pos[:2]
+    d = np.maximum(np.hypot(pos[:, 0] - 100, pos[:, 1] - 100), 1.0)
+    rss = -10.0 - 35.0 * np.log10(d) + rng.normal(0, 2.0, len(d))
+    meas, truth = tmp_path / "meas.csv", tmp_path / "truth.csv"
+    write_measurements(meas, [(0, str(i), x, y, r) for i, ((x, y), r) in enumerate(zip(pos, rss))])
+    field = np.full(grid.n_nodes, -60.0)
+    if case == "nan truth":
+        field[5] = np.nan
+    write_truth(truth, grid, field)
+    return str(meas), str(truth)
+
+
+@pytest.mark.parametrize("command", ["fit-static", "bound", "baseline-okd"])
+@pytest.mark.parametrize("case", ["coincident", "two sensors", "nan truth"])
+def test_cli_hostile_data_exits_4_with_one_line(tmp_path, capsys, command, case):
+    meas, truth = _hostile_inputs(case, tmp_path)
+    cfg = write_cfg(tmp_path, SMALL_SCENARIO)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                   "--measurements", meas, "--truth", truth])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("I/O or data error: ")
+    if case == "nan truth":
+        assert "truth.csv: row 7" in err
