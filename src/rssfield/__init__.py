@@ -40,13 +40,12 @@ from .gp import (
     KernelParams,
     fit_kernel,
     kernel_matrix,
-    negative_log_marginal_likelihood,
     posterior,
     prior_mean,
 )
 from .pipeline import PipelineConfig, StaticResult, run_static
 from .recursive import RecursiveConfig, RecursiveState, init_state, rgp_step
-from .bounds import HcrbReport, hcrb, hcrb_all
+from .bounds import HcrbReport, hcrb_all
 from .baseline import VariogramModel, fit_variogram, okd_predict
 from .experiments import compute_mse
 

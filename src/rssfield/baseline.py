@@ -16,7 +16,7 @@ from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.optimize import least_squares
 
-from .empbayes import HyperEstimate
+from .empbayes import DegenerateFitError, HyperEstimate
 from .gp import matvec, prior_mean
 from .model import Grid, distance_matrix
 
@@ -54,7 +54,7 @@ def _empirical_semivariogram(residuals, positions, n_bins):
 
     half_max = float(np.max(dists)) / 2.0
     if half_max <= 0:
-        raise ValueError("all positions coincide; no variogram is defined")
+        raise DegenerateFitError("all positions coincide; no variogram is defined")
     in_range = (~dup) & (dists <= half_max)
     edges = np.linspace(0.0, half_max, n_bins + 1)
     idx = np.clip(np.searchsorted(edges, dists[in_range], side="right") - 1, 0, n_bins - 1)
@@ -78,15 +78,15 @@ def _empirical_semivariogram(residuals, positions, n_bins):
 def fit_variogram(residuals, positions, n_bins: int = 15) -> VariogramModel:
     """Least-squares exponential fit of the binned empirical semivariogram.
 
-    Bins are widened (fewer of them) when too sparsely populated; fewer than
-    three populated bins is an error. Requires at least 10 points.
+    Bins are widened (fewer of them) when too sparsely populated. Fewer than
+    10 points or three populated bins raise DegenerateFitError.
     """
     residuals = np.asarray(residuals, dtype=float).reshape(-1)
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     if residuals.shape[0] != positions.shape[0]:
         raise ValueError("residuals and positions lengths disagree")
     if residuals.shape[0] < 10:
-        raise ValueError("need at least 10 points to fit a variogram")
+        raise DegenerateFitError("need at least 10 points to fit a variogram")
 
     hs = gs = counts = None
     half_max = None
@@ -95,7 +95,7 @@ def fit_variogram(residuals, positions, n_bins: int = 15) -> VariogramModel:
         if hs.shape[0] >= 3:
             break
     if hs.shape[0] < 3:
-        raise ValueError("too few populated distance bins to fit a variogram")
+        raise DegenerateFitError("too few populated distance bins to fit a variogram")
 
     s0 = max(float(np.var(residuals)), 1e-12)
     r0 = max(half_max / 3.0, 1e-3)
@@ -114,6 +114,23 @@ def fit_variogram(residuals, positions, n_bins: int = 15) -> VariogramModel:
     return VariogramModel(nugget=float(nugget), sill=float(sill), range_m=float(rng))
 
 
+def _merge_coincident(xy, resid, dists):
+    """(xy, resid, dists) with each group of coincident positions (closer than
+    _DUP_EPS) replaced by its first position and its mean residual.
+
+    Coincident positions make equal rows in the kriging system. Input without
+    them is returned as is.
+    """
+    close = dists < _DUP_EPS
+    if np.count_nonzero(close) == xy.shape[0]:
+        return xy, resid, dists
+    label = np.argmax(close, axis=1)  # first position each one coincides with
+    keep, group = np.unique(label, return_inverse=True)
+    mean = np.bincount(group, weights=resid) / np.bincount(group)
+    xy = xy[keep]
+    return xy, mean, distance_matrix(xy, xy)
+
+
 def okd_predict(
     train,
     grid: Grid,
@@ -124,27 +141,29 @@ def okd_predict(
 ):
     """Ordinary-kriging field estimate at the grid nodes, dBm.
 
-    Detrends by the estimated path-loss mean, kriges the residuals with the
-    bordered (unbiasedness-constrained) system B shared across all nodes, and
-    re-adds the trend. B is symmetric, so the prediction at the nodes is
+    Detrends by the estimated path-loss mean, fits the variogram on all
+    reports unless given, merges coincident positions into one report with
+    their mean residual, kriges the residuals with the bordered
+    (unbiasedness-constrained) system B shared across all nodes, and re-adds
+    the trend. B is symmetric, so the prediction at the nodes is
     rhs^T B^-1 [resid; 0]: one LU factorization and a single right-hand side;
-    only the variance solves for the weights of every node. A singular system
-    falls back to the pseudo-inverse with a warning.
+    only the variance solves for the weights of every node. A system that is
+    still exactly singular falls back to the pseudo-inverse with a warning.
     """
     xy, z = train
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     z = np.asarray(z, dtype=float).reshape(-1)
-    n = xy.shape[0]
-    if n == 0:
+    if xy.shape[0] == 0:
         raise ValueError("ordinary kriging needs at least one training point")
 
-    trend_train = prior_mean(xy, hyper)
-    resid = z - trend_train
+    resid = z - prior_mean(xy, hyper)
     if variogram is None:
         variogram = fit_variogram(resid, xy)
+    xy, resid, dists = _merge_coincident(xy, resid, distance_matrix(xy, xy))
+    n = xy.shape[0]
 
     bordered = np.zeros((n + 1, n + 1), order="F")
-    bordered[:n, :n] = variogram.covariance(distance_matrix(xy, xy))
+    bordered[:n, :n] = variogram.covariance(dists)
     bordered[:n, n] = 1.0
     bordered[n, :n] = 1.0
     cov_to_nodes = variogram.covariance(distance_matrix(xy, grid.xy))  # (N, M)

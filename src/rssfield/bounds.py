@@ -59,8 +59,14 @@ def grid_mean_gradient(node_xy, tx, mu_alpha: float) -> np.ndarray:
     return grad[0] if nodes.ndim == 1 else grad
 
 
-def _reports(train, grid, hyper, kernel, noise, node_indices) -> list:
-    """Bounds at the given nodes from one factorization C = K_X + S = L L^T.
+def hcrb_all(
+    train,
+    grid: Grid,
+    hyper: HyperEstimate,
+    kernel: KernelParams,
+    noise: NoiseModel,
+) -> list:
+    """HcrbReport for every grid node from one factorization C = K_X + S = L L^T.
 
     Every C^-1 product is a pair of triangular solves, A^T C^-1 B =
     (L^-1 A)^T (L^-1 B), with W = L^-1 K_Xg shared by the GP variance
@@ -72,9 +78,8 @@ def _reports(train, grid, hyper, kernel, noise, node_indices) -> list:
     n = xy.shape[0]
     tx = hyper.tx
     d_hat = clamped_distances(xy, tx)
-    nodes_xy = grid.xy[node_indices]
     # u = C^-1 m_X; k_gx is (m, N) and k_gx.T is K_Xg
-    low, k_gx, u = condition(xy, nodes_xy, prior_mean(xy, hyper), kernel, tx, noise.variances(d_hat))
+    low, k_gx, u = condition(xy, grid.xy, prior_mean(xy, hyper), kernel, tx, noise.variances(d_hat))
 
     # Jacobian of the training prior mean w.r.t. (mu_p, mu_alpha, tx)
     a_mat = mean_tx_gradient(xy, tx.as_array(), hyper.mu_alpha, d_hat)
@@ -96,11 +101,11 @@ def _reports(train, grid, hyper, kernel, noise, node_indices) -> list:
         info_inv = np.linalg.inv(info)
 
     w = solve_triangular(low, k_gx.T, lower=True, overwrite_b=True)  # (N, m), reuses k_gx
-    gp_var = kernel_diag(nodes_xy, kernel, tx) - np.einsum("ij,ij->j", w, w)
+    gp_var = kernel_diag(grid.xy, kernel, tx) - np.einsum("ij,ij->j", w, w)
 
     # g = dm_g/dtheta - J^T C^-1 K_Xg + (u*a1, u*a2)^T C^-1 K_Xg, one row per node
     terms = dgemm(1.0, v, w, trans_a=1)  # V^T W, (6, m); both operands F-ordered
-    g = grid_mean_gradient(nodes_xy, tx, hyper.mu_alpha) - terms[:4].T
+    g = grid_mean_gradient(grid.xy, tx, hyper.mu_alpha) - terms[:4].T
     g[:, 2] += terms[4]
     g[:, 3] += terms[5]
     added = np.maximum(np.sum((g @ info_inv) * g, axis=1), 0.0)
@@ -113,30 +118,6 @@ def _reports(train, grid, hyper, kernel, noise, node_indices) -> list:
             bound=float(v_i + a_i),
             singular=singular,
         )
-        for i, v_i, a_i in zip(node_indices, var, added)
+        for i, (v_i, a_i) in enumerate(zip(var, added))
     ]
 
-
-def hcrb_all(
-    train,
-    grid: Grid,
-    hyper: HyperEstimate,
-    kernel: KernelParams,
-    noise: NoiseModel,
-) -> list:
-    """HcrbReport for every grid node, sharing one training factorization."""
-    return _reports(train, grid, hyper, kernel, noise, list(range(grid.n_nodes)))
-
-
-def hcrb(
-    node: int,
-    train,
-    grid: Grid,
-    hyper: HyperEstimate,
-    kernel: KernelParams,
-    noise: NoiseModel,
-) -> HcrbReport:
-    """Bound at a single grid node."""
-    if not 0 <= node < grid.n_nodes:
-        raise ValueError(f"node index {node} out of range")
-    return _reports(train, grid, hyper, kernel, noise, [node])[0]

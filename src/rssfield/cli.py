@@ -17,6 +17,7 @@ from . import experiments as ex
 from .baseline import okd_predict
 from .bounds import hcrb_all
 from .empbayes import DegenerateFitError
+from .localize import NoFixError
 from .model import MeasurementSnapshot, NumericalError
 from .pipeline import run_static
 from .recursive import init_state, rgp_step
@@ -248,7 +249,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ex.DataError, DegenerateFitError, OSError) as exc:
+    except (ex.DataError, DegenerateFitError, NoFixError, OSError) as exc:
         print(f"I/O or data error: {exc}", file=sys.stderr)
         return EXIT_IO
 

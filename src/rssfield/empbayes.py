@@ -4,12 +4,13 @@ The means of the exponent and the transmitted power come from a weighted
 least-squares fit of the log-distance model (weights d_hat^2, so reports far
 from the transmitter dominate and badly located nearby sensors cannot skew
 the fit); their variances from a nonnegative fit of the residual outer
-product; and the transmitter fix is sharpened by alternating the two.
+product (or, when the shadowing parameters are unknown, the constant
+KERNEL_PATH_VAR); and the transmitter fix is sharpened by alternating the two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,6 +19,12 @@ from .model import MeasurementSnapshot, Position, log_distance_feature
 from .localize import CentroidState, centroid_update, distances_to_estimate, refine_transmitter
 
 ALPHA_MIN = 2.0
+# var_p and var_alpha when the shadowing parameters are unknown (the kernel
+# variance path). Fitting them by marginal likelihood next to the kernel scales
+# drove both to this value, the lower bound of that fit, on every measured
+# snapshot: the means were just fitted to the same residuals, so the
+# likelihood carries no information on those two directions.
+KERNEL_PATH_VAR = 1e-4
 
 
 class DegenerateFitError(ValueError):
@@ -28,22 +35,23 @@ class DegenerateFitError(ValueError):
 class HyperEstimate:
     """Estimated hyper-parameters of the propagation prior.
 
-    var_p / var_alpha are None when their estimation is delegated to the GP
-    kernel fit (the path used when the shadowing parameters are unknown).
+    var_p / var_alpha come from ``estimate_variances`` when the shadowing
+    parameters are known and are KERNEL_PATH_VAR otherwise (see
+    ``hyper_at``); the kernel fit freezes its rank-one and constant terms
+    at them.
     """
 
     mu_p: float  # dBm
     mu_alpha: float  # unitless, >= ALPHA_MIN
-    var_p: Optional[float]  # dBm^2
-    var_alpha: Optional[float]  # unitless^2
+    var_p: float  # dBm^2
+    var_alpha: float  # unitless^2
     tx: Position
 
     def __post_init__(self):
         if self.mu_alpha < ALPHA_MIN - 1e-12:
             raise ValueError("mu_alpha must be >= 2")
-        for v in (self.var_p, self.var_alpha):
-            if v is not None and v < 0:
-                raise ValueError("variances must be >= 0")
+        if min(self.var_p, self.var_alpha) < 0:
+            raise ValueError("variances must be >= 0")
 
 
 def estimate_means(z, q_hat, d_hat) -> tuple:
@@ -121,6 +129,21 @@ def estimate_variances(z, mu_p, mu_alpha, q_hat, known_var) -> tuple:
     return float(vp), float(va)
 
 
+def hyper_at(z, mu_p, mu_alpha, d_hat, tx: Position, sigma_z_given: Optional[Callable]) -> HyperEstimate:
+    """HyperEstimate at the fix tx with the means already fitted.
+
+    With ``sigma_z_given`` (a callable of d_hat giving the known per-sensor
+    measurement variances) the variances come from ``estimate_variances``;
+    without it both are KERNEL_PATH_VAR.
+    """
+    if sigma_z_given is None:
+        var_p = var_alpha = KERNEL_PATH_VAR
+    else:
+        q_hat = log_distance_feature(d_hat)
+        var_p, var_alpha = estimate_variances(z, mu_p, mu_alpha, q_hat, sigma_z_given(d_hat))
+    return HyperEstimate(mu_p=mu_p, mu_alpha=mu_alpha, var_p=var_p, var_alpha=var_alpha, tx=tx)
+
+
 def refine_all(
     snapshot: MeasurementSnapshot,
     centroid_state: CentroidState,
@@ -138,11 +161,10 @@ def refine_all(
     CentroidState); the refined fix is folded back into the centroid state so
     the recursion carries the best available estimate forward.
 
-    When ``sigma_z_given`` is provided the variance hyper-parameters are
-    estimated here; otherwise they are left for the GP kernel fit. It maps
-    the final distance vector to the known per-sensor measurement variances
-    (known shadowing parameters; the location-error part depends on the
-    refined fix).
+    The variances follow ``hyper_at``. ``sigma_z_given`` maps the final
+    distance vector to the known per-sensor measurement variances (known
+    shadowing parameters; the location-error part depends on the refined
+    fix).
     """
     if snapshot.n_sensors == 0:
         raise DegenerateFitError("snapshot is empty")
@@ -165,13 +187,4 @@ def refine_all(
         if degenerate or moved < tol:
             break
 
-    var_p = var_alpha = None
-    if sigma_z_given is not None:
-        var_p, var_alpha = estimate_variances(snapshot.rss, mu_p, mu_alpha, q_hat, sigma_z_given(d_hat))
-    hyper = HyperEstimate(mu_p=mu_p, mu_alpha=mu_alpha, var_p=var_p, var_alpha=var_alpha, tx=tx)
-    return hyper, state
-
-
-def with_kernel_variances(hyper: HyperEstimate, sigma_alpha_k: float, sigma_p_k: float) -> HyperEstimate:
-    """Fill delegated variance fields from fitted kernel scales."""
-    return replace(hyper, var_alpha=float(sigma_alpha_k) ** 2, var_p=float(sigma_p_k) ** 2)
+    return hyper_at(snapshot.rss, mu_p, mu_alpha, d_hat, tx, sigma_z_given), state

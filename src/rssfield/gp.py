@@ -9,10 +9,10 @@ uncertainty of the transmitted power:
                 + sigma_alpha^2 q(xi) q(xj) + sigma_p^2
 
 with q(x) = 10 log10(||x - tx||), distances clamped at the D_MIN floor.
-Kernel scales are learned by minimizing the negative log marginal likelihood
-with analytic gradients; when the variance hyper-parameters were already
-estimated empirically, sigma_alpha and sigma_p are frozen to their square
-roots and only the spatial scales are fitted.
+The two spatial scales (sigma_k^2 and the decay scale) are learned by
+minimizing the negative log marginal likelihood with analytic gradients;
+sigma_alpha^2 and sigma_p^2 are frozen at the prior variances var_alpha and
+var_p of the HyperEstimate (see ``empbayes.hyper_at``).
 
 BLAS threading: numpy and scipy each ship their own OpenBLAS, each with its
 own thread pool, and a call into one library right after a threaded call into
@@ -49,7 +49,7 @@ from .model import (
     log_distance_feature,
 )
 
-_VAR_LO, _VAR_HI = 1e-4, 1e4  # bounds on squared kernel scales
+_VAR_LO, _VAR_HI = 1e-4, 1e4  # bounds on sigma_k^2
 _SCALE_LO, _SCALE_HI = 1.0, 2000.0  # bounds on the decay scale 2 l^2, meters
 _LOG2PI = math.log(2.0 * math.pi)
 
@@ -205,16 +205,12 @@ def prior_mean(positions, hyper: HyperEstimate) -> np.ndarray:
 def _nlml_parts(theta, dists, noise_diag, resid, qouter, frozen):
     """Negative log marginal likelihood and gradient in log-parameter space.
 
-    theta is log([vk, s]) when the rank-one/constant variances are frozen,
-    log([vk, s, va, vp]) otherwise. C^-1 comes from LAPACK's potri on the
-    Cholesky factor, and the gradient traces run element-wise, with no BLAS
-    product (see the module docstring).
+    theta is log([vk, s]) and frozen the fixed (va, vp). C^-1 comes from
+    LAPACK's potri on the Cholesky factor, and the gradient traces run
+    element-wise, with no BLAS product (see the module docstring).
     """
     vk, s = math.exp(theta[0]), math.exp(theta[1])
-    if frozen is None:
-        va, vp = math.exp(theta[2]), math.exp(theta[3])
-    else:
-        va, vp = frozen
+    va, vp = frozen
     n = resid.shape[0]
     expo = np.exp(-dists / s)
     c = vk * expo + va * qouter + vp
@@ -222,7 +218,7 @@ def _nlml_parts(theta, dists, noise_diag, resid, qouter, frozen):
     try:
         low = cholesky(c, lower=True)
     except np.linalg.LinAlgError:
-        return 1e25, np.zeros(len(theta))
+        return 1e25, np.zeros(2)
     beta = cho_solve((low, True), resid)
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
     nlml = 0.5 * float(resid @ beta) + 0.5 * logdet + 0.5 * n * _LOG2PI
@@ -231,17 +227,13 @@ def _nlml_parts(theta, dists, noise_diag, resid, qouter, frozen):
     # factor's zeros, so adding the strict lower transpose completes it
     diff, info = dpotri(low, lower=1)
     if info != 0:
-        return 1e25, np.zeros(len(theta))
+        return 1e25, np.zeros(2)
     diff += np.tril(diff, -1).T
     diff -= np.outer(beta, beta)  # C^-1 - beta beta^T
 
     # dC/d log vk = vk * expo and dC/d log s = vk * expo * dists / s
     diff_expo = diff * expo
     grad = [0.5 * vk * float(np.sum(diff_expo)), 0.5 * vk / s * float(np.sum(diff_expo * dists))]
-    if frozen is None:
-        grad.append(0.5 * va * float(np.sum(diff * qouter)))
-        # dC/d log vp is the constant matrix vp * J
-        grad.append(0.5 * vp * float(np.sum(diff)))
     return nlml, np.array(grad)
 
 
@@ -256,27 +248,11 @@ def _nlml_inputs(train, hyper, noise: NoiseModel) -> tuple:
     return distance_matrix(xy, xy), noise.variances(d_hat), z - prior_mean(xy, hyper), np.outer(q, q)
 
 
-def negative_log_marginal_likelihood(train, hyper, kernel: KernelParams, noise: NoiseModel) -> float:
-    """NLML of the residuals under kernel + noise (for diagnostics and tests)."""
-    theta = np.log([kernel.sigma_k**2, kernel.decay_scale])
-    frozen = (kernel.sigma_alpha_k**2, kernel.sigma_p_k**2)
-    val, _ = _nlml_parts(theta, *_nlml_inputs(train, hyper, noise), frozen)
-    return val
-
-
-def _starts(resid, dists, fit_vars: bool):
+def _starts(resid, dists):
     vk0 = float(np.clip(np.var(resid), 1e-3, 9e3)) if resid.size > 1 else 1.0
     off = dists[np.triu_indices_from(dists, k=1)]
     s0 = float(np.clip(np.median(off) if off.size else 50.0, 2.0, 1900.0))
-    if fit_vars:
-        raw = [
-            (vk0, s0, 1e-2, 1.0),
-            (10.0, 50.0, 1e-3, 10.0),
-            (1.0, 500.0, 2e-4, 1e-2),
-            (vk0, 2.0, 1e-2, 0.1),
-        ]
-    else:
-        raw = [(vk0, s0), (10.0, 50.0), (1.0, 500.0), (vk0, 2.0)]
+    raw = [(vk0, s0), (10.0, 50.0), (1.0, 500.0), (vk0, 2.0)]
     return [np.log(np.asarray(r)) for r in raw]
 
 
@@ -288,27 +264,22 @@ def fit_kernel(
     n_starts: int = 4,
     maxiter: int = 200,
 ) -> KernelParams:
-    """Kernel scales minimizing the negative log marginal likelihood.
+    """Spatial kernel scales minimizing the negative log marginal likelihood.
 
-    Multi-start bounded L-BFGS-B in log-parameter space with analytic
-    gradients; the result is the deterministic argmin over the starts (ties
-    broken by start order). Requires var_p and var_alpha of ``hyper`` to be
-    either both known (frozen in the kernel) or both delegated (fitted).
+    Fits sigma_k^2 and the decay scale by multi-start bounded L-BFGS-B in
+    log-parameter space with analytic gradients; the result is the
+    deterministic argmin over the starts (ties broken by start order).
+    sigma_alpha_k^2 and sigma_p_k^2 are frozen at hyper.var_alpha and
+    hyper.var_p.
     """
     dists, noise_diag, resid, qouter = _nlml_inputs(train, hyper, noise)
     if resid.shape[0] < 3:
         raise DegenerateFitError("need at least 3 sensors to fit the kernel")
-    if (hyper.var_p is None) != (hyper.var_alpha is None):
-        raise ValueError("var_p and var_alpha must be both known or both delegated")
-    fit_vars = hyper.var_p is None
-    frozen = None if fit_vars else (hyper.var_alpha, hyper.var_p)
-
-    lo, hi = math.log(_VAR_LO), math.log(_VAR_HI)
-    slo, shi = math.log(_SCALE_LO), math.log(_SCALE_HI)
-    bounds = [(lo, hi), (slo, shi)] + ([(lo, hi), (lo, hi)] if fit_vars else [])
+    frozen = (hyper.var_alpha, hyper.var_p)
+    bounds = [(math.log(_VAR_LO), math.log(_VAR_HI)), (math.log(_SCALE_LO), math.log(_SCALE_HI))]
 
     best = None
-    for idx, start in enumerate(_starts(resid, dists, fit_vars)[: max(n_starts, 1)]):
+    for idx, start in enumerate(_starts(resid, dists)[: max(n_starts, 1)]):
         res = minimize(
             _nlml_parts,
             np.clip(start, [b[0] for b in bounds], [b[1] for b in bounds]),
@@ -321,17 +292,12 @@ def fit_kernel(
         key = (float(res.fun), idx)
         if best is None or key < best[0]:
             best = (key, res.x)
-    theta = best[1]
-    vk, s = math.exp(theta[0]), math.exp(theta[1])
-    if fit_vars:
-        va, vp = math.exp(theta[2]), math.exp(theta[3])
-    else:
-        va, vp = frozen
+    vk, s = math.exp(best[1][0]), math.exp(best[1][1])
     return KernelParams(
         sigma_k=math.sqrt(vk),
         ell=math.sqrt(s / 2.0),
-        sigma_alpha_k=math.sqrt(va),
-        sigma_p_k=math.sqrt(vp),
+        sigma_alpha_k=math.sqrt(hyper.var_alpha),
+        sigma_p_k=math.sqrt(hyper.var_p),
     )
 
 

@@ -85,7 +85,7 @@ def centroid_update(state: CentroidState, snapshot: MeasurementSnapshot) -> Cent
 def distances_to_estimate(state: CentroidState, positions) -> np.ndarray:
     """Distances from each position to the current fix, clamped at D_MIN."""
     if not state.has_fix:
-        raise NoFixError("centroid has no fix; no measurements seen yet")
+        raise NoFixError("centroid has no fix: no report has carried positive linear power yet")
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
     d = np.hypot(pts[:, 0] - state.estimate.x, pts[:, 1] - state.estimate.y)
     return np.maximum(d, D_MIN)

@@ -10,13 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .empbayes import (
-    HyperEstimate,
-    estimate_means,
-    estimate_variances,
-    refine_all,
-    with_kernel_variances,
-)
+from .empbayes import HyperEstimate, estimate_means, hyper_at, refine_all
 from .gp import FieldPosterior, KernelParams, fit_kernel, posterior
 from .localize import CentroidState
 from .model import (
@@ -59,11 +53,7 @@ def _hyper_with_fixed_tx(snapshot: MeasurementSnapshot, config: PipelineConfig) 
     d_hat = clamped_distances(snapshot.positions, config.fixed_tx)
     q_hat = log_distance_feature(d_hat)
     mu_p, mu_alpha = estimate_means(snapshot.rss, q_hat, d_hat)
-    var_p = var_alpha = None
-    if config.sigma_z_given is not None:
-        known_var = config.sigma_z_given(d_hat)
-        var_p, var_alpha = estimate_variances(snapshot.rss, mu_p, mu_alpha, q_hat, known_var)
-    return HyperEstimate(mu_p=mu_p, mu_alpha=mu_alpha, var_p=var_p, var_alpha=var_alpha, tx=config.fixed_tx)
+    return hyper_at(snapshot.rss, mu_p, mu_alpha, d_hat, config.fixed_tx, config.sigma_z_given)
 
 
 def run_static(
@@ -76,9 +66,10 @@ def run_static(
 ) -> StaticResult:
     """Fit the field posterior from a single snapshot.
 
-    Hyper-parameters first (weighted centroid, means, refinement loop, and
-    variances when the shadowing parameters are known), then kernel scales by
-    marginal likelihood unless frozen, then the GP posterior at the grid.
+    Hyper-parameters first (weighted centroid, means, refinement loop and
+    variances, see ``empbayes.hyper_at``), then the two spatial kernel scales
+    by marginal likelihood unless a kernel is given, then the GP posterior at
+    the grid.
     """
     centroid = centroid if centroid is not None else CentroidState.empty()
     if config.fixed_tx is not None:
@@ -99,8 +90,6 @@ def run_static(
         kernel = fit_kernel(
             train, hyper, config.noise, n_starts=config.n_starts, maxiter=config.maxiter
         )
-    if hyper.var_p is None:
-        hyper = with_kernel_variances(hyper, kernel.sigma_alpha_k, kernel.sigma_p_k)
 
     post = posterior(
         train, grid, hyper, kernel, config.noise, t=snapshot.t, compute_cov=compute_cov

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .empbayes import refine_all, with_kernel_variances
+from .empbayes import refine_all
 from .gp import (
     FieldPosterior,
     chol_with_jitter,
@@ -140,8 +140,6 @@ def rgp_step(
     else:
         kernel = pconf.kernel if pconf.kernel is not None else state.posterior.kernel
         cov_tx = state.cov_tx if state.cov_tx is not None else hyper.tx
-    if hyper.var_p is None:
-        hyper = with_kernel_variances(hyper, kernel.sigma_alpha_k, kernel.sigma_p_k)
 
     xy = snapshot.positions
     noise_var = pconf.noise.variances(clamped_distances(xy, hyper.tx))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,13 +133,13 @@ def test_okd_one_solve_prediction_matches_full_weights_formula(seed):
 
 @pytest.mark.parametrize("return_variance", [False, True])
 def test_okd_singular_system_falls_back_to_pseudo_inverse(return_variance):
-    # a duplicate sensor position makes two rows of the bordered system equal
+    # a flat variogram (no nugget, no sill) zeroes the covariance block, so the
+    # bordered system is singular at distinct positions
     rng = np.random.default_rng(9)
     xy = rng.uniform(10, 200, (14, 2))
-    xy[1] = xy[0]
     z = rng.uniform(-90, -50, 14)
     grid = Grid(rng.uniform(10, 200, (20, 2)))
-    vg = VariogramModel(nugget=0.4, sill=6.0, range_m=50.0)
+    vg = VariogramModel(nugget=0.0, sill=0.0, range_m=50.0)
     with pytest.raises(np.linalg.LinAlgError):
         _okd_full_weights_oracle(xy, z, grid.xy, vg, np.linalg.solve)
     expected = _okd_full_weights_oracle(xy, z, grid.xy, vg, lambda b, r: np.linalg.pinv(b) @ r)
@@ -148,6 +149,30 @@ def test_okd_singular_system_falls_back_to_pseudo_inverse(return_variance):
     assert_allclose(pred, expected, rtol=1e-10, atol=0.0)
     if return_variance:
         assert np.all(out[1] >= 0.0)
+
+
+@pytest.mark.parametrize("dup", [(3, 7), (0, 1)], ids=["rows 3 and 7", "rows 0 and 1"])
+def test_okd_merges_coincident_positions(dup):
+    # a duplicated position used to leave a nearly singular system and
+    # predictions of 1e23 dBm; kriging now sees one report with the mean residual
+    rng = np.random.default_rng(9)
+    xy = rng.uniform(10, 200, (14, 2))
+    keep, drop = dup
+    xy[drop] = xy[keep]
+    z = rng.uniform(-90, -50, 14)
+    grid = Grid(rng.uniform(10, 200, (20, 2)))
+    vg = VariogramModel(nugget=0.4, sill=6.0, range_m=50.0)
+    merged_z = z.copy()
+    merged_z[keep] = 0.5 * (z[keep] + z[drop])
+    merged = (np.delete(xy, drop, axis=0), np.delete(merged_z, drop))
+    for return_variance in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = okd_predict((xy, z), grid, HYPER, vg, return_variance=return_variance)
+        want = okd_predict(merged, grid, HYPER, vg, return_variance=return_variance)
+        for g, w in zip(got, want) if return_variance else [(got, want)]:
+            assert_allclose(g, w, rtol=1e-10, atol=0.0)
+    assert np.all(np.abs(got[0] + 70.0) < 100.0)
 
 
 def test_okd_variance_nonnegative():

@@ -1,11 +1,10 @@
 import math
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
 
-from rssfield.bounds import HcrbReport, grid_mean_gradient, hcrb, hcrb_all
+from rssfield.bounds import HcrbReport, grid_mean_gradient, hcrb_all
 from rssfield.empbayes import HyperEstimate
 from rssfield.gp import KernelParams, kernel_matrix, posterior, prior_mean
 from rssfield.model import LOG10_E, Grid, NoiseModel, Position, clamped_distances
@@ -105,20 +104,21 @@ def test_batch_equals_per_node_loop():
     train, grid, hyper, kernel, noise = random_setup(rng, n_grid=4)
     batch = hcrb_all(train, grid, hyper, kernel, noise)
     for i in range(grid.n_nodes):
-        single = hcrb(i, train, grid, hyper, kernel, noise)
-        assert single.node_index == i
+        assert batch[i].node_index == i
+        single = hcrb_all(train, Grid(grid.xy[i:i + 1]), hyper, kernel, noise)[0]
         assert_allclose(single.bound, batch[i].bound, atol=1e-10)
         assert_allclose(single.added_term, batch[i].added_term, atol=1e-10)
 
 
 def test_single_node_grid():
     rng = np.random.default_rng(3)
-    train, _, hyper, kernel, noise = random_setup(rng, n_grid=5)
+    train, grid, hyper, kernel, noise = random_setup(rng, n_grid=5)
     grid1 = Grid(np.array([[150.0, 150.0]]))
     all_reports = hcrb_all(train, grid1, hyper, kernel, noise)
-    assert len(all_reports) == 1
-    only = hcrb(0, train, grid1, hyper, kernel, noise)
-    assert_allclose(only.bound, all_reports[0].bound, atol=1e-12)
+    assert len(all_reports) == 1 and all_reports[0].node_index == 0
+    # the same node inside a larger grid gets the same bound
+    grid6 = Grid(np.vstack([grid.xy[:2], grid1.xy, grid.xy[2:]]))
+    assert_allclose(hcrb_all(train, grid6, hyper, kernel, noise)[2].bound, all_reports[0].bound, rtol=1e-12)
 
 
 def test_invariant_under_sensor_permutation():
@@ -152,7 +152,7 @@ def test_singular_information_matrix_uses_pseudo_inverse():
     hyper = HyperEstimate(mu_p=-10.0, mu_alpha=3.0, var_p=1.0, var_alpha=0.01, tx=Position(120.0, 80.0))
     kernel = KernelParams.from_decay(2.0, 60.0, 0.1, 1.0)
     noise = NoiseModel(rho_u=100.0, sigma_w=2.0)
-    rep = hcrb(0, (xy, z), grid, hyper, kernel, noise)
+    rep = hcrb_all((xy, z), grid, hyper, kernel, noise)[0]
     assert rep.singular
     assert rep.added_term >= 0.0
     assert rep.bound >= rep.gp_variance
@@ -161,7 +161,3 @@ def test_singular_information_matrix_uses_pseudo_inverse():
 def test_report_invariants():
     rep = HcrbReport(node_index=0, gp_variance=2.0, added_term=0.5, bound=2.5)
     assert rep.bound >= rep.gp_variance
-    with pytest.raises(ValueError):
-        hcrb(99, (np.zeros((3, 2)) + 5, np.zeros(3)), Grid(np.array([[1.0, 1.0]])),
-             HyperEstimate(mu_p=0, mu_alpha=2, var_p=0, var_alpha=0, tx=Position(0, 0)),
-             KernelParams.from_decay(1.0, 50.0), NoiseModel(rho_u=0, sigma_w=1))

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 import rssfield as rf
 from rssfield.empbayes import (
     DegenerateFitError,
+    KERNEL_PATH_VAR,
     estimate_means,
     estimate_variances,
     refine_all,
@@ -135,7 +136,7 @@ def test_refine_all_noise_free_recovery():
     assert abs(hyper.mu_alpha - 3.5) < 1e-6
     assert abs(hyper.mu_p + 10.0) < 1e-6
     assert math.hypot(hyper.tx.x - 250.0, hyper.tx.y - 250.0) < 0.5
-    assert hyper.var_p is None and hyper.var_alpha is None
+    assert hyper.var_p == hyper.var_alpha == KERNEL_PATH_VAR
     # the refined fix is carried in the centroid state
     assert state.estimate == hyper.tx
 
@@ -159,8 +160,7 @@ def test_refine_all_estimates_variances_when_covariance_known():
     hyper, _ = refine_all(
         snap, CentroidState.empty(), area_bounds=sc.area_bounds, sigma_z_given=np.zeros_like
     )
-    assert hyper.var_p is not None and hyper.var_p >= 0.0
-    assert hyper.var_alpha is not None and hyper.var_alpha >= 0.0
+    assert hyper.var_p >= 0.0 and hyper.var_alpha >= 0.0
     # noise-free data with a correct covariance leaves nothing to explain
     assert hyper.var_p < 1e-10 and hyper.var_alpha < 1e-10
 

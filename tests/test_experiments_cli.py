@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 from pathlib import Path
@@ -431,7 +432,7 @@ def test_pipeline_empirical_variance_path():
     result = run_static(snap, scenario.grid, cfg.pipeline_config())
     # the variance fields come from the residual fit, and the kernel freezes
     # them rather than re-learning
-    assert result.hyper.var_p is not None and result.hyper.var_p >= 0.0
+    assert result.hyper.var_p >= 0.0
     assert_allclose(result.kernel.sigma_p_k, math.sqrt(result.hyper.var_p), rtol=1e-12)
     assert_allclose(result.kernel.sigma_alpha_k, math.sqrt(result.hyper.var_alpha), rtol=1e-12)
 
@@ -526,8 +527,12 @@ def _hostile_inputs(case, tmp_path):
         pos[:] = pos[0]
     elif case == "two sensors":
         pos = pos[:2]
+    elif case == "six sensors":
+        pos = pos[:6]
     d = np.maximum(np.hypot(pos[:, 0] - 100, pos[:, 1] - 100), 1.0)
     rss = -10.0 - 35.0 * np.log10(d) + rng.normal(0, 2.0, len(d))
+    if case == "rss -4000":
+        rss[:] = -4000.0  # finite, but 10^(rss/10) underflows to 0
     meas, truth = tmp_path / "meas.csv", tmp_path / "truth.csv"
     write_measurements(meas, [(0, str(i), x, y, r) for i, ((x, y), r) in enumerate(zip(pos, rss))])
     field = np.full(grid.n_nodes, -60.0)
@@ -537,9 +542,14 @@ def _hostile_inputs(case, tmp_path):
     return str(meas), str(truth)
 
 
-@pytest.mark.parametrize("command", ["fit-static", "bound", "baseline-okd"])
-@pytest.mark.parametrize("case", ["coincident", "two sensors", "nan truth"])
-def test_cli_hostile_data_exits_4_with_one_line(tmp_path, capsys, command, case):
+@pytest.mark.parametrize("case, command", [
+    *itertools.product(["coincident", "two sensors", "nan truth"], ["fit-static", "bound", "baseline-okd"]),
+    ("rss -4000", "fit-static"),
+    ("rss -4000", "bound"),
+    ("rss -4000", "baseline-okd"),
+    ("six sensors", "baseline-okd"),  # the variogram needs 10 reports
+])
+def test_cli_hostile_data_exits_4_with_one_line(tmp_path, capsys, case, command):
     meas, truth = _hostile_inputs(case, tmp_path)
     cfg = write_cfg(tmp_path, SMALL_SCENARIO)
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out"),

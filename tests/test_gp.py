@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_solve, cholesky
 
-from rssfield.empbayes import HyperEstimate
+import rssfield as rf
+from rssfield import gp
+from rssfield.empbayes import KERNEL_PATH_VAR, HyperEstimate
 from rssfield.gp import (
     FieldPosterior,
     KernelParams,
@@ -14,9 +16,9 @@ from rssfield.gp import (
     kernel_diag,
     kernel_matrix,
     matvec,
-    negative_log_marginal_likelihood,
     posterior,
     prior_mean,
+    _nlml_inputs,
     _nlml_parts,
 )
 from rssfield.model import (
@@ -33,7 +35,7 @@ from rssfield.model import (
 TX = Position(0.0, 0.0)
 
 
-def hyper_for(mu_p=-10.0, mu_alpha=3.5, var_p=None, var_alpha=None, tx=TX):
+def hyper_for(mu_p=-10.0, mu_alpha=3.5, var_p=KERNEL_PATH_VAR, var_alpha=KERNEL_PATH_VAR, tx=TX):
     return HyperEstimate(mu_p=mu_p, mu_alpha=mu_alpha, var_p=var_p, var_alpha=var_alpha, tx=tx)
 
 
@@ -238,9 +240,10 @@ def test_nlml_gradient_matches_finite_differences():
     d_hat = clamped_distances(xy, hyper.tx)
     resid = z - prior_mean(xy, hyper)
     q = log_distance_feature(d_hat)
-    args = (distance_matrix(xy, xy), NoiseModel(rho_u=150.0, sigma_w=2.0).variances(d_hat), resid, np.outer(q, q), None)
+    data = (distance_matrix(xy, xy), NoiseModel(rho_u=150.0, sigma_w=2.0).variances(d_hat), resid, np.outer(q, q))
     for _ in range(5):
-        theta = rng.uniform([-2, 1, -6, -3], [3, 6, -1, 2])
+        draw = rng.uniform([-2, 1, -6, -3], [3, 6, -1, 2])
+        theta, args = draw[:2], (*data, (math.exp(draw[2]), math.exp(draw[3])))
         _, grad = _nlml_parts(theta, *args)
         fd = np.zeros_like(theta)
         eps = 1e-6
@@ -257,7 +260,7 @@ def test_nlml_gradient_matches_finite_differences():
 def _nlml_explicit_inverse(theta, dists, noise_diag, resid, qouter, frozen):
     """Oracle: NLML and gradient with C^-1 = cho_solve(L, I) and one trace per dC."""
     vk, s = math.exp(theta[0]), math.exp(theta[1])
-    va, vp = (math.exp(theta[2]), math.exp(theta[3])) if frozen is None else frozen
+    va, vp = frozen
     expo = np.exp(-dists / s)
     c = vk * expo + va * qouter + vp + np.diag(noise_diag)
     low = cholesky(c, lower=True)
@@ -265,8 +268,6 @@ def _nlml_explicit_inverse(theta, dists, noise_diag, resid, qouter, frozen):
     nlml = 0.5 * resid @ beta + np.sum(np.log(np.diag(low))) + 0.5 * len(resid) * math.log(2 * math.pi)
     diff = cho_solve((low, True), np.eye(len(resid))) - np.outer(beta, beta)
     dcs = [vk * expo, vk * expo * dists / s]
-    if frozen is None:
-        dcs += [va * qouter, vp * np.ones_like(c)]
     return nlml, np.array([0.5 * np.sum(diff * dc) for dc in dcs])
 
 
@@ -282,11 +283,11 @@ def test_nlml_parts_match_explicit_inverse_oracle():
             z - prior_mean(xy, hyper), np.outer(q, q))
     for _ in range(4):
         theta = rng.uniform([-2, 1, -6, -3], [3, 6, -1, 2])
-        for th, frozen in ((theta, None), (theta[:2], (math.exp(theta[2]), math.exp(theta[3])))):
-            val, grad = _nlml_parts(th, *data, frozen)
-            want_val, want_grad = _nlml_explicit_inverse(th, *data, frozen)
-            assert_allclose(val, want_val, rtol=1e-10)
-            assert_allclose(grad, want_grad, rtol=1e-10)
+        th, frozen = theta[:2], (math.exp(theta[2]), math.exp(theta[3]))
+        val, grad = _nlml_parts(th, *data, frozen)
+        want_val, want_grad = _nlml_explicit_inverse(th, *data, frozen)
+        assert_allclose(val, want_val, rtol=1e-10)
+        assert_allclose(grad, want_grad, rtol=1e-10)
 
 
 def test_fit_kernel_recovers_scales_from_simulated_fields():
@@ -320,9 +321,13 @@ def test_noisier_model_never_fits_better():
     doubled = NoiseModel(rho_u=100.0, sigma_w=4.0)
     k_base = fit_kernel((xy, z), hyper, base)
     k_doubled = fit_kernel((xy, z), hyper, doubled)
-    nlml_base = negative_log_marginal_likelihood((xy, z), hyper, k_base, base)
-    nlml_doubled = negative_log_marginal_likelihood((xy, z), hyper, k_doubled, doubled)
-    assert nlml_doubled >= nlml_base - 1e-6
+
+    def nlml(kernel, noise):
+        theta = np.log([kernel.sigma_k**2, kernel.decay_scale])
+        frozen = (kernel.sigma_alpha_k**2, kernel.sigma_p_k**2)
+        return _nlml_parts(theta, *_nlml_inputs((xy, z), hyper, noise), frozen)[0]
+
+    assert nlml(k_doubled, doubled) >= nlml(k_base, base) - 1e-6
 
 
 def test_fit_kernel_freezes_known_prior_variances():
@@ -333,6 +338,32 @@ def test_fit_kernel_freezes_known_prior_variances():
     fitted = fit_kernel((xy, z), hyper, NoiseModel(rho_u=0.0, sigma_w=1.0))
     assert_allclose(fitted.sigma_p_k, 1.2, rtol=1e-12)
     assert_allclose(fitted.sigma_alpha_k, 0.08, rtol=1e-12)
+
+
+@pytest.mark.parametrize("variance_path", ["kernel", "empirical"])
+def test_fit_kernel_optimizes_only_the_two_spatial_scales(monkeypatch, variance_path):
+    sc = rf.benchmark_scenario(seed=3, nx=5, ny=5, n_sensors=40, area=(300.0, 300.0))
+    snap, _ = rf.sample_snapshot(sc, 0)
+    noise = NoiseModel(rho_u=0.0, sigma_w=sc.params.sigma_w)
+    config = rf.PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=4)
+    if variance_path == "empirical":
+        config.sigma_z_given = lambda d: np.full_like(d, 17.0)
+    calls, real_minimize = [], gp.minimize
+
+    def recording_minimize(fun, x0, **kwargs):
+        calls.append((np.shape(x0), len(kwargs["bounds"])))
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(gp, "minimize", recording_minimize)
+    result = rf.run_static(snap, sc.grid, config, compute_cov=False)
+    assert calls == [((2,), 2)] * 4
+    kernel, hyper = result.kernel, result.hyper
+    if variance_path == "kernel":
+        assert hyper.var_alpha == hyper.var_p == KERNEL_PATH_VAR
+        assert kernel.sigma_alpha_k**2 == kernel.sigma_p_k**2 == KERNEL_PATH_VAR
+    else:
+        assert kernel.sigma_alpha_k == math.sqrt(hyper.var_alpha)
+        assert kernel.sigma_p_k == math.sqrt(hyper.var_p)
 
 
 def test_field_posterior_validation():
