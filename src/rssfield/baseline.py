@@ -59,15 +59,13 @@ def _empirical_semivariogram(residuals, positions, n_bins):
     edges = np.linspace(0.0, half_max, n_bins + 1)
     idx = np.clip(np.searchsorted(edges, dists[in_range], side="right") - 1, 0, n_bins - 1)
 
+    binned = gammas[in_range]
+    populated = np.bincount(idx, minlength=n_bins)
     hs, gs, counts = [], [], []
-    for b in range(n_bins):
-        mask = idx == b
-        cnt = int(np.sum(mask))
-        if cnt == 0:
-            continue
+    for b in np.flatnonzero(populated):
         hs.append(0.5 * (edges[b] + edges[b + 1]))
-        gs.append(float(np.mean(gammas[in_range][mask])))
-        counts.append(cnt)
+        gs.append(float(np.mean(binned[idx == b])))
+        counts.append(int(populated[b]))
     if nugget_point is not None:
         hs.insert(0, nugget_point[0])
         gs.insert(0, nugget_point[1])

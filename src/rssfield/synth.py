@@ -188,7 +188,9 @@ def _grid_corr_chol(grid: Grid, d_corr: float) -> np.ndarray:
         return hit
     corr = _correlation(grid.xy, grid.xy, d_corr)
     corr[np.diag_indices_from(corr)] += _SHADOW_JITTER
-    low = cholesky(corr, lower=True)
+    # corr is exactly symmetric, so its F-ordered view is the same matrix and
+    # reaches LAPACK without a transposing copy
+    low = cholesky(corr.T, lower=True)
     _grid_chol_cache.put(key, low)
     return low
 
@@ -210,6 +212,8 @@ def _sensor_conditional(grid: Grid, sensor_xy: np.ndarray, d_corr: float):
     # differently, which would change every snapshot's bits; runs once per roster
     cond -= corr_gs.T @ w
     cond[np.diag_indices_from(cond)] += _SHADOW_JITTER
+    # cond is C-ordered on purpose: the product above leaves it only nearly
+    # symmetric, and the factor must read its lower triangle as before
     low_cond = cholesky(cond, lower=True)
     _cond_cache.put(key, (w, low_cond))
     return w, low_cond

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rssfield as rf
-from rssfield.baseline import VariogramModel, fit_variogram, okd_predict
+from rssfield.baseline import _DUP_EPS, VariogramModel, _empirical_semivariogram, fit_variogram, okd_predict
 from rssfield.empbayes import HyperEstimate
 from rssfield.gp import prior_mean
 from rssfield.model import Grid, Position, distance_matrix
@@ -53,6 +53,40 @@ def test_variogram_duplicates_feed_the_nugget():
     resid = np.concatenate([np.zeros(10), np.full(10, 2.0)])  # pure nugget pairs
     model = fit_variogram(resid, pos)
     assert model.nugget > 0.5  # 0.5 * (0 - 2)^2 = 2 at h = 0, diluted by the fit
+
+
+def _semivariogram_bins_by_mask(residuals, positions, n_bins):
+    """(bin centers, bin means, counts) of the populated distance bins, one mask per bin."""
+    d = distance_matrix(positions, positions)
+    iu = np.triu_indices_from(d, k=1)
+    dists = d[iu]
+    gammas = 0.5 * (residuals[iu[0]] - residuals[iu[1]]) ** 2
+    half_max = float(np.max(dists)) / 2.0
+    in_range = (dists >= _DUP_EPS) & (dists <= half_max)
+    edges = np.linspace(0.0, half_max, n_bins + 1)
+    idx = np.clip(np.searchsorted(edges, dists[in_range], side="right") - 1, 0, n_bins - 1)
+    hs, gs, counts = [], [], []
+    for b in range(n_bins):
+        mask = idx == b
+        cnt = int(np.sum(mask))
+        if cnt == 0:
+            continue
+        hs.append(0.5 * (edges[b] + edges[b + 1]))
+        gs.append(float(np.mean(gammas[in_range][mask])))
+        counts.append(cnt)
+    return np.array(hs), np.array(gs), np.array(counts, dtype=float)
+
+
+@pytest.mark.parametrize("n, n_bins", [(12, 15), (40, 4), (300, 15)])
+def test_empirical_semivariogram_bins_match_per_bin_mask_loop(n, n_bins):
+    rng = np.random.default_rng(n)
+    pos = rng.uniform(0, 200, (n, 2))
+    pos[1] = pos[0]  # one duplicate pair, which goes to the nugget point instead
+    resid = rng.normal(0, 3, n)
+    hs, gs, counts, _ = _empirical_semivariogram(resid, pos, n_bins)
+    want_h, want_g, want_c = _semivariogram_bins_by_mask(resid, pos, n_bins)
+    assert hs[0] == 0.0 and counts[0] == 1.0
+    assert np.array_equal(hs[1:], want_h) and np.array_equal(gs[1:], want_g) and np.array_equal(counts[1:], want_c)
 
 
 def test_okd_exact_interpolation_with_zero_nugget():

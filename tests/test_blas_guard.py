@@ -6,6 +6,11 @@ pool's spinning threads (see the ``rssfield.gp`` module docstring). Products
 on the estimation path therefore go through scipy. This test scans the source
 for every ``@``, ``np.dot`` and ``np.linalg.*`` call and fails on any that is
 not listed below with its reason.
+
+It also guards the memory order of factorizations: every ``cholesky(`` and
+``dpotrf(`` call is listed with the reason for the layout it passes, so a new
+one cannot bring back the transposing C-to-F copy of a symmetric matrix
+unnoticed.
 """
 
 import ast
@@ -32,6 +37,19 @@ ALLOWED = {
     ("synth.py", "corr_gs.T @ w"):
         "once per sensor roster (cached); scipy's OpenBLAS splits this threaded product "
         "differently from numpy's, so routing it would change every snapshot's bits",
+}
+
+
+# (file, source text of the call) -> why its operand has the memory order it has
+FACTORIZATIONS = {
+    ("gp.py", "dpotrf(mat.T if mat.flags.c_contiguous else mat, lower=1, clean=0)"):
+        "every covariance factorization (chol_with_jitter, _nlml_parts); the matrices are exactly "
+        "symmetric, so a C-ordered one enters as its F-ordered view",
+    ("synth.py", "cholesky(corr.T, lower=True)"):
+        "grid correlation, exactly symmetric: its F-ordered view is the same matrix",
+    ("synth.py", "cholesky(cond, lower=True)"):
+        "sensor conditional: cond comes out of a product and is only nearly symmetric, so it must "
+        "stay C-ordered to be factored from the same triangle; runs once per sensor roster",
 }
 
 
@@ -64,6 +82,20 @@ def _numpy_blas_calls():
     return found
 
 
+def _factorization_calls():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("cholesky", "dpotrf"):
+                found.append((path.name, ast.get_source_segment(text, node), node.lineno))
+    return found
+
+
 def test_every_numpy_blas_call_is_allowlisted():
     unlisted = [f"{name}:{line}: {expr}" for name, expr, line in _numpy_blas_calls() if (name, expr) not in ALLOWED]
     assert not unlisted, (
@@ -72,7 +104,20 @@ def test_every_numpy_blas_call_is_allowlisted():
     )
 
 
+def test_every_factorization_is_allowlisted_with_its_memory_order():
+    unlisted = [f"{name}:{line}: {expr}" for name, expr, line in _factorization_calls()
+                if (name, expr) not in FACTORIZATIONS]
+    assert not unlisted, (
+        "Cholesky calls outside the allowlist (factor an exactly symmetric matrix through "
+        "rssfield.gp.chol_with_jitter, or allowlist the call with the reason for its layout):\n"
+        + "\n".join(unlisted)
+    )
+
+
 def test_allowlist_has_no_stale_entries():
     present = {(name, expr) for name, expr, _ in _numpy_blas_calls()}
     stale = sorted(set(ALLOWED) - present)
     assert not stale, f"allowlisted calls no longer in the source: {stale}"
+    present = {(name, expr) for name, expr, _ in _factorization_calls()}
+    stale = sorted(set(FACTORIZATIONS) - present)
+    assert not stale, f"allowlisted factorizations no longer in the source: {stale}"

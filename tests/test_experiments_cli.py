@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import math
@@ -529,17 +530,51 @@ def _hostile_inputs(case, tmp_path):
         pos = pos[:2]
     elif case == "six sensors":
         pos = pos[:6]
+    elif case == "duplicate":
+        pos = np.vstack([pos, pos[:1]])  # 26 rows, two at one position
+    elif case == "collinear":
+        pos[:, 1] = 50.0  # a line that misses the transmitter at (100, 100)
+    elif case == "on transmitter":
+        pos[0] = (100.0, 100.0)
     d = np.maximum(np.hypot(pos[:, 0] - 100, pos[:, 1] - 100), 1.0)
-    rss = -10.0 - 35.0 * np.log10(d) + rng.normal(0, 2.0, len(d))
-    if case == "rss -4000":
-        rss[:] = -4000.0  # finite, but 10^(rss/10) underflows to 0
+    rows = []
+    for t in (0, 2) if case == "empty step" else (0,):  # no report at t = 1
+        rss = -10.0 - 35.0 * np.log10(d) + rng.normal(0, 2.0, len(d))
+        if case == "rss -4000":
+            rss[:] = -4000.0  # finite, but 10^(rss/10) underflows to 0
+        rows += [(t, str(i), x, y, r) for i, ((x, y), r) in enumerate(zip(pos, rss))]
     meas, truth = tmp_path / "meas.csv", tmp_path / "truth.csv"
-    write_measurements(meas, [(0, str(i), x, y, r) for i, ((x, y), r) in enumerate(zip(pos, rss))])
+    write_measurements(meas, rows)
     field = np.full(grid.n_nodes, -60.0)
     if case == "nan truth":
         field[5] = np.nan
     write_truth(truth, grid, field)
     return str(meas), str(truth)
+
+
+def _written_fields(out):
+    """Names of the field CSVs under out, each checked to hold only finite numbers."""
+    names = []
+    for path in sorted(out.glob("field_*.csv")):
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row[1:]), path.name
+        names.append(path.name)
+    return names
+
+
+def _run_hostile(case, command, tmp_path, capsys):
+    """(exit code, stderr, field files written) of one command on one hostile case."""
+    meas, truth = _hostile_inputs(case, tmp_path)
+    cfg = write_cfg(tmp_path, SMALL_SCENARIO)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                   "--measurements", meas, "--truth", truth])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return rc, err, _written_fields(tmp_path / "out")
+
+
+_FIT_COMMANDS = ["fit-static", "bound", "baseline-okd", "fit-recursive"]
 
 
 @pytest.mark.parametrize("case, command", [
@@ -548,15 +583,29 @@ def _hostile_inputs(case, tmp_path):
     ("rss -4000", "bound"),
     ("rss -4000", "baseline-okd"),
     ("six sensors", "baseline-okd"),  # the variogram needs 10 reports
+    *[(case, "fit-recursive") for case in ["coincident", "two sensors", "nan truth", "rss -4000"]],
 ])
 def test_cli_hostile_data_exits_4_with_one_line(tmp_path, capsys, case, command):
-    meas, truth = _hostile_inputs(case, tmp_path)
-    cfg = write_cfg(tmp_path, SMALL_SCENARIO)
-    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out"),
-                   "--measurements", meas, "--truth", truth])
+    rc, err, fields = _run_hostile(case, command, tmp_path, capsys)
     assert rc == 4
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("I/O or data error: ")
     if case == "nan truth":
         assert "truth.csv: row 7" in err
+    assert fields == []
+
+
+@pytest.mark.parametrize("case, command", [
+    *itertools.product(["duplicate", "collinear", "on transmitter", "empty step"], _FIT_COMMANDS),
+    *[("six sensors", command) for command in _FIT_COMMANDS if command != "baseline-okd"],
+])
+def test_cli_fittable_hostile_data_exits_0_with_finite_fields(tmp_path, capsys, case, command):
+    rc, _, fields = _run_hostile(case, command, tmp_path, capsys)
+    assert rc == 0
+    want = {
+        "fit-static": ["field_static.csv"],
+        "bound": ["field_bound.csv"],
+        "baseline-okd": ["field_okd.csv"],
+        # the file has no row at t = 1, so the recursion steps from t = 0 to t = 2
+        "fit-recursive": ["field_rgp_t0.csv", "field_rgp_t2.csv"] if case == "empty step" else ["field_rgp_t0.csv"],
+    }
+    assert fields == want[command]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotri
 
 import rssfield as rf
 from rssfield import gp
@@ -18,6 +20,7 @@ from rssfield.gp import (
     matvec,
     posterior,
     prior_mean,
+    subtract_gram,
     _nlml_inputs,
     _nlml_parts,
 )
@@ -103,6 +106,80 @@ def test_chol_with_jitter_escalates_on_rank_deficient_input_without_modifying_it
     # an indefinite one exhausts the ladder
     with pytest.raises(NumericalError, match="indefinite"):
         chol_with_jitter(np.diag([1.0, -1.0]), "indefinite")
+
+
+def _symmetric_cov(m, seed):
+    """An exactly symmetric, C-ordered covariance built the way the library builds them."""
+    rng = np.random.default_rng(seed)
+    params = KernelParams.from_decay(sigma_k=2.0, decay_scale=60.0, sigma_alpha_k=0.1, sigma_p_k=0.5)
+    xy = rng.uniform(0, 300, (m, 2))
+    mat = kernel_matrix(xy, xy, params, TX)
+    mat[np.diag_indices_from(mat)] += 0.5
+    return mat
+
+
+def test_chol_with_jitter_factor_is_bit_identical_to_scipy_in_every_memory_order():
+    mat = _symmetric_cov(150, 21)
+    want = cholesky(mat, lower=True)
+    read_only = mat.copy()
+    read_only.setflags(write=False)
+    big = _symmetric_cov(300, 22)
+    strided = big[::2, ::2]  # symmetric, neither C- nor F-contiguous
+    assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+    for arr, expect in [
+        (mat, want),
+        (np.asfortranarray(mat), want),
+        (read_only, want),
+        (strided, cholesky(strided, lower=True)),
+    ]:
+        low, jitter = chol_with_jitter(arr)
+        assert jitter == 0.0
+        assert np.array_equal(low, expect) and np.array_equal(np.triu(low, 1), np.zeros_like(low))
+        assert low.flags.f_contiguous == expect.flags.f_contiguous
+    assert np.array_equal(read_only, mat)
+    # a jitter rung factors diag(mat) + jitter on a copy
+    rank_def = np.outer(np.arange(1.0, 41.0), np.arange(1.0, 41.0)) + np.ones((40, 40))
+    low, jitter = chol_with_jitter(rank_def)
+    assert jitter > 0.0
+    bumped = rank_def.copy()
+    bumped[np.diag_indices_from(bumped)] = np.diag(rank_def) + jitter
+    assert np.array_equal(low, cholesky(bumped, lower=True))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_chol_with_jitter_rejects_non_finite_input_before_factoring(monkeypatch, bad):
+    monkeypatch.setattr(gp, "dpotrf", lambda *a, **k: pytest.fail("factored a non-finite matrix"))
+    mat = _symmetric_cov(30, 23)
+    mat[4, 9] = mat[9, 4] = bad
+    mat.setflags(write=False)
+    kept = mat.copy()
+    with pytest.raises(NumericalError, match="^grid posterior covariance has non-finite entries$"):
+        chol_with_jitter(mat, "grid posterior covariance")
+    assert np.array_equal(mat, kept, equal_nan=True)
+
+
+def _subtract_gram_two_pass(c, w, alpha):
+    """The two-pass formula subtract_gram replaced: c -= s; c -= s.T; reset the diagonal."""
+    s = dsyrk(alpha, w, trans=1, lower=1)
+    diag = np.diag(c) - np.diag(s)
+    c -= s
+    c -= s.T
+    c[np.diag_indices_from(c)] = diag
+
+
+@pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 300])
+def test_subtract_gram_is_bit_identical_to_two_pass_formula_and_symmetric(m):
+    rng = np.random.default_rng(m)
+    c0 = _symmetric_cov(m, m)
+    w = rng.standard_normal((17, m))
+    for alpha in (1.0, -0.5):
+        want = c0.copy()
+        _subtract_gram_two_pass(want, w, alpha)
+        for order in ("C", "F"):
+            got = np.array(c0, order=order)
+            subtract_gram(got, w, alpha)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, got.T)
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (7, 3), (218, 1088), (1088, 218), (2000, 600)])
@@ -271,6 +348,27 @@ def _nlml_explicit_inverse(theta, dists, noise_diag, resid, qouter, frozen):
     return nlml, np.array([0.5 * np.sum(diff * dc) for dc in dcs])
 
 
+def _nlml_parts_scipy_cholesky(theta, dists, noise_diag, resid, qouter, frozen):
+    """_nlml_parts as written on scipy.linalg.cholesky of the C-ordered C."""
+    vk, s = math.exp(theta[0]), math.exp(theta[1])
+    va, vp = frozen
+    n = resid.shape[0]
+    expo = np.exp(-dists / s)
+    c = vk * expo + va * qouter + vp
+    c[np.diag_indices_from(c)] += noise_diag
+    low = cholesky(c, lower=True)
+    beta = cho_solve((low, True), resid)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
+    nlml = 0.5 * float(resid @ beta) + 0.5 * logdet + 0.5 * n * math.log(2.0 * math.pi)
+    diff, info = dpotri(low, lower=1)
+    assert info == 0
+    diff += np.tril(diff, -1).T
+    diff -= np.outer(beta, beta)
+    diff_expo = diff * expo
+    grad = [0.5 * vk * float(np.sum(diff_expo)), 0.5 * vk / s * float(np.sum(diff_expo * dists))]
+    return nlml, np.array(grad)
+
+
 def test_nlml_parts_match_explicit_inverse_oracle():
     rng = np.random.default_rng(12)
     n = 120
@@ -288,6 +386,18 @@ def test_nlml_parts_match_explicit_inverse_oracle():
         want_val, want_grad = _nlml_explicit_inverse(th, *data, frozen)
         assert_allclose(val, want_val, rtol=1e-10)
         assert_allclose(grad, want_grad, rtol=1e-10)
+        # factoring C's F-ordered view changes no bit of either
+        same_val, same_grad = _nlml_parts_scipy_cholesky(th, *data, frozen)
+        assert val == same_val and np.array_equal(grad, same_grad)
+
+
+def test_nlml_parts_rejects_non_finite_covariance():
+    xy = np.random.default_rng(13).uniform(0, 300, (12, 2))
+    dists = distance_matrix(xy, xy)
+    dists[2, 5] = dists[5, 2] = np.nan
+    q = log_distance_feature(clamped_distances(xy, TX))
+    with pytest.raises(NumericalError, match="kernel-fit covariance has non-finite entries"):
+        _nlml_parts(np.zeros(2), dists, np.ones(12), np.zeros(12), np.outer(q, q), (1e-4, 1e-4))
 
 
 def test_fit_kernel_recovers_scales_from_simulated_fields():
