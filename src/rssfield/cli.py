@@ -64,11 +64,15 @@ def _snapshot_at(rows, t):
 
 
 def _train_inputs(args, cfg):
-    """(snapshots by t, grid, truth-or-None) from files or the synthetic world."""
+    """(snapshots by t, grid, truth-or-None) from files or the synthetic world.
+
+    A measurement file gives one snapshot for every t from its first to its
+    last, empty where it has no rows.
+    """
     if args.measurements:
         rows = ex.read_measurements(args.measurements)
-        times = sorted({r[0] for r in rows})
-        snaps = [_snapshot_at(rows, t) for t in times]
+        times = [r[0] for r in rows]
+        snaps = [_snapshot_at(rows, t) for t in range(min(times), max(times) + 1)]
         if args.truth:
             grid, truth = ex.read_truth(args.truth)
         else:

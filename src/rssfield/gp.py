@@ -25,18 +25,31 @@ reasons in tests/test_blas_guard.py. scipy's BLAS wrappers copy any operand
 that is not Fortran-ordered, so each call passes the F-ordered view of its
 operand (the transpose of a C-ordered array) and sets the transpose flag.
 
-Memory order of the M x M path: every covariance here is built C-ordered and
-exactly symmetric (kernel_matrix, subtract_gram), so its F-ordered view is
-the same matrix. ``_cholesky_lower`` hands that view to LAPACK's potrf and
-zeroes the factor's upper triangle where it is contiguous, and
-``subtract_gram`` works on c's rows. scipy.linalg.cholesky on the C-ordered
-array first copies it through a transpose and then zeroes the upper triangle
-across columns: at M = 4096 (2-vCPU VM) that is 760 ms, of which about 220 ms
-is the copy and 190 ms the zeroing, against 450 ms for ``chol_with_jitter``
-including its finiteness check. ``subtract_gram`` went from 550 to 305 ms,
-200 ms of which is dsyrk. The one factorization kept C-ordered is synth's
-sensor conditional: its matrix comes out of a product and is only nearly
-symmetric, so it is factored from the triangle it always was.
+Memory budget of the M x M path: a report holds one M x M array, the
+covariance it returns, and every step works inside it. Every covariance here
+is C-ordered and exactly symmetric, so its F-ordered view (mat.T) is the same
+matrix and goes to BLAS and LAPACK without a copy.
+
+- ``kernel_matrix`` assembles its output one block of rows of about 1 MB at a
+  time (distances, exp, the rank-one term and the constant, each in place),
+  so its only temporaries are one block.
+- ``subtract_gram`` accumulates -alpha W^T W straight into one triangle of c
+  with dsyrk (beta = 1, overwrite_c) and mirrors that triangle.
+- ``check_pd`` factors the covariance in place with potrf, then restores the
+  triangle and diagonal potrf overwrote from the other triangle and a saved
+  diagonal. ``chol_with_jitter``, whose factor is kept, works on one
+  F-ordered copy; it factors the N x N training covariance.
+- Finiteness is scanned one block of rows at a time.
+
+At M = 4096 and N = 1024 (tracemalloc per op on a 2-vCPU VM, counting the
+134 MB covariance that stays live) this took run_static from 311 to 178 MB,
+hcrb_all from 218 to 187 MB and ``baseline.okd_predict`` from 256 to 169 MB.
+Times at that size: kernel_matrix(grid, grid) 250 -> 165 ms, subtract_gram
+275 -> 205 ms, the PD check 480 -> 405 ms, of which potrf is 350 ms, the
+restore 30 ms and the finiteness scan 20 ms. The one factorization kept
+C-ordered is synth's sensor conditional: its matrix comes out of a product
+and is only nearly symmetric, so it is factored from the triangle it always
+was.
 """
 
 from __future__ import annotations
@@ -66,6 +79,7 @@ _VAR_LO, _VAR_HI = 1e-4, 1e4  # bounds on sigma_k^2
 _SCALE_LO, _SCALE_HI = 1.0, 2000.0  # bounds on the decay scale 2 l^2, meters
 _LOG2PI = math.log(2.0 * math.pi)
 _BLOCK = 32  # rows or columns per block when zeroing or mirroring a triangle in place
+_BLOCK_BYTES = 1 << 20  # size of a block of rows when assembling or scanning a matrix
 
 
 @dataclass(frozen=True)
@@ -113,59 +127,133 @@ class FieldPosterior:
             object.__setattr__(self, "cov", cov)
 
 
-def _cholesky_lower(mat: np.ndarray) -> Optional[np.ndarray]:
-    """Lower Cholesky factor of an exactly symmetric, finite mat; None if not PD.
+def _blocks(n: int, width: int):
+    """Slices covering range(n) in blocks of about _BLOCK_BYTES of float64 rows
+    of the given width.
 
-    Bit-identical to scipy.linalg.cholesky(mat, lower=True). LAPACK's potrf
-    reads only the lower triangle, and for an exactly symmetric mat the lower
-    triangle of mat.T holds the same numbers, so a C-ordered mat enters as its
-    F-ordered view mat.T and is not copied through a transpose. The strict
-    upper triangle of the F-ordered factor is zeroed one block of columns at a
-    time, where it is contiguous.
+    Each block is a whole multiple of _BLOCK rows, so a dgemv over a block
+    groups its rows as a dgemv over all n rows does, and the last block takes
+    any remainder shorter than one block instead of standing alone.
     """
-    low, info = dpotrf(mat.T if mat.flags.c_contiguous else mat, lower=1, clean=0)
+    step = max(_BLOCK, _BLOCK_BYTES // (8 * max(width, 1)) // _BLOCK * _BLOCK)
+    start = 0
+    for stop in [*range(step, n - step + 1, step), n]:
+        yield slice(start, stop)
+        start = stop
+
+
+def _all_finite(mat: np.ndarray) -> bool:
+    """np.isfinite(mat).all() over one block of rows at a time."""
+    rows = mat.T if mat.flags.f_contiguous and not mat.flags.c_contiguous else mat
+    return all(np.isfinite(rows[blk]).all() for blk in _blocks(rows.shape[0], rows.shape[1]))
+
+
+def _potrf(f: np.ndarray) -> int:
+    """LAPACK potrf on the lower triangle of the F-ordered f, in place; info > 0
+    means f is not positive definite. The strict upper triangle is not touched."""
+    _, info = dpotrf(f, lower=1, clean=0, overwrite_a=1)
     if info < 0:
         raise ValueError(f"potrf rejected its argument {-info}")
-    if info > 0:
-        return None
+    return info
+
+
+def _zero_upper(low: np.ndarray) -> None:
+    """Zero the strict upper triangle of the F-ordered low one block of columns
+    at a time, where it is contiguous."""
     upper = ~np.tri(_BLOCK, dtype=bool)
     for j0 in range(0, low.shape[0], _BLOCK):
         j1 = min(j0 + _BLOCK, low.shape[0])
         low[:j0, j0:j1] = 0.0
         np.copyto(low[j0:j1, j0:j1], 0.0, where=upper[: j1 - j0, : j1 - j0])
-    return low
+
+
+def _mirror(g: np.ndarray, from_upper: bool) -> None:
+    """Copy the strict upper triangle of the C-ordered square g onto its strict
+    lower one (from_upper) or the other way round.
+
+    Each block of rows is read along its rows and written into the block
+    column of the other triangle, which is 3-4 times faster than the reverse.
+    """
+    m = g.shape[0]
+    below = np.tri(_BLOCK, k=-1, dtype=bool)
+    target = below if from_upper else below.T
+    for i0 in range(0, m, _BLOCK):
+        i1 = min(i0 + _BLOCK, m)
+        blk = g[i0:i1, i0:i1]
+        np.copyto(blk, blk.T, where=target[: i1 - i0, : i1 - i0])
+        if from_upper:
+            g[i1:, i0:i1] = g[i0:i1, i1:].T
+        else:
+            g[:i0, i0:i1] = g[i0:i1, :i0].T
+
+
+def _restore(f: np.ndarray, diag: np.ndarray) -> None:
+    """Undo _potrf on the F-ordered f: its lower triangle again from the strict
+    upper one, which potrf leaves untouched, and the saved diagonal."""
+    _mirror(f.T, from_upper=False)
+    np.fill_diagonal(f, diag)
+
+
+def _jitter_ladder(f: np.ndarray, diag: np.ndarray, what: str) -> float:
+    """Factor the exactly symmetric, F-ordered f with diagonal diag in place,
+    escalating diagonal jitter 1e-10 .. 1e-4*mean(diag) until potrf succeeds;
+    returns the jitter.
+
+    On success the lower triangle holds the factor and the strict upper one is
+    f's own. Every failed rung restores f before the next one, so f is f
+    again when NumericalError is raised.
+    """
+    diag_mean = float(np.mean(diag)) if f.size else 0.0
+    limit = max(1e-4 * diag_mean, 1e-10)
+    jitter = 0.0
+    while _potrf(f):
+        _restore(f, diag)
+        jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
+        if jitter > limit:
+            raise NumericalError(f"{what} is not positive definite after jitter up to {limit:g}")
+        np.fill_diagonal(f, diag + jitter)
+    return jitter
 
 
 def chol_with_jitter(mat: np.ndarray, what: str = "covariance") -> tuple:
     """Lower Cholesky factor, escalating diagonal jitter 1e-10 .. 1e-4*diag.
 
     ``mat`` must be exactly symmetric, as every covariance in this library is
-    by construction: a C-ordered mat is factored through its F-ordered view
-    mat.T (see ``_cholesky_lower``). It is never modified: the retries factor
-    one copy of it whose diagonal is reset to diag(mat) + jitter at each rung.
-    A mat with a non-finite entry raises NumericalError before any
-    factorization.
+    by construction. It is never modified: the factor is computed in one
+    F-ordered copy of it (a C-ordered mat is copied through its F-ordered
+    view mat.T, which is the same matrix), whose diagonal is reset to
+    diag(mat) + jitter at each rung. The factor is bit-identical to
+    scipy.linalg.cholesky of that matrix. A mat with a non-finite entry
+    raises NumericalError before any factorization.
     """
-    if not np.isfinite(mat).all():
+    if not _all_finite(mat):
         raise NumericalError(f"{what} has non-finite entries")
-    diag = np.diag(mat)
-    diag_mean = float(np.mean(diag)) if mat.size else 0.0
-    jitter = 0.0
-    limit = max(1e-4 * diag_mean, 1e-10)
-    bumped = mat
-    while True:
-        if jitter > 0.0:
-            if bumped is mat:
-                bumped = np.array(mat, dtype=float)
-            bumped[np.diag_indices_from(bumped)] = diag + jitter
-        low = _cholesky_lower(bumped)
-        if low is not None:
-            return low, jitter
-        jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
-        if jitter > limit:
-            raise NumericalError(
-                f"{what} is not positive definite after jitter up to {limit:g}"
-            )
+    low = np.array(mat.T if mat.flags.c_contiguous else mat, order="F")
+    jitter = _jitter_ladder(low, np.diag(mat), what)  # a view of mat, which stays as it is
+    _zero_upper(low)
+    return low, jitter
+
+
+def check_pd(mat: np.ndarray, what: str = "covariance") -> float:
+    """Verify that the exactly symmetric mat is positive definite, after the
+    jitter ladder of ``chol_with_jitter``; returns the jitter it needed.
+
+    A writeable, C- or F-contiguous mat is factored in place through its
+    F-ordered view: potrf overwrites one triangle and the diagonal, which are
+    then restored from the other triangle and a saved diagonal, after every
+    rung and before NumericalError. mat comes back bit for bit, and no second
+    M x M buffer is made. Any other mat is checked on an F-ordered copy. A mat
+    with a non-finite entry raises NumericalError before any factorization.
+    """
+    if not _all_finite(mat):
+        raise NumericalError(f"{what} has non-finite entries")
+    f = mat.T if mat.flags.c_contiguous else mat
+    if not (f.flags.f_contiguous and f.flags.writeable):
+        f = np.array(f, order="F")
+    diag = f.diagonal().copy()
+    jitter = _jitter_ladder(f, diag, what)
+    _restore(f, diag)
+    return jitter
 
 
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -181,44 +269,47 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def subtract_gram(c: np.ndarray, w: np.ndarray, alpha: float = 1.0) -> None:
-    """c -= alpha * W^T W in place, for an exactly symmetric c.
+    """c -= alpha * W^T W in place, for an exactly symmetric, C- or
+    F-contiguous c.
 
-    The product runs through scipy's dsyrk (see the module docstring), which
-    fills the lower triangle of an F-ordered result: the upper triangle of its
-    C-ordered view. That triangle is subtracted from the upper triangle of a
-    C-ordered c one block of rows at a time, along the rows, and each finished
-    block row is mirrored into the block column below it. The result is
-    exactly symmetric.
+    scipy's dsyrk accumulates -alpha W^T W straight into the lower triangle of
+    c's F-ordered view (beta = 1, overwrite_c), with no M x M temporary; that
+    triangle is then mirrored into the other one a block of rows at a time,
+    so the result is exactly symmetric. dsyrk adds alpha times each block of
+    its inner dimension to c in turn, so the result is bit-identical to
+    forming alpha W^T W first and subtracting it only while W has no more
+    rows than one such block (a few hundred); beyond that it differs from it
+    by rounding.
     """
-    st = dsyrk(alpha, w, trans=1, lower=1).T  # upper triangle of alpha W^T W, zeros below
-    m = c.shape[0]
-    lower = np.tri(_BLOCK, k=-1, dtype=bool)
-    for i0 in range(0, m, _BLOCK):
-        i1 = min(i0 + _BLOCK, m)
-        c[i0:i1, i0:] -= st[i0:i1, i0:]  # below the diagonal this subtracts zeros
-        blk = c[i0:i1, i0:i1]
-        np.copyto(blk, blk.T, where=lower[: i1 - i0, : i1 - i0])
-        c[i1:, i0:i1] = c[i0:i1, i1:].T
+    f = c.T if c.flags.c_contiguous else c
+    if not f.flags.f_contiguous:
+        raise ValueError("subtract_gram needs a C- or F-contiguous c")
+    dsyrk(-alpha, w, beta=1.0, c=f, trans=1, lower=1, overwrite_c=1)
+    _mirror(f.T, from_upper=True)
 
 
 def kernel_matrix(a_xy, b_xy, params: KernelParams, tx: Position) -> np.ndarray:
     """Composite kernel between all rows of a_xy and b_xy.
 
-    Assembled in the distance buffer. The rank-one term is formed as
-    outer(qa, qb) before scaling, so kernel_matrix(a, a) is exactly symmetric.
+    Assembled in the output one block of about _BLOCK_BYTES of rows at a
+    time: distances, exp, the rank-one term and the constant, each in place.
+    The rank-one term is formed as qa_i qb_j before scaling, so
+    kernel_matrix(a, a) is exactly symmetric.
     """
     a = np.asarray(a_xy, dtype=float).reshape(-1, 2)
     b = np.asarray(b_xy, dtype=float).reshape(-1, 2)
-    out = distance_matrix(a, b)
     qa = log_distance_feature(clamped_distances(a, tx))
     qb = log_distance_feature(clamped_distances(b, tx))
-    out /= -params.decay_scale
-    np.exp(out, out=out)
-    out *= params.sigma_k**2
-    rank_one = np.outer(qa, qb)
-    rank_one *= params.sigma_alpha_k**2
-    out += rank_one
-    out += params.sigma_p_k**2
+    out = np.empty((a.shape[0], b.shape[0]))
+    for rows in _blocks(a.shape[0], b.shape[0]):
+        blk = out[rows]
+        np.divide(distance_matrix(a[rows], b), -params.decay_scale, out=blk)
+        np.exp(blk, out=blk)
+        blk *= params.sigma_k**2
+        rank_one = np.multiply.outer(qa[rows], qb)
+        rank_one *= params.sigma_alpha_k**2
+        blk += rank_one
+        blk += params.sigma_p_k**2
     return out
 
 
@@ -256,7 +347,8 @@ def _nlml_parts(theta, dists, noise_diag, resid, qouter, frozen):
 
     theta is log([vk, s]) and frozen the fixed (va, vp). C^-1 comes from
     LAPACK's potri on the Cholesky factor, and the gradient traces run
-    element-wise, with no BLAS product (see the module docstring).
+    element-wise, with no BLAS product (see the module docstring). C is
+    factored in its own buffer.
     """
     vk, s = math.exp(theta[0]), math.exp(theta[1])
     va, vp = frozen
@@ -266,9 +358,10 @@ def _nlml_parts(theta, dists, noise_diag, resid, qouter, frozen):
     c[np.diag_indices_from(c)] += noise_diag
     if not np.isfinite(c).all():
         raise NumericalError("kernel-fit covariance has non-finite entries")
-    low = _cholesky_lower(c)
-    if low is None:
+    low = c.T  # c is exactly symmetric, so its F-ordered view is C itself
+    if _potrf(low):
         return 1e25, np.zeros(2)
+    _zero_upper(low)
     beta = cho_solve((low, True), resid)
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
     nlml = 0.5 * float(resid @ beta) + 0.5 * logdet + 0.5 * n * _LOG2PI
@@ -367,7 +460,19 @@ def posterior(
     mean = m_g + K_gX (K_X + S)^-1 (z - m_X) through two triangular solves,
     and cov = K_g - W^T W with W = L^-1 K_Xg, which is exactly symmetric.
     With no training data the prior is returned. The returned covariance is
-    verified positive definite (after the jitter ladder).
+    verified positive definite (after the jitter ladder) in its own buffer,
+    the only M x M array this makes.
+    """
+    grid_prior = (lambda: kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)) if compute_cov else None
+    return _posterior(train, grid, hyper, kernel, noise, t, grid_prior)
+
+
+def _posterior(train, grid, hyper, kernel, noise, t, grid_prior) -> FieldPosterior:
+    """``posterior`` with K_g from grid_prior(), a fresh buffer in which the
+    covariance is assembled, or only the mean when grid_prior is None.
+
+    grid_prior is called after the training covariance is factored, so that
+    factorization never runs beside an M x M array.
     """
     xy, z = train
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
@@ -376,9 +481,9 @@ def posterior(
 
     if xy.shape[0] == 0:
         cov = None
-        if compute_cov:
-            cov = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
-            chol_with_jitter(cov, "grid prior covariance")
+        if grid_prior is not None:
+            cov = grid_prior()
+            check_pd(cov, "grid prior covariance")
         return FieldPosterior(t=t, mean=m_grid, cov=cov, hyper=hyper, kernel=kernel)
 
     noise_var = noise.variances(clamped_distances(xy, hyper.tx))
@@ -386,9 +491,9 @@ def posterior(
     mean = m_grid + matvec(k_gx, beta)
 
     cov = None
-    if compute_cov:
+    if grid_prior is not None:
         w = solve_triangular(low, k_gx.T, lower=True, overwrite_b=True)  # reuses k_gx
-        cov = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
+        cov = grid_prior()
         subtract_gram(cov, w)
-        chol_with_jitter(cov, "grid posterior covariance")
+        check_pd(cov, "grid posterior covariance")
     return FieldPosterior(t=t, mean=mean, cov=cov, hyper=hyper, kernel=kernel)

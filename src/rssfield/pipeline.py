@@ -71,6 +71,16 @@ def run_static(
     by marginal likelihood unless a kernel is given, then the GP posterior at
     the grid.
     """
+    hyper, kernel, centroid = _fit(snapshot, config, centroid)
+    post = posterior(
+        (snapshot.positions, snapshot.rss), grid, hyper, kernel, config.noise,
+        t=snapshot.t, compute_cov=compute_cov,
+    )
+    return StaticResult(posterior=post, hyper=hyper, kernel=kernel, centroid=centroid)
+
+
+def _fit(snapshot: MeasurementSnapshot, config: PipelineConfig, centroid: Optional[CentroidState]) -> tuple:
+    """(hyper, kernel, centroid) of ``run_static``: everything but the posterior."""
     centroid = centroid if centroid is not None else CentroidState.empty()
     if config.fixed_tx is not None:
         hyper = _hyper_with_fixed_tx(snapshot, config)
@@ -83,15 +93,11 @@ def run_static(
             sigma_z_given=config.sigma_z_given,
         )
 
-    train = (snapshot.positions, snapshot.rss)
     if config.kernel is not None:
         kernel = config.kernel
     else:
         kernel = fit_kernel(
-            train, hyper, config.noise, n_starts=config.n_starts, maxiter=config.maxiter
+            (snapshot.positions, snapshot.rss), hyper, config.noise,
+            n_starts=config.n_starts, maxiter=config.maxiter,
         )
-
-    post = posterior(
-        train, grid, hyper, kernel, config.noise, t=snapshot.t, compute_cov=compute_cov
-    )
-    return StaticResult(posterior=post, hyper=hyper, kernel=kernel, centroid=centroid)
+    return hyper, kernel, centroid

@@ -16,8 +16,11 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .empbayes import refine_all
-from .gp import (
+# chol_with_jitter and run_static are unused here; the benchmark tracer resolves them by module name
+from .gp import (  # noqa: F401
     FieldPosterior,
+    _posterior,
+    check_pd,
     chol_with_jitter,
     condition,
     fit_kernel,
@@ -28,7 +31,7 @@ from .gp import (
 )
 from .localize import CentroidState
 from .model import Grid, MeasurementSnapshot, clamped_distances
-from .pipeline import PipelineConfig, run_static
+from .pipeline import PipelineConfig, _fit, run_static  # noqa: F401
 
 KERNEL_REFIT_MODES = ("freeze_after_init", "every_step")
 
@@ -72,15 +75,23 @@ class RecursiveState:
 
 
 def init_state(snapshot0: MeasurementSnapshot, grid: Grid, config: RecursiveConfig) -> RecursiveState:
-    """Run the full static pipeline on the first snapshot and seed the state."""
-    result = run_static(snapshot0, grid, config.pipeline)
+    """Run the full static pipeline on the first snapshot and seed the state.
+
+    This is ``run_static`` with its grid prior K_g built once: the posterior
+    covariance is assembled in a copy of it, and K_g itself is kept.
+    """
+    pconf = config.pipeline
+    hyper, kernel, centroid = _fit(snapshot0, pconf, None)
+    k_grid = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
+    train = (snapshot0.positions, snapshot0.rss)
+    post = _posterior(train, grid, hyper, kernel, pconf.noise, snapshot0.t, k_grid.copy)
     return RecursiveState(
-        posterior=result.posterior,
+        posterior=post,
         lam=config.lam,
-        centroid=result.centroid,
-        grid_prior_mean=prior_mean(grid.xy, result.hyper),
-        grid_prior_cov=kernel_matrix(grid.xy, grid.xy, result.kernel, result.hyper.tx),
-        cov_tx=result.hyper.tx,
+        centroid=centroid,
+        grid_prior_mean=prior_mean(grid.xy, hyper),
+        grid_prior_cov=k_grid,
+        cov_tx=hyper.tx,
     )
 
 
@@ -105,7 +116,9 @@ def rgp_step(
     the state when the kernel and the covariance-side fix equal the state's
     own (every step under ``freeze_after_init`` or a fixed
     ``PipelineConfig.kernel``) and recomputed otherwise. Every term of the
-    blended covariance is exactly symmetric, so the result is too.
+    blended covariance is exactly symmetric, so the result is too, and it is
+    assembled and checked in the one M x M buffer it is returned in. At
+    lambda = 1 it is bit-identical to ``posterior``'s at any number of reports.
 
     An empty snapshot carries the state forward unchanged (the step behaves
     as lambda = 0) with a warning.
@@ -154,12 +167,13 @@ def rgp_step(
 
     lam = state.lam
     mean = m_grid + (1.0 - lam) * mu_prior + lam * mu_post
-    # cov = K_g - ((1 - lam) (K_g,prev - C_prev) + lam W^T W), in one buffer
+    # cov = K_g - (1 - lam) (K_g,prev - C_prev) - lam W^T W, in one buffer; at
+    # lam = 1 the first two steps leave K_g, and the last is posterior's own call
     cov = state.grid_prior_cov - state.posterior.cov
     cov *= 1.0 - lam
-    subtract_gram(cov, w, -lam)
     np.subtract(k_grid, cov, out=cov)
-    chol_with_jitter(cov, "recursive grid covariance")
+    subtract_gram(cov, w, lam)
+    check_pd(cov, "recursive grid covariance")
 
     new_post = FieldPosterior(t=snapshot.t, mean=mean, cov=cov, hyper=hyper, kernel=kernel)
     return RecursiveState(

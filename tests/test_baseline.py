@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 import rssfield as rf
 from rssfield.baseline import _DUP_EPS, VariogramModel, _empirical_semivariogram, fit_variogram, okd_predict
 from rssfield.empbayes import HyperEstimate
-from rssfield.gp import prior_mean
+from rssfield.gp import _blocks, matvec, prior_mean
 from rssfield.model import Grid, Position, distance_matrix
 
 
@@ -163,6 +164,30 @@ def test_okd_one_solve_prediction_matches_full_weights_formula(seed):
     pred_v, _ = okd_predict((xy, z), grid, HYPER, vg, return_variance=True)
     assert_allclose(pred, expected, rtol=1e-10, atol=0.0)
     assert np.array_equal(pred_v, pred)
+
+
+def test_okd_prediction_over_several_node_blocks_equals_one_product():
+    # N = 600 reports put a few hundred nodes in a block; 1008 nodes span
+    # several blocks, and the prediction is the one product over all nodes
+    rng = np.random.default_rng(7)
+    n, m = 600, 1008
+    xy = rng.uniform(0, 400, (n, 2))
+    z = rng.uniform(-95, -40, n)
+    grid = Grid(rng.uniform(0, 400, (m, 2)))
+    assert len(list(_blocks(m, n))) > 2
+    vg = VariogramModel(nugget=0.5, sill=8.0, range_m=60.0)
+    pred = okd_predict((xy, z), grid, HYPER, vg)
+
+    bordered = np.zeros((n + 1, n + 1), order="F")
+    bordered[:n, :n] = vg.covariance(distance_matrix(xy, xy))
+    bordered[:n, n] = bordered[n, :n] = 1.0
+    lu, piv, _ = dgetrf(bordered)
+    sol0, _ = dgetrs(lu, piv, np.append(z - prior_mean(xy, HYPER), 0.0))
+    cov_to_nodes = vg.covariance(distance_matrix(xy, grid.xy))
+    assert np.array_equal(pred, matvec(cov_to_nodes.T, sol0[:n]) + sol0[n] + prior_mean(grid.xy, HYPER))
+    assert_allclose(pred, _okd_full_weights_oracle(xy, z, grid.xy, vg, np.linalg.solve), rtol=1e-10, atol=0.0)
+    pred_v, var = okd_predict((xy, z), grid, HYPER, vg, return_variance=True)
+    assert np.array_equal(pred_v, pred) and np.all(var >= 0.0)
 
 
 @pytest.mark.parametrize("return_variance", [False, True])

@@ -605,7 +605,11 @@ def test_cli_fittable_hostile_data_exits_0_with_finite_fields(tmp_path, capsys, 
         "fit-static": ["field_static.csv"],
         "bound": ["field_bound.csv"],
         "baseline-okd": ["field_okd.csv"],
-        # the file has no row at t = 1, so the recursion steps from t = 0 to t = 2
-        "fit-recursive": ["field_rgp_t0.csv", "field_rgp_t2.csv"] if case == "empty step" else ["field_rgp_t0.csv"],
+        # the file has no row at t = 1: that step is empty and carries the field forward
+        "fit-recursive": ["field_rgp_t0.csv", "field_rgp_t1.csv", "field_rgp_t2.csv"] if case == "empty step"
+        else ["field_rgp_t0.csv"],
     }
     assert fields == want[command]
+    if command == "fit-recursive" and case == "empty step":
+        out = tmp_path / "out"
+        assert (out / "field_rgp_t1.csv").read_bytes() == (out / "field_rgp_t0.csv").read_bytes()

@@ -92,6 +92,55 @@ def test_kernel_matrix_exactly_symmetric_and_matches_three_term_formula():
     assert np.array_equal(kernel_matrix(b, a, params, tx), kernel_matrix(a, b, params, tx).T)
 
 
+def _kernel_matrix_one_shot(a, b, params, tx):
+    """The one-shot assembly kernel_matrix replaced: whole distance matrix, then
+    exp, scale, outer(qa, qb) and the constant, each over the whole array."""
+    out = distance_matrix(a, b)
+    qa = log_distance_feature(clamped_distances(a, tx))
+    qb = log_distance_feature(clamped_distances(b, tx))
+    out /= -params.decay_scale
+    np.exp(out, out=out)
+    out *= params.sigma_k**2
+    rank_one = np.outer(qa, qb)
+    rank_one *= params.sigma_alpha_k**2
+    out += rank_one
+    out += params.sigma_p_k**2
+    return out
+
+
+def _rows_per_block(width):
+    return next(gp._blocks(10**9, width)).stop
+
+
+@pytest.mark.parametrize("width", [1, 37, 1000])
+def test_blocked_kernel_matrix_is_bit_identical_to_one_shot_assembly(width):
+    rng = np.random.default_rng(width)
+    params = KernelParams.from_decay(sigma_k=2.5, decay_scale=70.0, sigma_alpha_k=0.2, sigma_p_k=1.3)
+    tx = Position(120.0, 90.0)
+    b_xy = rng.uniform(0, 300, (width, 2))
+    b = _rows_per_block(width)
+    assert b % 32 == 0
+    for rows in (1, b - 1, b, b + 1, 2 * b + 1, 3 * b - 1):
+        a_xy = rng.uniform(0, 300, (rows, 2))
+        assert np.array_equal(kernel_matrix(a_xy, b_xy, params, tx), _kernel_matrix_one_shot(a_xy, b_xy, params, tx))
+        assert np.array_equal(kernel_matrix(b_xy, a_xy, params, tx), _kernel_matrix_one_shot(b_xy, a_xy, params, tx))
+    # a = b over several blocks: exactly symmetric, as the one-shot matrix is
+    a_xy = rng.uniform(0, 300, (2 * _rows_per_block(2 * b + 5) + 7, 2))
+    k_aa = kernel_matrix(a_xy, a_xy, params, tx)
+    assert np.array_equal(k_aa, _kernel_matrix_one_shot(a_xy, a_xy, params, tx))
+    assert np.array_equal(k_aa, k_aa.T)
+
+
+def test_blocks_cover_the_range_in_whole_blocks():
+    for n, width in [(0, 5), (1, 5), (100, 4096), (4096, 4096), (4097, 1024), (5000, 7)]:
+        step = _rows_per_block(width)
+        blocks = list(gp._blocks(n, width))
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(x.stop == y.start for x, y in zip(blocks, blocks[1:]))
+        assert all(x.stop - x.start == step for x in blocks[:-1])
+        assert len(blocks) == 1 or step <= blocks[-1].stop - blocks[-1].start < 2 * step
+
+
 def test_chol_with_jitter_escalates_on_rank_deficient_input_without_modifying_it():
     mat = np.ones((4, 4))  # rank one: the unjittered factorization fails
     mat.setflags(write=False)
@@ -158,8 +207,66 @@ def test_chol_with_jitter_rejects_non_finite_input_before_factoring(monkeypatch,
     assert np.array_equal(mat, kept, equal_nan=True)
 
 
+def _recording_dpotrf(monkeypatch):
+    """Patch gp.dpotrf to record whether each call factored in place."""
+    calls, real = [], gp.dpotrf
+
+    def recording(a, **kwargs):
+        out = real(a, **kwargs)
+        calls.append(np.shares_memory(out[0], a))
+        return out
+
+    monkeypatch.setattr(gp, "dpotrf", recording)
+    return calls
+
+
+def test_check_pd_factors_in_place_and_restores_the_matrix_bit_for_bit(monkeypatch):
+    calls = _recording_dpotrf(monkeypatch)
+    mat = _symmetric_cov(150, 31)
+    kept = mat.copy()
+    for arr in (mat, np.asfortranarray(mat)):
+        assert gp.check_pd(arr, "grid posterior covariance") == 0.0
+        assert np.array_equal(arr, kept)
+    assert calls == [True, True]
+    # a jitter rung: the matrix comes back with its own diagonal
+    rank_def = np.outer(np.arange(1.0, 41.0), np.arange(1.0, 41.0)) + np.ones((40, 40))
+    kept = rank_def.copy()
+    _, want = chol_with_jitter(rank_def)
+    calls.clear()
+    assert gp.check_pd(rank_def) == want > 0.0
+    assert np.array_equal(rank_def, kept)
+    assert len(calls) >= 2 and all(calls)  # a failed rung, then the one that passed
+    # ladder exhausted: NumericalError, and still the same matrix
+    indefinite = _symmetric_cov(60, 32)
+    indefinite[np.diag_indices_from(indefinite)] -= 50.0
+    kept = indefinite.copy()
+    with pytest.raises(NumericalError, match="^recursive grid covariance is not positive definite"):
+        gp.check_pd(indefinite, "recursive grid covariance")
+    assert np.array_equal(indefinite, kept)
+    # a read-only or strided matrix is checked on a copy
+    read_only = _symmetric_cov(50, 33)
+    read_only.setflags(write=False)
+    assert gp.check_pd(read_only) == 0.0
+    assert gp.check_pd(_symmetric_cov(100, 34)[::2, ::2]) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_pd_rejects_non_finite_input_before_factoring(monkeypatch, bad):
+    monkeypatch.setattr(gp, "dpotrf", lambda *a, **k: pytest.fail("factored a non-finite matrix"))
+    mat = _symmetric_cov(300, 24)  # more than one block of rows
+    mat[250, 9] = mat[9, 250] = bad
+    kept = mat.copy()
+    with pytest.raises(NumericalError, match="^grid prior covariance has non-finite entries$"):
+        gp.check_pd(mat, "grid prior covariance")
+    assert np.array_equal(mat, kept, equal_nan=True)
+
+
 def _subtract_gram_two_pass(c, w, alpha):
-    """The two-pass formula subtract_gram replaced: c -= s; c -= s.T; reset the diagonal."""
+    """The two-pass formula subtract_gram replaced: c -= s; c -= s.T; reset the diagonal.
+
+    subtract_gram equals it bit for bit only while W has no more rows than one
+    dsyrk accumulation block, as in the test below (17 rows).
+    """
     s = dsyrk(alpha, w, trans=1, lower=1)
     diag = np.diag(c) - np.diag(s)
     c -= s
@@ -180,6 +287,25 @@ def test_subtract_gram_is_bit_identical_to_two_pass_formula_and_symmetric(m):
             subtract_gram(got, w, alpha)
             assert np.array_equal(got, want)
             assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("n", [300, 1024])
+def test_subtract_gram_beyond_one_accumulation_block_matches_dense_formula(n):
+    # W with more rows than one dsyrk accumulation block: the result is c's own
+    # buffer, within rounding of the dense c - alpha W^T W and exactly symmetric
+    rng = np.random.default_rng(n)
+    m = 200
+    c0 = _symmetric_cov(m, n)
+    w = np.asfortranarray(rng.standard_normal((n, m)))
+    for alpha in (1.0, 0.3):
+        dense = c0 - alpha * (w.T @ w)
+        for order in ("C", "F"):
+            got = np.array(c0, order=order)
+            assert subtract_gram(got, w, alpha) is None
+            assert_allclose(got, dense, rtol=0, atol=1e-13 * np.max(np.abs(dense)))
+            assert np.array_equal(got, got.T)
+    with pytest.raises(ValueError, match="contiguous"):
+        subtract_gram(_symmetric_cov(2 * m, n)[::2, ::2], w, 1.0)
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (7, 3), (218, 1088), (1088, 218), (2000, 600)])

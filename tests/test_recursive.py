@@ -1,15 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import rssfield as rf
-from rssfield import recursive
+from rssfield import gp, recursive
 from rssfield.empbayes import HyperEstimate
 from rssfield.gp import KernelParams, chol_with_jitter, kernel_matrix, posterior, prior_mean
 from rssfield.localize import CentroidState
-from rssfield.model import Grid, MeasurementSnapshot, NoiseModel, Position
+from rssfield.model import Grid, MeasurementSnapshot, NoiseModel, Position, uniform_grid
 from rssfield.pipeline import PipelineConfig
 from rssfield.recursive import RecursiveConfig, RecursiveState, init_state, rgp_step
 
@@ -68,6 +69,51 @@ def test_lambda_one_matches_static_posterior():
         ref = posterior((snap1.positions, snap1.rss), grid, hyper, kernel, noise, t=1)
         assert_array_equal(stepped.posterior.mean, ref.mean)
         assert_array_equal(stepped.posterior.cov, ref.cov)
+
+
+def test_lambda_one_matches_static_posterior_beyond_one_accumulation_block():
+    # 600 reports: W^T W is accumulated over several dsyrk blocks, where the
+    # order of the updates decides the last bits
+    rng = np.random.default_rng(9)
+    snap0, grid, hyper, kernel, noise = random_inputs(rng, n_train=600, n_grid=300)
+    snap1 = make_snapshot(rng, 600, t=1)
+    post0 = posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
+    state = state_from_posterior(post0, grid, lam=1.0)
+    stepped = rgp_step(state, snap1, grid, frozen_config(hyper, kernel, noise, 1.0))
+    ref = posterior((snap1.positions, snap1.rss), grid, hyper, kernel, noise, t=1)
+    assert_array_equal(stepped.posterior.mean, ref.mean)
+    assert_array_equal(stepped.posterior.cov, ref.cov)
+
+
+def _traced_peak(fn):
+    """(fn(), peak bytes traced above the level at the call)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_posterior_and_step_hold_one_grid_covariance_at_a_time():
+    # the returned M x M covariance is the only one: kernel assembly, the Gram
+    # update and the PD check all run inside it
+    rng = np.random.default_rng(10)
+    snap0, _, hyper, kernel, noise = random_inputs(rng, n_train=100)
+    grid = uniform_grid(200.0, 200.0, 32, 32)
+    budget = 1.5 * grid.n_nodes**2 * 8
+    post0, peak = _traced_peak(
+        lambda: posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
+    )
+    assert peak < budget, f"posterior peak {peak / 1e6:.1f} MB"
+    state = state_from_posterior(post0, grid, lam=0.5)
+    snap1 = make_snapshot(rng, 100, t=1)
+    stepped, peak = _traced_peak(lambda: rgp_step(state, snap1, grid, frozen_config(hyper, kernel, noise, 0.5)))
+    assert peak < budget, f"rgp_step peak {peak / 1e6:.1f} MB"
+    assert stepped.posterior.cov.shape == (grid.n_nodes, grid.n_nodes)
 
 
 def test_lambda_to_zero_carries_field():
@@ -162,6 +208,33 @@ def test_init_state_requires_data_and_gives_pd_covariance():
     lone = MeasurementSnapshot(t=0, sensor_ids=(0,), positions=np.array([[10.0, 10.0]]), rss=np.array([-60.0]))
     with pytest.raises(rf.DegenerateFitError):
         init_state(lone, sc.grid, rcfg)
+
+
+def test_init_state_builds_the_grid_prior_once_and_equals_run_static(monkeypatch):
+    sc = rf.benchmark_scenario(seed=5, sigma_v_sq=10.0, nx=5, ny=5, n_sensors=20, area=(250.0, 250.0))
+    snap0, _ = rf.sample_snapshot(sc, 0)
+    noise = NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
+    rcfg = RecursiveConfig(pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2))
+    static = rf.run_static(snap0, sc.grid, rcfg.pipeline)
+
+    shapes = []
+    for module in (gp, recursive):
+        def recording(*args, _real=module.kernel_matrix, **kwargs):
+            out = _real(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+        monkeypatch.setattr(module, "kernel_matrix", recording)
+    state = init_state(snap0, sc.grid, rcfg)
+    assert shapes.count((sc.grid.n_nodes, sc.grid.n_nodes)) == 1
+
+    assert_array_equal(state.posterior.mean, static.posterior.mean)
+    assert_array_equal(state.posterior.cov, static.posterior.cov)
+    assert_array_equal(
+        state.grid_prior_cov, kernel_matrix(sc.grid.xy, sc.grid.xy, static.kernel, static.hyper.tx)
+    )
+    assert (state.posterior.kernel, state.posterior.hyper, state.cov_tx) == (
+        static.kernel, static.hyper, static.hyper.tx
+    )
 
 
 def test_empty_snapshot_carries_state_with_warning():
