@@ -3,6 +3,10 @@
 Subcommands: synth, fit-static, fit-recursive, bound, baseline-okd, cases,
 eval, ingest-real. Exit codes: 0 success, 2 configuration error, 3 numerical
 failure, 4 I/O or data error (including sensor data too degenerate to fit).
+
+fit-recursive steps through every t from the first to the last of a
+measurement file, carrying the field over a t without reports; more than
+MAX_EMPTY_STEPS such steps in a row are a data error.
 """
 
 from __future__ import annotations
@@ -53,26 +57,28 @@ def _outdir(cfg) -> Path:
     return out
 
 
-def _snapshot_at(rows, t):
-    sel = [r for r in rows if r[0] == t]
+# most consecutive steps without a report that fit-recursive carries the field over
+MAX_EMPTY_STEPS = 1000
+
+
+def _snapshot_at(t, rows=()):
+    """The snapshot of the measurement rows at t (none: an empty snapshot)."""
     return MeasurementSnapshot(
         t=t,
-        sensor_ids=tuple(f"{r[1]}#{i}" for i, r in enumerate(sel)),
-        positions=np.array([(r[2], r[3]) for r in sel]).reshape(-1, 2),
-        rss=np.array([r[4] for r in sel]),
+        sensor_ids=tuple(f"{r[1]}#{i}" for i, r in enumerate(rows)),
+        positions=np.array([(r[2], r[3]) for r in rows]).reshape(-1, 2),
+        rss=np.array([r[4] for r in rows]),
     )
 
 
 def _train_inputs(args, cfg):
-    """(snapshots by t, grid, truth-or-None) from files or the synthetic world.
-
-    A measurement file gives one snapshot for every t from its first to its
-    last, empty where it has no rows.
-    """
+    """(snapshots in order of t, grid, truth-or-None) from files or the
+    synthetic world; a measurement file gives one snapshot per t it has rows at."""
     if args.measurements:
-        rows = ex.read_measurements(args.measurements)
-        times = [r[0] for r in rows]
-        snaps = [_snapshot_at(rows, t) for t in range(min(times), max(times) + 1)]
+        by_t = {}
+        for row in ex.read_measurements(args.measurements):
+            by_t.setdefault(row[0], []).append(row)
+        snaps = [_snapshot_at(t, by_t[t]) for t in sorted(by_t)]
         if args.truth:
             grid, truth = ex.read_truth(args.truth)
         else:
@@ -85,6 +91,29 @@ def _train_inputs(args, cfg):
         snaps.append(sn)
         truths.append(tr.grid_field)
     return snaps, scenario.grid, np.array(truths)
+
+
+def _every_step(snaps):
+    """Iterator over snaps with an empty snapshot at each t missing between
+    two of them, built as it is consumed.
+
+    Raises a DataError up front when more than MAX_EMPTY_STEPS steps in a row
+    are missing.
+    """
+    for prev, nxt in zip(snaps, snaps[1:]):
+        if nxt.t - prev.t - 1 > MAX_EMPTY_STEPS:
+            raise ex.DataError(
+                f"no reports from t={prev.t + 1} to t={nxt.t - 1}: "
+                f"more than {MAX_EMPTY_STEPS} steps in a row are missing"
+            )
+
+    def steps():
+        for prev, nxt in zip(snaps, snaps[1:]):
+            yield prev
+            yield from map(_snapshot_at, range(prev.t + 1, nxt.t))
+        yield snaps[-1]
+
+    return steps()
 
 
 def _truth_at(truth, i):
@@ -138,9 +167,10 @@ def cmd_fit_recursive(args):
     out = _outdir(cfg)
     snaps, grid, truth = _train_inputs(args, cfg)
     rcfg = cfg.recursive_config()
+    steps = _every_step(snaps)
     state = init_state(snaps[0], grid, rcfg)
     mses = []
-    for i, snap in enumerate(snaps):
+    for i, snap in enumerate(steps):
         if i > 0:
             state = rgp_step(state, snap, grid, rcfg)
         ex.emit_field(state.posterior, None, out / f"field_rgp_t{snap.t}.csv", grid)
@@ -148,7 +178,7 @@ def cmd_fit_recursive(args):
             mses.append((snap.t, ex.compute_mse(state.posterior.mean, _truth_at(truth, i))))
     for t, mse in mses:
         print(f"t={t} mse={mse:.6g}")
-    print(f"wrote {len(snaps)} field file(s) to {out}")
+    print(f"wrote {i + 1} field file(s) to {out}")
     return EXIT_OK
 
 

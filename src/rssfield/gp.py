@@ -35,10 +35,14 @@ matrix and goes to BLAS and LAPACK without a copy.
   so its only temporaries are one block.
 - ``subtract_gram`` accumulates -alpha W^T W straight into one triangle of c
   with dsyrk (beta = 1, overwrite_c) and mirrors that triangle.
-- ``check_pd`` factors the covariance in place with potrf, then restores the
-  triangle and diagonal potrf overwrote from the other triangle and a saved
-  diagonal. ``chol_with_jitter``, whose factor is kept, works on one
-  F-ordered copy; it factors the N x N training covariance.
+- The PD check (``chol_with_jitter(..., check_only=True)``) factors the
+  covariance in place with potrf, then restores the triangle and diagonal
+  potrf overwrote from the other triangle and a saved diagonal. A factor
+  that is kept (the N x N training covariance) is computed in one F-ordered
+  copy.
+- Each of these LAPACK/BLAS calls is checked to have written into the
+  caller's buffer: f2py silently copies an argument it cannot write into,
+  which would lose the update instead of failing.
 - Finiteness is scanned one block of rows at a time.
 
 At M = 4096 and N = 1024 (tracemalloc per op on a 2-vCPU VM, counting the
@@ -148,10 +152,17 @@ def _all_finite(mat: np.ndarray) -> bool:
     return all(np.isfinite(rows[blk]).all() for blk in _blocks(rows.shape[0], rows.shape[1]))
 
 
+def _check_in_place(out: np.ndarray, buf: np.ndarray, routine: str) -> None:
+    """Raise unless the f2py wrapper returned buf's own memory."""
+    if not np.may_share_memory(out, buf):
+        raise RuntimeError(f"{routine} wrote into a copy of its argument, not the argument itself")
+
+
 def _potrf(f: np.ndarray) -> int:
     """LAPACK potrf on the lower triangle of the F-ordered f, in place; info > 0
     means f is not positive definite. The strict upper triangle is not touched."""
-    _, info = dpotrf(f, lower=1, clean=0, overwrite_a=1)
+    out, info = dpotrf(f, lower=1, clean=0, overwrite_a=1)
+    _check_in_place(out, f, "potrf")
     if info < 0:
         raise ValueError(f"potrf rejected its argument {-info}")
     return info
@@ -215,45 +226,42 @@ def _jitter_ladder(f: np.ndarray, diag: np.ndarray, what: str) -> float:
     return jitter
 
 
-def chol_with_jitter(mat: np.ndarray, what: str = "covariance") -> tuple:
-    """Lower Cholesky factor, escalating diagonal jitter 1e-10 .. 1e-4*diag.
+def chol_with_jitter(mat: np.ndarray, what: str = "covariance", *, check_only: bool = False) -> tuple:
+    """(lower Cholesky factor, jitter), escalating diagonal jitter 1e-10 ..
+    1e-4*diag until the factorization succeeds.
 
     ``mat`` must be exactly symmetric, as every covariance in this library is
-    by construction. It is never modified: the factor is computed in one
+    by construction, and comes back unchanged. The factor is computed in one
     F-ordered copy of it (a C-ordered mat is copied through its F-ordered
     view mat.T, which is the same matrix), whose diagonal is reset to
     diag(mat) + jitter at each rung. The factor is bit-identical to
-    scipy.linalg.cholesky of that matrix. A mat with a non-finite entry
-    raises NumericalError before any factorization.
+    scipy.linalg.cholesky of that matrix.
+
+    With check_only, mat is only verified positive definite, and (None,
+    jitter) is returned. mat must then be writeable and C- or F-contiguous:
+    it is factored in place through its F-ordered view, and the triangle and
+    diagonal potrf overwrote are restored from the other triangle and a saved
+    diagonal after every rung, after the pass and before NumericalError. mat
+    comes back bit for bit, and no second M x M buffer is made.
+
+    A mat with a non-finite entry raises NumericalError before any
+    factorization.
     """
+    if check_only:
+        f = mat.T if mat.flags.c_contiguous else mat
+        if not (f.flags.f_contiguous and f.flags.writeable):
+            raise ValueError("check_only needs a writeable, C- or F-contiguous mat")
     if not _all_finite(mat):
         raise NumericalError(f"{what} has non-finite entries")
+    if check_only:
+        diag = f.diagonal().copy()
+        jitter = _jitter_ladder(f, diag, what)
+        _restore(f, diag)
+        return None, jitter
     low = np.array(mat.T if mat.flags.c_contiguous else mat, order="F")
     jitter = _jitter_ladder(low, np.diag(mat), what)  # a view of mat, which stays as it is
     _zero_upper(low)
     return low, jitter
-
-
-def check_pd(mat: np.ndarray, what: str = "covariance") -> float:
-    """Verify that the exactly symmetric mat is positive definite, after the
-    jitter ladder of ``chol_with_jitter``; returns the jitter it needed.
-
-    A writeable, C- or F-contiguous mat is factored in place through its
-    F-ordered view: potrf overwrites one triangle and the diagonal, which are
-    then restored from the other triangle and a saved diagonal, after every
-    rung and before NumericalError. mat comes back bit for bit, and no second
-    M x M buffer is made. Any other mat is checked on an F-ordered copy. A mat
-    with a non-finite entry raises NumericalError before any factorization.
-    """
-    if not _all_finite(mat):
-        raise NumericalError(f"{what} has non-finite entries")
-    f = mat.T if mat.flags.c_contiguous else mat
-    if not (f.flags.f_contiguous and f.flags.writeable):
-        f = np.array(f, order="F")
-    diag = f.diagonal().copy()
-    jitter = _jitter_ladder(f, diag, what)
-    _restore(f, diag)
-    return jitter
 
 
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -284,7 +292,8 @@ def subtract_gram(c: np.ndarray, w: np.ndarray, alpha: float = 1.0) -> None:
     f = c.T if c.flags.c_contiguous else c
     if not f.flags.f_contiguous:
         raise ValueError("subtract_gram needs a C- or F-contiguous c")
-    dsyrk(-alpha, w, beta=1.0, c=f, trans=1, lower=1, overwrite_c=1)
+    out = dsyrk(-alpha, w, beta=1.0, c=f, trans=1, lower=1, overwrite_c=1)
+    _check_in_place(out, f, "syrk")
     _mirror(f.T, from_upper=True)
 
 
@@ -463,15 +472,14 @@ def posterior(
     verified positive definite (after the jitter ladder) in its own buffer,
     the only M x M array this makes.
     """
-    grid_prior = (lambda: kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)) if compute_cov else None
-    return _posterior(train, grid, hyper, kernel, noise, t, grid_prior)
+    return _posterior(train, grid, hyper, kernel, noise, t, compute_cov)
 
 
-def _posterior(train, grid, hyper, kernel, noise, t, grid_prior) -> FieldPosterior:
-    """``posterior`` with K_g from grid_prior(), a fresh buffer in which the
-    covariance is assembled, or only the mean when grid_prior is None.
+def _posterior(train, grid, hyper, kernel, noise, t, compute_cov, k_grid=None) -> FieldPosterior:
+    """``posterior``, assembling the covariance in k_grid when it is given:
+    K_g under (kernel, hyper.tx), which is overwritten.
 
-    grid_prior is called after the training covariance is factored, so that
+    Otherwise K_g is built after the training covariance is factored, so that
     factorization never runs beside an M x M array.
     """
     xy, z = train
@@ -481,9 +489,9 @@ def _posterior(train, grid, hyper, kernel, noise, t, grid_prior) -> FieldPosteri
 
     if xy.shape[0] == 0:
         cov = None
-        if grid_prior is not None:
-            cov = grid_prior()
-            check_pd(cov, "grid prior covariance")
+        if compute_cov:
+            cov = k_grid if k_grid is not None else kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
+            chol_with_jitter(cov, "grid prior covariance", check_only=True)
         return FieldPosterior(t=t, mean=m_grid, cov=cov, hyper=hyper, kernel=kernel)
 
     noise_var = noise.variances(clamped_distances(xy, hyper.tx))
@@ -491,9 +499,9 @@ def _posterior(train, grid, hyper, kernel, noise, t, grid_prior) -> FieldPosteri
     mean = m_grid + matvec(k_gx, beta)
 
     cov = None
-    if grid_prior is not None:
+    if compute_cov:
         w = solve_triangular(low, k_gx.T, lower=True, overwrite_b=True)  # reuses k_gx
-        cov = grid_prior()
+        cov = k_grid if k_grid is not None else kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
         subtract_gram(cov, w)
-        check_pd(cov, "grid posterior covariance")
+        chol_with_jitter(cov, "grid posterior covariance", check_only=True)
     return FieldPosterior(t=t, mean=mean, cov=cov, hyper=hyper, kernel=kernel)

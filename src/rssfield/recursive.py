@@ -16,11 +16,9 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .empbayes import refine_all
-# chol_with_jitter and run_static are unused here; the benchmark tracer resolves them by module name
-from .gp import (  # noqa: F401
+from .gp import (
     FieldPosterior,
     _posterior,
-    check_pd,
     chol_with_jitter,
     condition,
     fit_kernel,
@@ -31,6 +29,7 @@ from .gp import (  # noqa: F401
 )
 from .localize import CentroidState
 from .model import Grid, MeasurementSnapshot, clamped_distances
+# run_static is unused here; the benchmark tracer resolves it by module name
 from .pipeline import PipelineConfig, _fit, run_static  # noqa: F401
 
 KERNEL_REFIT_MODES = ("freeze_after_init", "every_step")
@@ -84,7 +83,7 @@ def init_state(snapshot0: MeasurementSnapshot, grid: Grid, config: RecursiveConf
     hyper, kernel, centroid = _fit(snapshot0, pconf, None)
     k_grid = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
     train = (snapshot0.positions, snapshot0.rss)
-    post = _posterior(train, grid, hyper, kernel, pconf.noise, snapshot0.t, k_grid.copy)
+    post = _posterior(train, grid, hyper, kernel, pconf.noise, snapshot0.t, True, k_grid.copy())
     return RecursiveState(
         posterior=post,
         lam=config.lam,
@@ -173,7 +172,7 @@ def rgp_step(
     cov *= 1.0 - lam
     np.subtract(k_grid, cov, out=cov)
     subtract_gram(cov, w, lam)
-    check_pd(cov, "recursive grid covariance")
+    chol_with_jitter(cov, "recursive grid covariance", check_only=True)
 
     new_post = FieldPosterior(t=snapshot.t, mean=mean, cov=cov, hyper=hyper, kernel=kernel)
     return RecursiveState(

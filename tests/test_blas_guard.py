@@ -43,10 +43,10 @@ ALLOWED = {
 # (file, source text of the call) -> why its operand has the memory order it has
 FACTORIZATIONS = {
     ("gp.py", "dpotrf(f, lower=1, clean=0, overwrite_a=1)"):
-        "every covariance factorization (chol_with_jitter, check_pd, _nlml_parts), in place on an "
+        "every covariance factorization (chol_with_jitter, _nlml_parts), in place on an "
         "F-ordered buffer: the matrices are exactly symmetric, so a C-ordered one enters as its "
-        "F-ordered view; chol_with_jitter factors its own copy, _nlml_parts the C it just built, and "
-        "check_pd the covariance itself, restored from its untouched triangle afterwards",
+        "F-ordered view; chol_with_jitter factors its own copy, or with check_only the covariance "
+        "itself, restored from its untouched triangle afterwards, and _nlml_parts the C it just built",
     ("synth.py", "cholesky(corr.T, lower=True)"):
         "grid correlation, exactly symmetric: its F-ordered view is the same matrix",
     ("synth.py", "cholesky(cond, lower=True)"):

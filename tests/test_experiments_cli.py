@@ -538,7 +538,8 @@ def _hostile_inputs(case, tmp_path):
         pos[0] = (100.0, 100.0)
     d = np.maximum(np.hypot(pos[:, 0] - 100, pos[:, 1] - 100), 1.0)
     rows = []
-    for t in (0, 2) if case == "empty step" else (0,):  # no report at t = 1
+    # no report at t = 1, or none for 10^8 steps
+    for t in {"empty step": (0, 2), "long gap": (0, 10**8)}.get(case, (0,)):
         rss = -10.0 - 35.0 * np.log10(d) + rng.normal(0, 2.0, len(d))
         if case == "rss -4000":
             rss[:] = -4000.0  # finite, but 10^(rss/10) underflows to 0
@@ -583,7 +584,7 @@ _FIT_COMMANDS = ["fit-static", "bound", "baseline-okd", "fit-recursive"]
     ("rss -4000", "bound"),
     ("rss -4000", "baseline-okd"),
     ("six sensors", "baseline-okd"),  # the variogram needs 10 reports
-    *[(case, "fit-recursive") for case in ["coincident", "two sensors", "nan truth", "rss -4000"]],
+    *[(case, "fit-recursive") for case in ["coincident", "two sensors", "nan truth", "rss -4000", "long gap"]],
 ])
 def test_cli_hostile_data_exits_4_with_one_line(tmp_path, capsys, case, command):
     rc, err, fields = _run_hostile(case, command, tmp_path, capsys)
@@ -591,11 +592,25 @@ def test_cli_hostile_data_exits_4_with_one_line(tmp_path, capsys, case, command)
     assert len(err.splitlines()) == 1 and err.startswith("I/O or data error: ")
     if case == "nan truth":
         assert "truth.csv: row 7" in err
+    if case == "long gap":
+        assert "no reports from t=1 to t=99999999" in err
     assert fields == []
+
+
+def test_fit_recursive_fills_up_to_max_empty_steps_and_rejects_more():
+    snaps = [cli._snapshot_at(0), cli._snapshot_at(cli.MAX_EMPTY_STEPS + 1)]
+    steps = list(cli._every_step(snaps))
+    assert [s.t for s in steps] == list(range(cli.MAX_EMPTY_STEPS + 2))
+    assert steps[0] is snaps[0] and steps[-1] is snaps[-1]
+    assert all(s.n_sensors == 0 for s in steps[1:-1])
+    with pytest.raises(DataError, match=f"more than {cli.MAX_EMPTY_STEPS} steps in a row"):
+        cli._every_step([snaps[0], cli._snapshot_at(cli.MAX_EMPTY_STEPS + 2)])
 
 
 @pytest.mark.parametrize("case, command", [
     *itertools.product(["duplicate", "collinear", "on transmitter", "empty step"], _FIT_COMMANDS),
+    # the one-snapshot commands fit the first t and never step through the gap
+    *[("long gap", command) for command in _FIT_COMMANDS if command != "fit-recursive"],
     *[("six sensors", command) for command in _FIT_COMMANDS if command != "baseline-okd"],
 ])
 def test_cli_fittable_hostile_data_exits_0_with_finite_fields(tmp_path, capsys, case, command):

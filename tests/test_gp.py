@@ -220,12 +220,19 @@ def _recording_dpotrf(monkeypatch):
     return calls
 
 
-def test_check_pd_factors_in_place_and_restores_the_matrix_bit_for_bit(monkeypatch):
+def _check_pd(mat, what="covariance"):
+    """The jitter the in-place PD check needed; it returns no factor."""
+    low, jitter = chol_with_jitter(mat, what, check_only=True)
+    assert low is None
+    return jitter
+
+
+def test_check_only_factors_in_place_and_restores_the_matrix_bit_for_bit(monkeypatch):
     calls = _recording_dpotrf(monkeypatch)
     mat = _symmetric_cov(150, 31)
     kept = mat.copy()
     for arr in (mat, np.asfortranarray(mat)):
-        assert gp.check_pd(arr, "grid posterior covariance") == 0.0
+        assert _check_pd(arr, "grid posterior covariance") == 0.0
         assert np.array_equal(arr, kept)
     assert calls == [True, True]
     # a jitter rung: the matrix comes back with its own diagonal
@@ -233,7 +240,7 @@ def test_check_pd_factors_in_place_and_restores_the_matrix_bit_for_bit(monkeypat
     kept = rank_def.copy()
     _, want = chol_with_jitter(rank_def)
     calls.clear()
-    assert gp.check_pd(rank_def) == want > 0.0
+    assert _check_pd(rank_def) == want > 0.0
     assert np.array_equal(rank_def, kept)
     assert len(calls) >= 2 and all(calls)  # a failed rung, then the one that passed
     # ladder exhausted: NumericalError, and still the same matrix
@@ -241,24 +248,43 @@ def test_check_pd_factors_in_place_and_restores_the_matrix_bit_for_bit(monkeypat
     indefinite[np.diag_indices_from(indefinite)] -= 50.0
     kept = indefinite.copy()
     with pytest.raises(NumericalError, match="^recursive grid covariance is not positive definite"):
-        gp.check_pd(indefinite, "recursive grid covariance")
+        _check_pd(indefinite, "recursive grid covariance")
     assert np.array_equal(indefinite, kept)
-    # a read-only or strided matrix is checked on a copy
+
+
+def test_check_only_rejects_a_matrix_it_cannot_factor_in_place(monkeypatch):
+    monkeypatch.setattr(gp, "dpotrf", lambda *a, **k: pytest.fail("factored a matrix it cannot restore"))
     read_only = _symmetric_cov(50, 33)
     read_only.setflags(write=False)
-    assert gp.check_pd(read_only) == 0.0
-    assert gp.check_pd(_symmetric_cov(100, 34)[::2, ::2]) == 0.0
+    for mat in (read_only, _symmetric_cov(100, 34)[::2, ::2]):
+        with pytest.raises(ValueError, match="writeable, C- or F-contiguous"):
+            _check_pd(mat)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_check_pd_rejects_non_finite_input_before_factoring(monkeypatch, bad):
+def test_check_only_rejects_non_finite_input_before_factoring(monkeypatch, bad):
     monkeypatch.setattr(gp, "dpotrf", lambda *a, **k: pytest.fail("factored a non-finite matrix"))
     mat = _symmetric_cov(300, 24)  # more than one block of rows
     mat[250, 9] = mat[9, 250] = bad
     kept = mat.copy()
     with pytest.raises(NumericalError, match="^grid prior covariance has non-finite entries$"):
-        gp.check_pd(mat, "grid prior covariance")
+        _check_pd(mat, "grid prior covariance")
     assert np.array_equal(mat, kept, equal_nan=True)
+
+
+def test_a_wrapper_that_writes_into_a_copy_raises_instead_of_losing_the_result(monkeypatch):
+    # f2py copies an argument it cannot write into; the in-place factorization
+    # and Gram update must notice rather than return the untouched buffer
+    real_potrf, real_syrk = gp.dpotrf, gp.dsyrk
+    monkeypatch.setattr(gp, "dpotrf", lambda a, **k: real_potrf(np.array(a, order="F"), **k))
+    monkeypatch.setattr(gp, "dsyrk", lambda alpha, w, **k: real_syrk(alpha, w, **{**k, "c": k["c"].copy("F")}))
+    mat = _symmetric_cov(40, 35)
+    with pytest.raises(RuntimeError, match="^potrf wrote into a copy"):
+        _check_pd(mat)
+    with pytest.raises(RuntimeError, match="^potrf wrote into a copy"):
+        chol_with_jitter(mat)
+    with pytest.raises(RuntimeError, match="^syrk wrote into a copy"):
+        subtract_gram(mat, np.ones((3, 40)))
 
 
 def _subtract_gram_two_pass(c, w, alpha):
