@@ -19,7 +19,6 @@ def main():
     cfg.sigma_v_sq_sweep = (4.0, 10.0)
     cfg.n_starts = 2
     cfg.refine_passes = 3
-    cfg.nlml_maxiter = 80
     cfg.out_dir = "out_cases_demo"
 
     records, path = run_cases(cfg)

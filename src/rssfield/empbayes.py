@@ -25,6 +25,7 @@ ALPHA_MIN = 2.0
 # snapshot: the means were just fitted to the same residuals, so the
 # likelihood carries no information on those two directions.
 KERNEL_PATH_VAR = 1e-4
+_REFINE_TOL = 1e-9  # meters: refine_all stops once the fix moves less than this
 
 
 class DegenerateFitError(ValueError):
@@ -150,14 +151,13 @@ def refine_all(
     *,
     area_bounds=None,
     passes: int = 10,
-    tol: float = 1e-9,
     sigma_z_given: Optional[Callable] = None,
 ) -> tuple:
     """Full hyper-parameter pass: centroid -> means -> refine x0 -> means.
 
     The refine/re-estimate alternation is repeated until the fix moves less
-    than ``tol`` meters or ``passes`` is exhausted (a single alternation does
-    not reach the noise-free fixed point). Returns (HyperEstimate, new
+    than ``_REFINE_TOL`` meters or ``passes`` is exhausted (a single
+    alternation does not reach the noise-free fixed point). Returns (HyperEstimate, new
     CentroidState); the refined fix is folded back into the centroid state so
     the recursion carries the best available estimate forward.
 
@@ -184,7 +184,7 @@ def refine_all(
         d_hat = distances_to_estimate(state, snapshot.positions)
         q_hat = log_distance_feature(d_hat)
         mu_p, mu_alpha = estimate_means(snapshot.rss, q_hat, d_hat)
-        if degenerate or moved < tol:
+        if degenerate or moved < _REFINE_TOL:
             break
 
     return hyper_at(snapshot.rss, mu_p, mu_alpha, d_hat, tx, sigma_z_given), state

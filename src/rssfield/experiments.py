@@ -177,7 +177,6 @@ class ExperimentConfig:
     rho_u: Optional[float] = None  # None: rho_u_from(alpha, sigma_d)
     n_starts: int = 4
     refine_passes: int = 10
-    nlml_maxiter: int = 200
     # run
     replicates: int = 100
     seed: int = 0
@@ -251,7 +250,6 @@ class ExperimentConfig:
             area_bounds=((0.0, self.area[0]), (0.0, self.area[1])),
             refine_passes=self.refine_passes,
             n_starts=self.n_starts,
-            maxiter=self.nlml_maxiter,
             fixed_tx=self.tx_position() if self.tx_known else None,
         )
         if self.variance_path == "empirical":
@@ -319,7 +317,6 @@ _KEYS = {
     ("estimator", "rho_u"): ("rho_u", float, None),
     ("estimator", "n_starts"): ("n_starts", int, None),
     ("estimator", "refine_passes"): ("refine_passes", int, None),
-    ("estimator", "nlml_maxiter"): ("nlml_maxiter", int, None),
     ("run", "replicates"): ("replicates", int, None),
     ("run", "seed"): ("seed", int, None),
     ("run", "out_dir"): ("out_dir", str, None),

@@ -45,15 +45,10 @@ matrix and goes to BLAS and LAPACK without a copy.
   which would lose the update instead of failing.
 - Finiteness is scanned one block of rows at a time.
 
-At M = 4096 and N = 1024 (tracemalloc per op on a 2-vCPU VM, counting the
-134 MB covariance that stays live) this took run_static from 311 to 178 MB,
-hcrb_all from 218 to 187 MB and ``baseline.okd_predict`` from 256 to 169 MB.
-Times at that size: kernel_matrix(grid, grid) 250 -> 165 ms, subtract_gram
-275 -> 205 ms, the PD check 480 -> 405 ms, of which potrf is 350 ms, the
-restore 30 ms and the finiteness scan 20 ms. The one factorization kept
-C-ordered is synth's sensor conditional: its matrix comes out of a product
-and is only nearly symmetric, so it is factored from the triangle it always
-was.
+The one factorization kept C-ordered is synth's sensor conditional: its
+matrix comes out of a product and is only nearly symmetric, so it is
+factored from the triangle it always was. README's performance notes keep
+the measured memory and times of this path.
 """
 
 from __future__ import annotations
@@ -82,6 +77,7 @@ from .model import (
 _VAR_LO, _VAR_HI = 1e-4, 1e4  # bounds on sigma_k^2
 _SCALE_LO, _SCALE_HI = 1.0, 2000.0  # bounds on the decay scale 2 l^2, meters
 _LOG2PI = math.log(2.0 * math.pi)
+_LBFGS_MAXITER = 200  # iterations per start; measured fits converge within 31
 _BLOCK = 32  # rows or columns per block when zeroing or mirroring a triangle in place
 _BLOCK_BYTES = 1 << 20  # size of a block of rows when assembling or scanning a matrix
 
@@ -414,7 +410,6 @@ def fit_kernel(
     noise: NoiseModel,
     *,
     n_starts: int = 4,
-    maxiter: int = 200,
 ) -> KernelParams:
     """Spatial kernel scales minimizing the negative log marginal likelihood.
 
@@ -439,7 +434,7 @@ def fit_kernel(
             method="L-BFGS-B",
             jac=True,
             bounds=bounds,
-            options={"maxiter": maxiter},
+            options={"maxiter": _LBFGS_MAXITER},
         )
         key = (float(res.fun), idx)
         if best is None or key < best[0]:

@@ -31,7 +31,6 @@ class PipelineConfig:
     area_bounds: Optional[tuple] = None
     refine_passes: int = 10
     n_starts: int = 4
-    maxiter: int = 200
     # known per-sensor measurement variances as a callable of the fitted
     # distances (known shadowing parameters); enables the empirical variance path
     sigma_z_given: Optional[object] = None
@@ -49,13 +48,6 @@ class StaticResult:
     centroid: CentroidState
 
 
-def _hyper_with_fixed_tx(snapshot: MeasurementSnapshot, config: PipelineConfig) -> HyperEstimate:
-    d_hat = clamped_distances(snapshot.positions, config.fixed_tx)
-    q_hat = log_distance_feature(d_hat)
-    mu_p, mu_alpha = estimate_means(snapshot.rss, q_hat, d_hat)
-    return hyper_at(snapshot.rss, mu_p, mu_alpha, d_hat, config.fixed_tx, config.sigma_z_given)
-
-
 def run_static(
     snapshot: MeasurementSnapshot,
     grid: Grid,
@@ -71,7 +63,8 @@ def run_static(
     by marginal likelihood unless a kernel is given, then the GP posterior at
     the grid.
     """
-    hyper, kernel, centroid = _fit(snapshot, config, centroid)
+    hyper, centroid = _hyper(snapshot, config, centroid)
+    kernel = _kernel(snapshot, hyper, config)
     post = posterior(
         (snapshot.positions, snapshot.rss), grid, hyper, kernel, config.noise,
         t=snapshot.t, compute_cov=compute_cov,
@@ -79,25 +72,25 @@ def run_static(
     return StaticResult(posterior=post, hyper=hyper, kernel=kernel, centroid=centroid)
 
 
-def _fit(snapshot: MeasurementSnapshot, config: PipelineConfig, centroid: Optional[CentroidState]) -> tuple:
-    """(hyper, kernel, centroid) of ``run_static``: everything but the posterior."""
+def _hyper(snapshot: MeasurementSnapshot, config: PipelineConfig, centroid: Optional[CentroidState]) -> tuple:
+    """(hyper, centroid): at the known transmitter when one is configured
+    (the centroid then passes through), else by ``refine_all``."""
     centroid = centroid if centroid is not None else CentroidState.empty()
-    if config.fixed_tx is not None:
-        hyper = _hyper_with_fixed_tx(snapshot, config)
-    else:
-        hyper, centroid = refine_all(
+    if config.fixed_tx is None:
+        return refine_all(
             snapshot,
             centroid,
             area_bounds=config.area_bounds,
             passes=config.refine_passes,
             sigma_z_given=config.sigma_z_given,
         )
+    d_hat = clamped_distances(snapshot.positions, config.fixed_tx)
+    mu_p, mu_alpha = estimate_means(snapshot.rss, log_distance_feature(d_hat), d_hat)
+    return hyper_at(snapshot.rss, mu_p, mu_alpha, d_hat, config.fixed_tx, config.sigma_z_given), centroid
 
+
+def _kernel(snapshot: MeasurementSnapshot, hyper: HyperEstimate, config: PipelineConfig) -> KernelParams:
+    """The configured kernel, else the marginal-likelihood fit under hyper."""
     if config.kernel is not None:
-        kernel = config.kernel
-    else:
-        kernel = fit_kernel(
-            (snapshot.positions, snapshot.rss), hyper, config.noise,
-            n_starts=config.n_starts, maxiter=config.maxiter,
-        )
-    return hyper, kernel, centroid
+        return config.kernel
+    return fit_kernel((snapshot.positions, snapshot.rss), hyper, config.noise, n_starts=config.n_starts)

@@ -5,6 +5,14 @@ Each step blends the data-dependent part of the current static posterior
 own prior (weight 1 - lambda), on top of the current prior mean and
 covariance. lambda = 1 reproduces the static estimator exactly; lambda -> 0
 freezes the field.
+
+The covariance is blended against the current grid prior K_g:
+cov = K_g - (1 - lambda)(K_g - C_prev) - lambda W^T W
+    = lambda (K_g - W^T W) + (1 - lambda) C_prev,
+a convex combination of the current static posterior covariance and the
+carried one. Both are positive definite, so every step's covariance is too,
+whether or not the kernel and the covariance-side fix changed since the last
+step.
 """
 
 from __future__ import annotations
@@ -15,22 +23,25 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .empbayes import refine_all
 from .gp import (
     FieldPosterior,
     _posterior,
     chol_with_jitter,
     condition,
-    fit_kernel,
     kernel_matrix,
     matvec,
     prior_mean,
     subtract_gram,
 )
 from .localize import CentroidState
-from .model import Grid, MeasurementSnapshot, clamped_distances
-# run_static is unused here; the benchmark tracer resolves it by module name
-from .pipeline import PipelineConfig, _fit, run_static  # noqa: F401
+from .model import Grid, MeasurementSnapshot, Position, clamped_distances
+from .pipeline import PipelineConfig, _hyper, _kernel
+
+# unused here; the benchmark tracer wraps these names on this module, so they
+# stay importable from it
+from .empbayes import refine_all  # noqa: F401
+from .gp import fit_kernel  # noqa: F401
+from .pipeline import run_static  # noqa: F401
 
 KERNEL_REFIT_MODES = ("freeze_after_init", "every_step")
 
@@ -53,24 +64,23 @@ class RecursiveConfig:
 
 @dataclass(frozen=True)
 class RecursiveState:
-    """Carried state: last posterior plus its own prior mean and covariance.
+    """Carried state: the last posterior and what the next step reads besides.
 
-    The cached grid prior belongs to the previous step's hyper-parameters and
-    kernel (grid_prior_cov is K_g under posterior.kernel and cov_tx); the
-    update subtracts it from the carried posterior before adding the current
-    prior back in. cov_tx is the transmitter fix used inside
-    covariance evaluations: under the frozen-kernel cadence it stays at its
-    initialization value, which keeps every blended grid covariance dominated
-    by the (then constant) grid prior and hence positive definite; the mean
-    path always tracks the current estimates.
+    grid_prior_cov is K_g under posterior.kernel and cov_tx, kept so that a
+    step under the same kernel and fix does not rebuild it; cov_tx is the
+    transmitter fix of the covariance-side kernel evaluations, which moves
+    only under ``every_step``. The carried prior mean is
+    prior_mean(grid, posterior.hyper). Each step blends the current static
+    posterior covariance with the carried posterior.cov convexly (see the
+    module docstring), so the carried covariance stays positive definite
+    under either kernel_refit cadence; the mean path always tracks the
+    current estimates.
     """
 
     posterior: FieldPosterior
-    lam: float
     centroid: CentroidState
-    grid_prior_mean: np.ndarray  # m_g of the state's own step
-    grid_prior_cov: np.ndarray  # K_g of the state's own step
-    cov_tx: object = None  # Position used for covariance-side kernel evals
+    grid_prior_cov: np.ndarray  # K_g under (posterior.kernel, cov_tx)
+    cov_tx: Position  # transmitter fix of the covariance-side kernel evaluations
 
 
 def init_state(snapshot0: MeasurementSnapshot, grid: Grid, config: RecursiveConfig) -> RecursiveState:
@@ -80,18 +90,12 @@ def init_state(snapshot0: MeasurementSnapshot, grid: Grid, config: RecursiveConf
     covariance is assembled in a copy of it, and K_g itself is kept.
     """
     pconf = config.pipeline
-    hyper, kernel, centroid = _fit(snapshot0, pconf, None)
+    hyper, centroid = _hyper(snapshot0, pconf, None)
+    kernel = _kernel(snapshot0, hyper, pconf)
     k_grid = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
     train = (snapshot0.positions, snapshot0.rss)
     post = _posterior(train, grid, hyper, kernel, pconf.noise, snapshot0.t, True, k_grid.copy())
-    return RecursiveState(
-        posterior=post,
-        lam=config.lam,
-        centroid=centroid,
-        grid_prior_mean=prior_mean(grid.xy, hyper),
-        grid_prior_cov=k_grid,
-        cov_tx=hyper.tx,
-    )
+    return RecursiveState(posterior=post, centroid=centroid, grid_prior_cov=k_grid, cov_tx=hyper.tx)
 
 
 def _grid_prior_cov(state: RecursiveState, grid: Grid, kernel, cov_tx) -> np.ndarray:
@@ -109,15 +113,21 @@ def rgp_step(
 ) -> RecursiveState:
     """Advance the recursion by one snapshot.
 
+    Hyper-parameters come from the static fit's own path (``pipeline._hyper``:
+    the known transmitter when one is configured, else ``refine_all``) unless
+    ``reestimate_hyper`` is off. Under ``every_step`` the kernel comes from
+    the static fit's path too (``pipeline._kernel``: the configured kernel,
+    else a refit) and the covariance-side fix follows the new
+    hyper-parameters; otherwise both are the state's.
+
     The data term conditions on the snapshot through ``gp.condition``, with L
     the lower Cholesky factor of K_X + S: mu_post = K_gX (K_X + S)^-1 (z - m_X)
-    and sigma_post = W^T W with W = L^-1 K_Xg. The grid prior K_g is taken from
-    the state when the kernel and the covariance-side fix equal the state's
-    own (every step under ``freeze_after_init`` or a fixed
-    ``PipelineConfig.kernel``) and recomputed otherwise. Every term of the
-    blended covariance is exactly symmetric, so the result is too, and it is
-    assembled and checked in the one M x M buffer it is returned in. At
-    lambda = 1 it is bit-identical to ``posterior``'s at any number of reports.
+    and sigma_post = W^T W with W = L^-1 K_Xg. The grid prior K_g is the
+    state's when the kernel and the fix are the state's own, and recomputed
+    otherwise. Every term of the blended covariance is exactly symmetric, so
+    the result is too, and it is assembled and checked in the one M x M
+    buffer it is returned in. At lambda = 1 it is bit-identical to
+    ``posterior``'s at any number of reports.
 
     An empty snapshot carries the state forward unchanged (the step behaves
     as lambda = 0) with a warning.
@@ -135,23 +145,13 @@ def rgp_step(
 
     pconf = config.pipeline
     if config.reestimate_hyper:
-        hyper, centroid = refine_all(
-            snapshot,
-            state.centroid,
-            area_bounds=pconf.area_bounds,
-            passes=pconf.refine_passes,
-            sigma_z_given=pconf.sigma_z_given,
-        )
+        hyper, centroid = _hyper(snapshot, pconf, state.centroid)
     else:
         hyper, centroid = state.posterior.hyper, state.centroid
-
-    train = (snapshot.positions, snapshot.rss)
-    if config.kernel_refit == "every_step" and pconf.kernel is None:
-        kernel = fit_kernel(train, hyper, pconf.noise, n_starts=pconf.n_starts, maxiter=pconf.maxiter)
-        cov_tx = hyper.tx
+    if config.kernel_refit == "every_step":
+        kernel, cov_tx = _kernel(snapshot, hyper, pconf), hyper.tx
     else:
-        kernel = pconf.kernel if pconf.kernel is not None else state.posterior.kernel
-        cov_tx = state.cov_tx if state.cov_tx is not None else hyper.tx
+        kernel, cov_tx = state.posterior.kernel, state.cov_tx
 
     xy = snapshot.positions
     noise_var = pconf.noise.variances(clamped_distances(xy, hyper.tx))
@@ -161,25 +161,18 @@ def rgp_step(
     w = solve_triangular(low, k_gx.T, lower=True, overwrite_b=True)  # reuses k_gx
 
     m_grid = prior_mean(grid.xy, hyper)
+    mu_prior = state.posterior.mean - prior_mean(grid.xy, state.posterior.hyper)
     k_grid = _grid_prior_cov(state, grid, kernel, cov_tx)
-    mu_prior = state.posterior.mean - state.grid_prior_mean
 
-    lam = state.lam
+    lam = config.lam
     mean = m_grid + (1.0 - lam) * mu_prior + lam * mu_post
-    # cov = K_g - (1 - lam) (K_g,prev - C_prev) - lam W^T W, in one buffer; at
+    # cov = K_g - (1 - lam) (K_g - C_prev) - lam W^T W, in one buffer; at
     # lam = 1 the first two steps leave K_g, and the last is posterior's own call
-    cov = state.grid_prior_cov - state.posterior.cov
+    cov = k_grid - state.posterior.cov
     cov *= 1.0 - lam
     np.subtract(k_grid, cov, out=cov)
     subtract_gram(cov, w, lam)
     chol_with_jitter(cov, "recursive grid covariance", check_only=True)
 
     new_post = FieldPosterior(t=snapshot.t, mean=mean, cov=cov, hyper=hyper, kernel=kernel)
-    return RecursiveState(
-        posterior=new_post,
-        lam=lam,
-        centroid=centroid,
-        grid_prior_mean=m_grid,
-        grid_prior_cov=k_grid,
-        cov_tx=cov_tx,
-    )
+    return RecursiveState(posterior=new_post, centroid=centroid, grid_prior_cov=k_grid, cov_tx=cov_tx)

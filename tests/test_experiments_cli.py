@@ -255,7 +255,6 @@ def _tiny_cases_config(tmp_path, seed=0):
     cfg.sigma_v_sq_sweep = (10.0,)
     cfg.n_starts = 2
     cfg.refine_passes = 3
-    cfg.nlml_maxiter = 60
     cfg.out_dir = str(tmp_path)
     return cfg
 
@@ -319,7 +318,6 @@ n_sensors = 25
 [estimator]
 n_starts = 2
 refine_passes = 3
-nlml_maxiter = 60
 [run]
 seed = 1
 """
@@ -402,7 +400,6 @@ sigma_w = 2.0
 [estimator]
 n_starts = 2
 refine_passes = 2
-nlml_maxiter = 60
 rho_u = 50
 """
     cfg = write_cfg(tmp_path, cfg_text)

@@ -567,7 +567,7 @@ def test_fit_kernel_recovers_scales_from_simulated_fields():
         cov[np.diag_indices_from(cov)] += 1e-9
         f = np.linalg.cholesky(cov) @ rng.standard_normal(200)
         z = prior_mean(xy, hyper) + f + rng.normal(0, 1.0, 200)
-        fitted = fit_kernel((xy, z), hyper, noise, n_starts=2, maxiter=120)
+        fitted = fit_kernel((xy, z), hyper, noise, n_starts=2)
         vks.append(fitted.sigma_k**2)
         scales.append(fitted.decay_scale)
     assert 5.0 <= np.median(vks) <= 20.0

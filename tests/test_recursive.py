@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import rssfield as rf
 from rssfield import gp, recursive
 from rssfield.empbayes import HyperEstimate
-from rssfield.gp import KernelParams, chol_with_jitter, kernel_matrix, posterior, prior_mean
+from rssfield.gp import KernelParams, chol_with_jitter, kernel_matrix, posterior
 from rssfield.localize import CentroidState
 from rssfield.model import Grid, MeasurementSnapshot, NoiseModel, Position, uniform_grid
 from rssfield.pipeline import PipelineConfig
@@ -40,12 +40,10 @@ def random_inputs(rng, n_train=8, n_grid=6):
     return snap, grid, hyper, kernel, noise
 
 
-def state_from_posterior(post, grid, lam):
+def state_from_posterior(post, grid):
     return RecursiveState(
         posterior=post,
-        lam=lam,
         centroid=CentroidState.empty(),
-        grid_prior_mean=prior_mean(grid.xy, post.hyper),
         grid_prior_cov=kernel_matrix(grid.xy, grid.xy, post.kernel, post.hyper.tx),
         cov_tx=post.hyper.tx,
     )
@@ -64,7 +62,7 @@ def test_lambda_one_matches_static_posterior():
         snap0, grid, hyper, kernel, noise = random_inputs(rng)
         snap1 = make_snapshot(rng, snap0.n_sensors, t=1)
         post0 = posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
-        state = state_from_posterior(post0, grid, lam=1.0)
+        state = state_from_posterior(post0, grid)
         stepped = rgp_step(state, snap1, grid, frozen_config(hyper, kernel, noise, 1.0))
         ref = posterior((snap1.positions, snap1.rss), grid, hyper, kernel, noise, t=1)
         assert_array_equal(stepped.posterior.mean, ref.mean)
@@ -78,7 +76,7 @@ def test_lambda_one_matches_static_posterior_beyond_one_accumulation_block():
     snap0, grid, hyper, kernel, noise = random_inputs(rng, n_train=600, n_grid=300)
     snap1 = make_snapshot(rng, 600, t=1)
     post0 = posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
-    state = state_from_posterior(post0, grid, lam=1.0)
+    state = state_from_posterior(post0, grid)
     stepped = rgp_step(state, snap1, grid, frozen_config(hyper, kernel, noise, 1.0))
     ref = posterior((snap1.positions, snap1.rss), grid, hyper, kernel, noise, t=1)
     assert_array_equal(stepped.posterior.mean, ref.mean)
@@ -109,7 +107,7 @@ def test_posterior_and_step_hold_one_grid_covariance_at_a_time():
         lambda: posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
     )
     assert peak < budget, f"posterior peak {peak / 1e6:.1f} MB"
-    state = state_from_posterior(post0, grid, lam=0.5)
+    state = state_from_posterior(post0, grid)
     snap1 = make_snapshot(rng, 100, t=1)
     stepped, peak = _traced_peak(lambda: rgp_step(state, snap1, grid, frozen_config(hyper, kernel, noise, 0.5)))
     assert peak < budget, f"rgp_step peak {peak / 1e6:.1f} MB"
@@ -122,7 +120,7 @@ def test_lambda_to_zero_carries_field():
     snap1 = make_snapshot(rng, snap0.n_sensors, t=1)
     post0 = posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
     lam = 1e-12
-    state = state_from_posterior(post0, grid, lam=lam)
+    state = state_from_posterior(post0, grid)
     stepped = rgp_step(state, snap1, grid, frozen_config(hyper, kernel, noise, lam))
     assert_allclose(stepped.posterior.mean, post0.mean, atol=1e-8)
     assert_allclose(stepped.posterior.cov, post0.cov, atol=1e-8)
@@ -141,7 +139,7 @@ def test_two_step_trace_matches_hand_unrolled_equations():
     snaps = [make_snapshot(rng, 2, t=t) for t in range(3)]
 
     post0 = posterior((snaps[0].positions, snaps[0].rss), grid, hyper, kernel, noise, t=0)
-    state = state_from_posterior(post0, grid, lam=lam)
+    state = state_from_posterior(post0, grid)
     cfg = frozen_config(hyper, kernel, noise, lam)
     for snap in snaps[1:]:
         state = rgp_step(state, snap, grid, cfg)
@@ -180,6 +178,30 @@ def test_two_step_trace_matches_hand_unrolled_equations():
 
     assert_allclose(state.posterior.mean, mu, atol=1e-8)
     assert_allclose(state.posterior.cov, 0.5 * (sig + sig.T), atol=1e-8)
+
+
+def test_refit_step_is_convex_blend_of_static_and_carried_posteriors():
+    # under a new kernel the step is lam * (static posterior under it) +
+    # (1 - lam) * (carried posterior), in mean deviation and covariance
+    rng = np.random.default_rng(12)
+    lam = 0.3
+    for _ in range(10):
+        snap0, grid, hyper, kernel, noise = random_inputs(rng)
+        snap1 = make_snapshot(rng, snap0.n_sensors, t=1)
+        post0 = posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
+        new_kernel = KernelParams.from_decay(
+            sigma_k=rng.uniform(1, 4), decay_scale=rng.uniform(30, 120),
+            sigma_alpha_k=kernel.sigma_alpha_k, sigma_p_k=kernel.sigma_p_k,
+        )
+        cfg = RecursiveConfig(
+            pipeline=PipelineConfig(noise=noise, kernel=new_kernel), lam=lam,
+            kernel_refit="every_step", reestimate_hyper=False,
+        )
+        stepped = rgp_step(state_from_posterior(post0, grid), snap1, grid, cfg)
+        static = posterior((snap1.positions, snap1.rss), grid, hyper, new_kernel, noise, t=1)
+        assert stepped.posterior.kernel == new_kernel
+        assert_allclose(stepped.posterior.mean, lam * static.mean + (1 - lam) * post0.mean, atol=1e-8)
+        assert_allclose(stepped.posterior.cov, lam * static.cov + (1 - lam) * post0.cov, atol=1e-8)
 
 
 def test_init_then_identical_snapshot_at_lambda_one():
@@ -241,7 +263,7 @@ def test_empty_snapshot_carries_state_with_warning():
     rng = np.random.default_rng(6)
     snap0, grid, hyper, kernel, noise = random_inputs(rng)
     post0 = posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
-    state = state_from_posterior(post0, grid, lam=0.5)
+    state = state_from_posterior(post0, grid)
     empty = MeasurementSnapshot(t=1, sensor_ids=(), positions=np.zeros((0, 2)), rss=np.zeros(0))
     with pytest.warns(RuntimeWarning, match="empty snapshot"):
         stepped = rgp_step(state, empty, grid, frozen_config(hyper, kernel, noise, 0.5))
@@ -269,15 +291,18 @@ def test_covariance_stays_pd_along_a_noisy_run():
         assert_allclose(cov, cov.T, atol=1e-10)
 
 
-def intermittent_run(kernel_refit, steps=5, empty_at=3, seed=8):
-    """States of an Intermittent run with an empty snapshot at t = empty_at."""
+def intermittent_run(kernel_refit, steps=5, empty_at=3, seed=8, fixed_tx=None):
+    """States of an Intermittent run with an empty snapshot at t = empty_at;
+    the transmitter sits at the area center, (150, 150)."""
     sc = rf.benchmark_scenario(
         seed=seed, sigma_v_sq=10.0, nx=6, ny=5, n_sensors=30, area=(300.0, 300.0),
         dynamics=rf.Intermittent(0.3),
     )
     noise = NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
     rcfg = RecursiveConfig(
-        pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2, refine_passes=3),
+        pipeline=PipelineConfig(
+            noise=noise, area_bounds=sc.area_bounds, n_starts=2, refine_passes=3, fixed_tx=fixed_tx
+        ),
         lam=0.5,
         kernel_refit=kernel_refit,
     )
@@ -308,19 +333,42 @@ def test_grid_prior_reuse_gives_identical_states(monkeypatch):
         assert a.posterior.t == b.posterior.t
         assert_array_equal(a.posterior.mean, b.posterior.mean)
         assert_array_equal(a.posterior.cov, b.posterior.cov)
-        assert_array_equal(a.grid_prior_mean, b.grid_prior_mean)
         assert_array_equal(a.grid_prior_cov, b.grid_prior_cov)
         assert np.array_equal(a.posterior.cov, a.posterior.cov.T)
 
 
-def test_every_step_refit_recomputes_grid_prior():
-    grid, states = intermittent_run("every_step", steps=3, empty_at=None, seed=10)
-    for prev, cur in zip(states, states[1:]):
-        assert (cur.posterior.kernel, cur.cov_tx) != (prev.posterior.kernel, prev.cov_tx)
-        assert cur.grid_prior_cov is not prev.grid_prior_cov
-        assert_array_equal(
-            cur.grid_prior_cov, kernel_matrix(grid.xy, grid.xy, cur.posterior.kernel, cur.cov_tx)
-        )
+def test_every_step_refit_recomputes_grid_prior(monkeypatch):
+    # each step blends the current static posterior covariance with the
+    # carried one convexly, so a refitted kernel and fix need no jitter
+    checks = []
+
+    def recording(mat, what="covariance", **kwargs):
+        out = chol_with_jitter(mat, what, **kwargs)
+        checks.append((what, out[1]))
+        return out
+
+    monkeypatch.setattr(recursive, "chol_with_jitter", recording)
+    for seed in range(10):
+        grid, states = intermittent_run("every_step", steps=5, empty_at=3, seed=seed)
+        for prev, cur in zip(states, states[1:]):
+            if cur.posterior.t == 3:  # the empty step carries the state
+                assert cur.grid_prior_cov is prev.grid_prior_cov
+                continue
+            assert (cur.posterior.kernel, cur.cov_tx) != (prev.posterior.kernel, prev.cov_tx)
+            assert cur.grid_prior_cov is not prev.grid_prior_cov
+            assert_array_equal(
+                cur.grid_prior_cov, kernel_matrix(grid.xy, grid.xy, cur.posterior.kernel, cur.cov_tx)
+            )
+    assert checks == [("recursive grid covariance", 0.0)] * (10 * 4)
+
+
+@pytest.mark.parametrize("kernel_refit", recursive.KERNEL_REFIT_MODES)
+def test_known_transmitter_holds_at_every_step(kernel_refit):
+    known = Position(150.0, 150.0)
+    _, states = intermittent_run(kernel_refit, seed=3, fixed_tx=known)
+    assert len(states) == 6
+    for state in states:
+        assert (state.posterior.hyper.tx, state.cov_tx) == (known, known)
 
 
 def test_config_validation():
@@ -355,7 +403,7 @@ def test_improvement_win_rate_static_sensors_fixed_hyper():
         )
         snap, truth = rf.sample_snapshot(sc, 0)
         post0 = posterior((snap.positions, snap.rss), sc.grid, hyper, kernel, noise, t=0)
-        state = state_from_posterior(post0, sc.grid, lam=0.5)
+        state = state_from_posterior(post0, sc.grid)
         first = rf.compute_mse(state.posterior.mean, truth.grid_field)
         for t in range(1, 10):
             snap, truth = rf.sample_snapshot(sc, t)
