@@ -18,7 +18,6 @@ def main():
     cfg.seed = 3
     cfg.sigma_v_sq_sweep = (4.0, 10.0)
     cfg.n_starts = 2
-    cfg.refine_passes = 3
     cfg.out_dir = "out_cases_demo"
 
     records, path = run_cases(cfg)

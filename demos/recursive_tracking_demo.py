@@ -16,7 +16,7 @@ from rssfield.recursive import RecursiveConfig, init_state, rgp_step
 def run(lam, scenario, probe_node):
     noise = rf.NoiseModel(rho_u=rf.rho_u_from(3.5, 13.16), sigma_w=math.sqrt(7.0))
     config = RecursiveConfig(
-        pipeline=PipelineConfig(noise=noise, area_bounds=scenario.area_bounds, n_starts=2, refine_passes=3),
+        pipeline=PipelineConfig(noise=noise, area_bounds=scenario.area_bounds, n_starts=2),
         lam=lam,
     )
     snapshot, truth = rf.sample_snapshot(scenario, 0)

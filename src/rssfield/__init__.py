@@ -27,13 +27,14 @@ from .synth import (
     sample_snapshot,
     shadowing_covariance,
 )
-from .localize import CentroidState, NoFixError, centroid_update, distances_to_estimate, refine_transmitter
+from .localize import CentroidState, NoFixError, centroid_update, distances_to_estimate
 from .empbayes import (
     DegenerateFitError,
     HyperEstimate,
     estimate_means,
     estimate_variances,
     refine_all,
+    refine_transmitter,
 )
 from .gp import (
     FieldPosterior,

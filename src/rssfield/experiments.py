@@ -176,7 +176,6 @@ class ExperimentConfig:
     variance_path: str = "kernel"  # kernel | empirical
     rho_u: Optional[float] = None  # None: rho_u_from(alpha, sigma_d)
     n_starts: int = 4
-    refine_passes: int = 10
     # run
     replicates: int = 100
     seed: int = 0
@@ -248,7 +247,6 @@ class ExperimentConfig:
         cfg = PipelineConfig(
             noise=self.noise_model(),
             area_bounds=((0.0, self.area[0]), (0.0, self.area[1])),
-            refine_passes=self.refine_passes,
             n_starts=self.n_starts,
             fixed_tx=self.tx_position() if self.tx_known else None,
         )
@@ -316,7 +314,6 @@ _KEYS = {
     ("estimator", "variance_path"): ("variance_path", str, None),
     ("estimator", "rho_u"): ("rho_u", float, None),
     ("estimator", "n_starts"): ("n_starts", int, None),
-    ("estimator", "refine_passes"): ("refine_passes", int, None),
     ("run", "replicates"): ("replicates", int, None),
     ("run", "seed"): ("seed", int, None),
     ("run", "out_dir"): ("out_dir", str, None),

@@ -1,9 +1,8 @@
 """Transmitter localization from RSS reports.
 
 A running weighted centroid (weights are the reported powers in linear
-units) accumulates every snapshot ever seen; a Levenberg-Marquardt
-least-squares refinement on the analytic Jacobian of the log-distance
-residuals sharpens the fix once path-loss estimates are available.
+units) accumulates every snapshot ever seen. It is the starting fix that
+``empbayes.refine_transmitter`` sharpens jointly with the path-loss means.
 """
 
 from __future__ import annotations
@@ -13,15 +12,9 @@ from typing import Optional
 
 import numpy as np
 # minimize is unused here; the benchmark tracer resolves it by module name
-from scipy.optimize import least_squares, minimize  # noqa: F401
+from scipy.optimize import minimize  # noqa: F401
 
-from .model import D_MIN, MeasurementSnapshot, Position, mean_tx_gradient
-
-# Levenberg-Marquardt stopping tolerance on the relative change of the cost,
-# the relative step and the scaled gradient. On reference-size snapshots 1e-12
-# stops within 2e-4 m of a converged Nelder-Mead fix (1e-10: 2e-3 m) after a
-# median of 4 residual evaluations.
-_LM_TOL = 1e-12
+from .model import D_MIN, MeasurementSnapshot, Position
 
 
 class NoFixError(RuntimeError):
@@ -89,72 +82,3 @@ def distances_to_estimate(state: CentroidState, positions) -> np.ndarray:
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
     d = np.hypot(pts[:, 0] - state.estimate.x, pts[:, 1] - state.estimate.y)
     return np.maximum(d, D_MIN)
-
-
-def _distances(x0, xy):
-    raw = np.hypot(xy[:, 0] - x0[0], xy[:, 1] - x0[1])
-    return raw, np.maximum(raw, D_MIN)
-
-
-def _residuals(x0, xy, z, mu_p, mu_alpha) -> np.ndarray:
-    """r_i = z_i - mu_p + 10 mu_alpha log10(d_i), d_i = ||x_i - x0|| clamped."""
-    _, d = _distances(x0, xy)
-    return z - mu_p + 10.0 * mu_alpha * np.log10(d)
-
-
-def _jacobian(x0, xy, z, mu_p, mu_alpha) -> np.ndarray:
-    """dr/dx0 = 10 mu_alpha / ln 10 * (x0 - x_i) / d_i^2, zero where d is clamped."""
-    raw, d = _distances(x0, xy)
-    jac = -mean_tx_gradient(xy, x0, mu_alpha, d)
-    jac[raw < D_MIN] = 0.0
-    return jac
-
-
-def _objective(x0, xy, z, mu_p, mu_alpha) -> float:
-    r = _residuals(x0, xy, z, mu_p, mu_alpha)
-    return float(r @ r)
-
-
-def refine_transmitter(
-    snapshot: MeasurementSnapshot,
-    positions,
-    mu_p: float,
-    mu_alpha: float,
-    init: Position,
-    area_bounds=None,
-) -> tuple:
-    """Local least-squares re-estimate of the transmitter position.
-
-    Minimizes sum_i (z_i - mu_p + 10 mu_alpha log10 ||x_i - x0||)^2 by
-    Levenberg-Marquardt (MINPACK) on the analytic Jacobian, started at
-    ``init``. Returns (position, degenerate): with fewer than 3 sensors the
-    problem is not identifiable and ``init`` is returned with the degenerate
-    flag set. The result never has a larger objective than ``init`` and is
-    clamped to ``area_bounds`` when given.
-    """
-    xy = np.asarray(positions, dtype=float).reshape(-1, 2)
-    z = snapshot.rss
-    if xy.shape[0] != z.shape[0]:
-        raise ValueError("positions length must match snapshot")
-    if xy.shape[0] < 3:
-        return init, True
-
-    x_init = init.as_array()
-    f_init = _objective(x_init, xy, z, mu_p, mu_alpha)
-    res = least_squares(
-        _residuals,
-        x_init,
-        jac=_jacobian,
-        args=(xy, z, mu_p, mu_alpha),
-        method="lm",
-        ftol=_LM_TOL,
-        xtol=_LM_TOL,
-        gtol=_LM_TOL,
-    )
-    cand = res.x
-    if area_bounds is not None:
-        (xlo, xhi), (ylo, yhi) = area_bounds
-        cand = np.array([np.clip(cand[0], xlo, xhi), np.clip(cand[1], ylo, yhi)])
-    if _objective(cand, xy, z, mu_p, mu_alpha) > f_init:
-        return init, False
-    return Position(float(cand[0]), float(cand[1])), False

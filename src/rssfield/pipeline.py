@@ -29,7 +29,6 @@ class PipelineConfig:
 
     noise: NoiseModel
     area_bounds: Optional[tuple] = None
-    refine_passes: int = 10
     n_starts: int = 4
     # known per-sensor measurement variances as a callable of the fitted
     # distances (known shadowing parameters); enables the empirical variance path
@@ -58,8 +57,8 @@ def run_static(
 ) -> StaticResult:
     """Fit the field posterior from a single snapshot.
 
-    Hyper-parameters first (weighted centroid, means, refinement loop and
-    variances, see ``empbayes.hyper_at``), then the two spatial kernel scales
+    Hyper-parameters first (weighted centroid, profiled fix, means and
+    variances, see ``empbayes.refine_all``), then the two spatial kernel scales
     by marginal likelihood unless a kernel is given, then the GP posterior at
     the grid.
     """
@@ -81,7 +80,6 @@ def _hyper(snapshot: MeasurementSnapshot, config: PipelineConfig, centroid: Opti
             snapshot,
             centroid,
             area_bounds=config.area_bounds,
-            passes=config.refine_passes,
             sigma_z_given=config.sigma_z_given,
         )
     d_hat = clamped_distances(snapshot.positions, config.fixed_tx)

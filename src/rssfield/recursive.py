@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -67,19 +68,20 @@ class RecursiveState:
     """Carried state: the last posterior and what the next step reads besides.
 
     grid_prior_cov is K_g under posterior.kernel and cov_tx, kept so that a
-    step under the same kernel and fix does not rebuild it; cov_tx is the
-    transmitter fix of the covariance-side kernel evaluations, which moves
-    only under ``every_step``. The carried prior mean is
-    prior_mean(grid, posterior.hyper). Each step blends the current static
-    posterior covariance with the carried posterior.cov convexly (see the
-    module docstring), so the carried covariance stays positive definite
+    step under the same kernel and fix does not rebuild it. It is None under
+    ``every_step``, whose steps refit both, and a step that finds None
+    rebuilds K_g. cov_tx is the transmitter fix of the covariance-side kernel
+    evaluations, which moves only under ``every_step``. The carried prior
+    mean is prior_mean(grid, posterior.hyper). Each step blends the current
+    static posterior covariance with the carried posterior.cov convexly (see
+    the module docstring), so the carried covariance stays positive definite
     under either kernel_refit cadence; the mean path always tracks the
     current estimates.
     """
 
     posterior: FieldPosterior
     centroid: CentroidState
-    grid_prior_cov: np.ndarray  # K_g under (posterior.kernel, cov_tx)
+    grid_prior_cov: Optional[np.ndarray]  # K_g under (posterior.kernel, cov_tx)
     cov_tx: Position  # transmitter fix of the covariance-side kernel evaluations
 
 
@@ -87,7 +89,8 @@ def init_state(snapshot0: MeasurementSnapshot, grid: Grid, config: RecursiveConf
     """Run the full static pipeline on the first snapshot and seed the state.
 
     This is ``run_static`` with its grid prior K_g built once: the posterior
-    covariance is assembled in a copy of it, and K_g itself is kept.
+    covariance is assembled in a copy of it, and K_g itself is kept unless
+    every step refits the kernel.
     """
     pconf = config.pipeline
     hyper, centroid = _hyper(snapshot0, pconf, None)
@@ -95,12 +98,21 @@ def init_state(snapshot0: MeasurementSnapshot, grid: Grid, config: RecursiveConf
     k_grid = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
     train = (snapshot0.positions, snapshot0.rss)
     post = _posterior(train, grid, hyper, kernel, pconf.noise, snapshot0.t, True, k_grid.copy())
-    return RecursiveState(posterior=post, centroid=centroid, grid_prior_cov=k_grid, cov_tx=hyper.tx)
+    return RecursiveState(
+        posterior=post, centroid=centroid, cov_tx=hyper.tx,
+        grid_prior_cov=_carried_grid_prior(k_grid, config),
+    )
+
+
+def _carried_grid_prior(k_grid: np.ndarray, config: RecursiveConfig) -> Optional[np.ndarray]:
+    """The grid prior a state carries: K_g if the next step can reuse it."""
+    return None if config.kernel_refit == "every_step" else k_grid
 
 
 def _grid_prior_cov(state: RecursiveState, grid: Grid, kernel, cov_tx) -> np.ndarray:
-    """K_g under (kernel, cov_tx): the state's own when both are unchanged."""
-    if kernel == state.posterior.kernel and cov_tx == state.cov_tx:
+    """K_g under (kernel, cov_tx): the state's own when it has one and both
+    are unchanged."""
+    if state.grid_prior_cov is not None and kernel == state.posterior.kernel and cov_tx == state.cov_tx:
         return state.grid_prior_cov
     return kernel_matrix(grid.xy, grid.xy, kernel, cov_tx)
 
@@ -175,4 +187,7 @@ def rgp_step(
     chol_with_jitter(cov, "recursive grid covariance", check_only=True)
 
     new_post = FieldPosterior(t=snapshot.t, mean=mean, cov=cov, hyper=hyper, kernel=kernel)
-    return RecursiveState(posterior=new_post, centroid=centroid, grid_prior_cov=k_grid, cov_tx=cov_tx)
+    return RecursiveState(
+        posterior=new_post, centroid=centroid, cov_tx=cov_tx,
+        grid_prior_cov=_carried_grid_prior(k_grid, config),
+    )

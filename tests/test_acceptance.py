@@ -59,7 +59,6 @@ def test_criterion_2_location_error_case_ordering(tmp_path):
     cfg.seed = 20
     cfg.sigma_v_sq_sweep = (4.0, 10.0, 16.0)
     cfg.n_starts = 2
-    cfg.refine_passes = 3
     cfg.out_dir = str(tmp_path)
     records, _ = run_cases(cfg)
     elapsed = time.monotonic() - t0
@@ -166,7 +165,7 @@ def test_criterion_4a_recursive_improvement_win_rate():
             seed=seed, sigma_v_sq=10.0, nx=10, ny=10, dynamics=rf.Moving(step_std=5.0)
         )
         rcfg = RecursiveConfig(
-            pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2, refine_passes=2),
+            pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2),
             lam=0.5,
         )
         first, last = _recursive_mse_series(sc, rcfg, n_steps=10)
@@ -187,9 +186,7 @@ def test_criterion_4b_intermittent_first_step_worse_than_moving():
     moving_first, intermittent_first = [], []
     for seed in range(100):
         common = dict(seed=seed, sigma_v_sq=10.0, nx=10, ny=10)
-        pcfg = lambda sc: PipelineConfig(
-            noise=noise, area_bounds=sc.area_bounds, n_starts=2, refine_passes=2
-        )
+        pcfg = lambda sc: PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2)
         sc_m = rf.benchmark_scenario(dynamics=rf.Moving(step_std=5.0), **common)
         snap, truth = rf.sample_snapshot(sc_m, 0)
         res = run_static(snap, sc_m.grid, pcfg(sc_m), compute_cov=False)
@@ -250,7 +247,7 @@ def test_criterion_5_hcrb_dominates_and_is_nearly_achieved():
         truth = power - 10 * alpha * np.log10(d_probe) + v[n:]
         reported = sensors + rng.normal(0, sigma_d, (n, 2))
         snap = MeasurementSnapshot(t=0, sensor_ids=tuple(range(n)), positions=reported, rss=z)
-        hyper, _ = rf.refine_all(snap, CentroidState.empty(), area_bounds=((0, 240), (0, 240)), passes=2)
+        hyper, _ = rf.refine_all(snap, CentroidState.empty(), area_bounds=((0, 240), (0, 240)))
         hyper = HyperEstimate(
             mu_p=hyper.mu_p, mu_alpha=hyper.mu_alpha,
             var_p=sigma_p**2, var_alpha=sigma_alpha**2, tx=hyper.tx,
@@ -392,7 +389,6 @@ def test_criterion_8_byte_identical_metrics(tmp_path):
         cfg.seed = 9
         cfg.sigma_v_sq_sweep = (10.0,)
         cfg.n_starts = 2
-        cfg.refine_passes = 3
         cfg.out_dir = str(tmp_path / seed_dir)
         return cfg
 
@@ -419,7 +415,7 @@ def test_criterion_9_pd_safety():
                 dynamics=rf.Moving(step_std=5.0),
             )
             rcfg = RecursiveConfig(
-                pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2, refine_passes=2),
+                pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2),
                 lam=0.5,
                 kernel_refit=kernel_refit,
             )

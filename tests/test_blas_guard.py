@@ -31,7 +31,6 @@ ALLOWED = {
     ("empbayes.py", "r @ r"): "vector . vector",
     ("experiments.py", "diff @ diff"): "vector . vector",
     ("gp.py", "resid @ beta"): "vector . vector",
-    ("localize.py", "r @ r"): "vector . vector",
     ("localize.py", "w @ snapshot.positions"):
         "vector times the (N, 2) positions; below OpenBLAS's threading threshold",
     ("synth.py", "corr_gs.T @ w"):

@@ -254,7 +254,6 @@ def _tiny_cases_config(tmp_path, seed=0):
     cfg.seed = seed
     cfg.sigma_v_sq_sweep = (10.0,)
     cfg.n_starts = 2
-    cfg.refine_passes = 3
     cfg.out_dir = str(tmp_path)
     return cfg
 
@@ -317,7 +316,6 @@ grid_ny = 4
 n_sensors = 25
 [estimator]
 n_starts = 2
-refine_passes = 3
 [run]
 seed = 1
 """
@@ -399,7 +397,6 @@ tx_known = true
 sigma_w = 2.0
 [estimator]
 n_starts = 2
-refine_passes = 2
 rho_u = 50
 """
     cfg = write_cfg(tmp_path, cfg_text)
@@ -422,7 +419,6 @@ def test_pipeline_empirical_variance_path():
     cfg.seed = 4
     cfg.variance_path = "empirical"
     cfg.n_starts = 2
-    cfg.refine_passes = 3
     scenario = cfg.scenario()
     snap, _ = rf.sample_snapshot(scenario, 0)
     from rssfield.pipeline import run_static
@@ -490,7 +486,9 @@ def test_cli_exit_codes(tmp_path):
 def _cfg_with(line):
     """SMALL_SCENARIO with one key line set (replacing the key's own line)."""
     key = line.split("=")[0].strip()
-    section = {"lambda": "estimator", "kernel_refit": "estimator", "sigma_v_sq_sweep": "run"}.get(key, "scenario")
+    section = {
+        "lambda": "estimator", "kernel_refit": "estimator", "refine_passes": "estimator", "sigma_v_sq_sweep": "run",
+    }.get(key, "scenario")
     text = re.sub(rf"^{key} = .*\n", "", SMALL_SCENARIO, flags=re.M)
     return text.replace(f"[{section}]", f"[{section}]\n{line}")
 
@@ -506,6 +504,7 @@ def _cfg_with(line):
     ("cases", None, ["--replicates", "0"]),
     ("cases", "sigma_v_sq_sweep = 4, -4", []),
     ("synth", None, ["--seed", "seven"]),
+    ("fit-static", "refine_passes = 10", []),  # a removed key
 ])
 def test_cli_invalid_config_exits_2_before_any_work(tmp_path, capsys, command, line, flags):
     cfg = write_cfg(tmp_path, _cfg_with(line) if line else SMALL_SCENARIO)

@@ -279,7 +279,7 @@ def test_covariance_stays_pd_along_a_noisy_run():
     )
     noise = NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
     rcfg = RecursiveConfig(
-        pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2, refine_passes=3),
+        pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2),
         lam=0.5,
     )
     snap0, _ = rf.sample_snapshot(sc, 0)
@@ -300,9 +300,7 @@ def intermittent_run(kernel_refit, steps=5, empty_at=3, seed=8, fixed_tx=None):
     )
     noise = NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
     rcfg = RecursiveConfig(
-        pipeline=PipelineConfig(
-            noise=noise, area_bounds=sc.area_bounds, n_starts=2, refine_passes=3, fixed_tx=fixed_tx
-        ),
+        pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2, fixed_tx=fixed_tx),
         lam=0.5,
         kernel_refit=kernel_refit,
     )
@@ -348,18 +346,25 @@ def test_every_step_refit_recomputes_grid_prior(monkeypatch):
         return out
 
     monkeypatch.setattr(recursive, "chol_with_jitter", recording)
-    for seed in range(10):
-        grid, states = intermittent_run("every_step", steps=5, empty_at=3, seed=seed)
+    runs = [intermittent_run("every_step", steps=5, empty_at=3, seed=seed)[1] for seed in range(10)]
+    for states in runs:
+        # no state keeps a grid prior that its next step, refitting, would not read
+        assert all(s.grid_prior_cov is None for s in states)
         for prev, cur in zip(states, states[1:]):
-            if cur.posterior.t == 3:  # the empty step carries the state
-                assert cur.grid_prior_cov is prev.grid_prior_cov
-                continue
-            assert (cur.posterior.kernel, cur.cov_tx) != (prev.posterior.kernel, prev.cov_tx)
-            assert cur.grid_prior_cov is not prev.grid_prior_cov
-            assert_array_equal(
-                cur.grid_prior_cov, kernel_matrix(grid.xy, grid.xy, cur.posterior.kernel, cur.cov_tx)
-            )
+            if cur.posterior.t != 3:  # the empty step carries the state
+                assert (cur.posterior.kernel, cur.cov_tx) != (prev.posterior.kernel, prev.cov_tx)
     assert checks == [("recursive grid covariance", 0.0)] * (10 * 4)
+
+    # every step builds its grid prior from scratch, as the always-rebuild path does
+    monkeypatch.setattr(
+        recursive, "_grid_prior_cov",
+        lambda state, grid, kernel, cov_tx: kernel_matrix(grid.xy, grid.xy, kernel, cov_tx),
+    )
+    for seed, states in enumerate(runs):
+        _, rebuilt = intermittent_run("every_step", steps=5, empty_at=3, seed=seed)
+        for a, b in zip(states, rebuilt):
+            assert_array_equal(a.posterior.mean, b.posterior.mean)
+            assert_array_equal(a.posterior.cov, b.posterior.cov)
 
 
 @pytest.mark.parametrize("kernel_refit", recursive.KERNEL_REFIT_MODES)
