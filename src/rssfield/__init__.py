@@ -25,9 +25,8 @@ from .synth import (
     advance_dynamics,
     benchmark_scenario,
     sample_snapshot,
-    shadowing_covariance,
 )
-from .localize import CentroidState, NoFixError, centroid_update, distances_to_estimate
+from .localize import CentroidState, NoFixError, centroid_update
 from .empbayes import (
     DegenerateFitError,
     HyperEstimate,

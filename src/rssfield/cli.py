@@ -71,9 +71,10 @@ def _snapshot_at(t, rows=()):
     )
 
 
-def _train_inputs(args, cfg):
+def _train_inputs(args, cfg, steps):
     """(snapshots in order of t, grid, truth-or-None) from files or the
-    synthetic world; a measurement file gives one snapshot per t it has rows at."""
+    synthetic world; a measurement file gives one snapshot per t it has rows at,
+    the synthetic world one per t < steps."""
     if args.measurements:
         by_t = {}
         for row in ex.read_measurements(args.measurements):
@@ -86,7 +87,7 @@ def _train_inputs(args, cfg):
         return snaps, grid, truth
     scenario = cfg.scenario()
     snaps, truths = [], []
-    for t in range(cfg.steps):
+    for t in range(steps):
         sn, tr = sample_snapshot(scenario, t)
         snaps.append(sn)
         truths.append(tr.grid_field)
@@ -140,7 +141,7 @@ def cmd_synth(args):
 def cmd_fit_static(args, *, with_bounds=False):
     cfg = _load(args)
     out = _outdir(cfg)
-    snaps, grid, truth = _train_inputs(args, cfg)
+    snaps, grid, truth = _train_inputs(args, cfg, 1)
     snap = snaps[0]
     result = run_static(snap, grid, cfg.pipeline_config())
     bounds = None
@@ -165,7 +166,7 @@ def _report_fit(result, truth, t):
 def cmd_fit_recursive(args):
     cfg = _load(args)
     out = _outdir(cfg)
-    snaps, grid, truth = _train_inputs(args, cfg)
+    snaps, grid, truth = _train_inputs(args, cfg, cfg.steps)
     rcfg = cfg.recursive_config()
     steps = _every_step(snaps)
     state = init_state(snaps[0], grid, rcfg)
@@ -185,7 +186,7 @@ def cmd_fit_recursive(args):
 def cmd_baseline_okd(args):
     cfg = _load(args)
     out = _outdir(cfg)
-    snaps, grid, truth = _train_inputs(args, cfg)
+    snaps, grid, truth = _train_inputs(args, cfg, 1)
     snap = snaps[0]
     result = run_static(snap, grid, cfg.pipeline_config(), compute_cov=False)
     pred, var = okd_predict(

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .model import D_MIN, MeasurementSnapshot, Position, clamped_distances, log_distance_feature
-from .localize import CentroidState, NoFixError, centroid_update, distances_to_estimate
+from .localize import CentroidState, NoFixError, centroid_update
 
 ALPHA_MIN = 2.0
 # var_p and var_alpha when the shadowing parameters are unknown (the kernel
@@ -138,17 +138,21 @@ def estimate_variances(z, mu_p, mu_alpha, q_hat, known_var) -> tuple:
     return float(vp), float(va)
 
 
-def hyper_at(z, mu_p, mu_alpha, d_hat, tx: Position, sigma_z_given: Optional[Callable]) -> HyperEstimate:
-    """HyperEstimate at the fix tx with the means already fitted.
+def hyper_at(snapshot: MeasurementSnapshot, tx: Position, sigma_z_given: Optional[Callable]) -> HyperEstimate:
+    """HyperEstimate at the fix tx: the means by ``estimate_means`` at the
+    clamped distances to tx, then the variances.
 
-    With ``sigma_z_given`` (a callable of d_hat giving the known per-sensor
-    measurement variances) the variances come from ``estimate_variances``;
-    without it both are KERNEL_PATH_VAR.
+    With ``sigma_z_given`` (a callable of those distances giving the known
+    per-sensor measurement variances) the variances come from
+    ``estimate_variances``; without it both are KERNEL_PATH_VAR.
     """
+    z = snapshot.rss
+    d_hat = clamped_distances(snapshot.positions, tx)
+    q_hat = log_distance_feature(d_hat)
+    mu_p, mu_alpha = estimate_means(z, q_hat, d_hat)
     if sigma_z_given is None:
         var_p = var_alpha = KERNEL_PATH_VAR
     else:
-        q_hat = log_distance_feature(d_hat)
         var_p, var_alpha = estimate_variances(z, mu_p, mu_alpha, q_hat, sigma_z_given(d_hat))
     return HyperEstimate(mu_p=mu_p, mu_alpha=mu_alpha, var_p=var_p, var_alpha=var_alpha, tx=tx)
 
@@ -222,10 +226,10 @@ def refine_all(
     back into the centroid state so the recursion carries the best available
     estimate forward.
 
-    The variances follow ``hyper_at``. ``sigma_z_given`` maps the final
-    distance vector to the known per-sensor measurement variances (known
-    shadowing parameters; the location-error part depends on the refined
-    fix).
+    The means and variances at the fix come from ``hyper_at``.
+    ``sigma_z_given`` maps the distances to the refined fix to the known
+    per-sensor measurement variances (known shadowing parameters; the
+    location-error part depends on the fix).
     """
     if snapshot.n_sensors == 0:
         raise DegenerateFitError("snapshot is empty")
@@ -233,7 +237,4 @@ def refine_all(
     if not state.has_fix:
         raise NoFixError("centroid has no fix: no report has carried positive linear power yet")
     tx, _ = refine_transmitter(snapshot, state.estimate, area_bounds=area_bounds)
-    state = state.with_estimate(tx)
-    d_hat = distances_to_estimate(state, snapshot.positions)
-    mu_p, mu_alpha = estimate_means(snapshot.rss, log_distance_feature(d_hat), d_hat)
-    return hyper_at(snapshot.rss, mu_p, mu_alpha, d_hat, tx, sigma_z_given), state
+    return hyper_at(snapshot, tx, sigma_z_given), state.with_estimate(tx)

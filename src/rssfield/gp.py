@@ -463,19 +463,11 @@ def posterior(
     With L the lower Cholesky factor of K_X + S (never an explicit inverse):
     mean = m_g + K_gX (K_X + S)^-1 (z - m_X) through two triangular solves,
     and cov = K_g - W^T W with W = L^-1 K_Xg, which is exactly symmetric.
-    With no training data the prior is returned. The returned covariance is
-    verified positive definite (after the jitter ladder) in its own buffer,
-    the only M x M array this makes.
-    """
-    return _posterior(train, grid, hyper, kernel, noise, t, compute_cov)
-
-
-def _posterior(train, grid, hyper, kernel, noise, t, compute_cov, k_grid=None) -> FieldPosterior:
-    """``posterior``, assembling the covariance in k_grid when it is given:
-    K_g under (kernel, hyper.tx), which is overwritten.
-
-    Otherwise K_g is built after the training covariance is factored, so that
-    factorization never runs beside an M x M array.
+    With no training data the prior is returned. K_g is built after the
+    training covariance is factored, so that factorization never runs beside
+    an M x M array, and the returned covariance is assembled and verified
+    positive definite (after the jitter ladder) in K_g's buffer, the only
+    M x M array this makes.
     """
     xy, z = train
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
@@ -485,7 +477,7 @@ def _posterior(train, grid, hyper, kernel, noise, t, compute_cov, k_grid=None) -
     if xy.shape[0] == 0:
         cov = None
         if compute_cov:
-            cov = k_grid if k_grid is not None else kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
+            cov = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
             chol_with_jitter(cov, "grid prior covariance", check_only=True)
         return FieldPosterior(t=t, mean=m_grid, cov=cov, hyper=hyper, kernel=kernel)
 
@@ -496,7 +488,7 @@ def _posterior(train, grid, hyper, kernel, noise, t, compute_cov, k_grid=None) -
     cov = None
     if compute_cov:
         w = solve_triangular(low, k_gx.T, lower=True, overwrite_b=True)  # reuses k_gx
-        cov = k_grid if k_grid is not None else kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
+        cov = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
         subtract_gram(cov, w)
         chol_with_jitter(cov, "grid posterior covariance", check_only=True)
     return FieldPosterior(t=t, mean=mean, cov=cov, hyper=hyper, kernel=kernel)

@@ -14,7 +14,7 @@ import numpy as np
 # minimize is unused here; the benchmark tracer resolves it by module name
 from scipy.optimize import minimize  # noqa: F401
 
-from .model import D_MIN, MeasurementSnapshot, Position
+from .model import MeasurementSnapshot, Position
 
 
 class NoFixError(RuntimeError):
@@ -74,11 +74,3 @@ def centroid_update(state: CentroidState, snapshot: MeasurementSnapshot) -> Cent
         estimate=Position(float(est[0]), float(est[1])),
     )
 
-
-def distances_to_estimate(state: CentroidState, positions) -> np.ndarray:
-    """Distances from each position to the current fix, clamped at D_MIN."""
-    if not state.has_fix:
-        raise NoFixError("centroid has no fix: no report has carried positive linear power yet")
-    pts = np.asarray(positions, dtype=float).reshape(-1, 2)
-    d = np.hypot(pts[:, 0] - state.estimate.x, pts[:, 1] - state.estimate.y)
-    return np.maximum(d, D_MIN)

@@ -10,17 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .empbayes import HyperEstimate, estimate_means, hyper_at, refine_all
+from .empbayes import HyperEstimate, hyper_at, refine_all
 from .gp import FieldPosterior, KernelParams, fit_kernel, posterior
 from .localize import CentroidState
-from .model import (
-    Grid,
-    MeasurementSnapshot,
-    NoiseModel,
-    Position,
-    clamped_distances,
-    log_distance_feature,
-)
+from .model import Grid, MeasurementSnapshot, NoiseModel, Position
 
 
 @dataclass
@@ -82,9 +75,7 @@ def _hyper(snapshot: MeasurementSnapshot, config: PipelineConfig, centroid: Opti
             area_bounds=config.area_bounds,
             sigma_z_given=config.sigma_z_given,
         )
-    d_hat = clamped_distances(snapshot.positions, config.fixed_tx)
-    mu_p, mu_alpha = estimate_means(snapshot.rss, log_distance_feature(d_hat), d_hat)
-    return hyper_at(snapshot.rss, mu_p, mu_alpha, d_hat, config.fixed_tx, config.sigma_z_given), centroid
+    return hyper_at(snapshot, config.fixed_tx, config.sigma_z_given), centroid
 
 
 def _kernel(snapshot: MeasurementSnapshot, hyper: HyperEstimate, config: PipelineConfig) -> KernelParams:

@@ -26,7 +26,6 @@ from scipy.linalg import solve_triangular
 
 from .gp import (
     FieldPosterior,
-    _posterior,
     chol_with_jitter,
     condition,
     kernel_matrix,
@@ -36,13 +35,12 @@ from .gp import (
 )
 from .localize import CentroidState
 from .model import Grid, MeasurementSnapshot, Position, clamped_distances
-from .pipeline import PipelineConfig, _hyper, _kernel
+from .pipeline import PipelineConfig, _hyper, _kernel, run_static
 
 # unused here; the benchmark tracer wraps these names on this module, so they
 # stay importable from it
 from .empbayes import refine_all  # noqa: F401
 from .gp import fit_kernel  # noqa: F401
-from .pipeline import run_static  # noqa: F401
 
 KERNEL_REFIT_MODES = ("freeze_after_init", "every_step")
 
@@ -68,10 +66,11 @@ class RecursiveState:
     """Carried state: the last posterior and what the next step reads besides.
 
     grid_prior_cov is K_g under posterior.kernel and cov_tx, kept so that a
-    step under the same kernel and fix does not rebuild it. It is None under
-    ``every_step``, whose steps refit both, and a step that finds None
-    rebuilds K_g. cov_tx is the transmitter fix of the covariance-side kernel
-    evaluations, which moves only under ``every_step``. The carried prior
+    step under the same kernel and fix does not rebuild it. It is None in
+    the state ``init_state`` returns and under ``every_step``, whose steps
+    refit both; a step that finds None rebuilds K_g. cov_tx is the
+    transmitter fix of the covariance-side kernel evaluations, which moves
+    only under ``every_step``. The carried prior
     mean is prior_mean(grid, posterior.hyper). Each step blends the current
     static posterior covariance with the carried posterior.cov convexly (see
     the module docstring), so the carried covariance stays positive definite
@@ -86,27 +85,16 @@ class RecursiveState:
 
 
 def init_state(snapshot0: MeasurementSnapshot, grid: Grid, config: RecursiveConfig) -> RecursiveState:
-    """Run the full static pipeline on the first snapshot and seed the state.
+    """Seed the state with ``run_static`` on the first snapshot.
 
-    This is ``run_static`` with its grid prior K_g built once: the posterior
-    covariance is assembled in a copy of it, and K_g itself is kept unless
-    every step refits the kernel.
+    The state carries no grid prior: the first step that conditions on
+    reports builds K_g, and keeps it for later steps unless every step
+    refits the kernel.
     """
-    pconf = config.pipeline
-    hyper, centroid = _hyper(snapshot0, pconf, None)
-    kernel = _kernel(snapshot0, hyper, pconf)
-    k_grid = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
-    train = (snapshot0.positions, snapshot0.rss)
-    post = _posterior(train, grid, hyper, kernel, pconf.noise, snapshot0.t, True, k_grid.copy())
+    static = run_static(snapshot0, grid, config.pipeline)
     return RecursiveState(
-        posterior=post, centroid=centroid, cov_tx=hyper.tx,
-        grid_prior_cov=_carried_grid_prior(k_grid, config),
+        posterior=static.posterior, centroid=static.centroid, grid_prior_cov=None, cov_tx=static.hyper.tx,
     )
-
-
-def _carried_grid_prior(k_grid: np.ndarray, config: RecursiveConfig) -> Optional[np.ndarray]:
-    """The grid prior a state carries: K_g if the next step can reuse it."""
-    return None if config.kernel_refit == "every_step" else k_grid
 
 
 def _grid_prior_cov(state: RecursiveState, grid: Grid, kernel, cov_tx) -> np.ndarray:
@@ -189,5 +177,5 @@ def rgp_step(
     new_post = FieldPosterior(t=snapshot.t, mean=mean, cov=cov, hyper=hyper, kernel=kernel)
     return RecursiveState(
         posterior=new_post, centroid=centroid, cov_tx=cov_tx,
-        grid_prior_cov=_carried_grid_prior(k_grid, config),
+        grid_prior_cov=None if config.kernel_refit == "every_step" else k_grid,
     )

@@ -150,16 +150,6 @@ def _correlation(a_xy, b_xy, d_corr: float) -> np.ndarray:
     return corr
 
 
-def shadowing_covariance(positions, sigma_v: float, d_corr: float) -> np.ndarray:
-    """Exponential shadowing covariance sigma_v^2 * exp(-d_ij / d_corr)."""
-    if sigma_v < 0:
-        raise ValueError("sigma_v must be >= 0")
-    if d_corr <= 0:
-        raise ValueError("d_corr must be > 0")
-    pts = np.asarray(positions, dtype=float).reshape(-1, 2)
-    return sigma_v**2 * _correlation(pts, pts, d_corr)
-
-
 class _FifoCache:
     """Bounded cache keyed by byte fingerprints of numpy arrays; when full it
     evicts the oldest insertion, whatever was read since."""

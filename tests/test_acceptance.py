@@ -22,7 +22,7 @@ from rssfield.localize import CentroidState
 from rssfield.model import Grid, MeasurementSnapshot, NoiseModel, Position
 from rssfield.pipeline import PipelineConfig, run_static
 from rssfield.recursive import KERNEL_REFIT_MODES, RecursiveConfig, RecursiveState, init_state, rgp_step
-from rssfield.synth import shadowing_covariance
+from rssfield.synth import _correlation
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -231,7 +231,7 @@ def test_criterion_5_hcrb_dominates_and_is_nearly_achieved():
     kernel = KernelParams.from_decay(sigma_v, d_corr, sigma_alpha, sigma_p)
 
     joint = np.vstack([sensors, probe.xy])
-    cov_v = shadowing_covariance(joint, sigma_v, d_corr)
+    cov_v = sigma_v**2 * _correlation(joint, joint, d_corr)
     cov_v[np.diag_indices_from(cov_v)] += 1e-10
     chol_v = np.linalg.cholesky(cov_v)
     d_true = rf.clamped_distances(sensors, tx)

@@ -11,6 +11,7 @@ from rssfield.baseline import _DUP_EPS, VariogramModel, _empirical_semivariogram
 from rssfield.empbayes import HyperEstimate
 from rssfield.gp import _blocks, matvec, prior_mean
 from rssfield.model import Grid, Position, distance_matrix
+from rssfield.synth import _correlation
 
 
 HYPER = HyperEstimate(mu_p=-10.0, mu_alpha=3.0, var_p=0.0, var_alpha=0.0, tx=Position(0.0, 0.0))
@@ -37,7 +38,7 @@ def test_variogram_recovers_shadowing_scales():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         pos = rng.uniform(0, 500, (150, 2))
-        cov = rf.shadowing_covariance(pos, math.sqrt(10.0), 50.0)
+        cov = math.sqrt(10.0) ** 2 * _correlation(pos, pos, 50.0)
         cov[np.diag_indices_from(cov)] += 1e-10
         resid = np.linalg.cholesky(cov) @ rng.standard_normal(150)
         model = fit_variogram(resid, pos)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
 import rssfield as rf
-from rssfield import empbayes
+from rssfield import empbayes, pipeline
 from rssfield.empbayes import (
     DegenerateFitError,
     KERNEL_PATH_VAR,
@@ -15,8 +15,9 @@ from rssfield.empbayes import (
     refine_all,
     refine_transmitter,
 )
-from rssfield.localize import CentroidState
+from rssfield.localize import CentroidState, NoFixError, centroid_update
 from rssfield.model import D_MIN, MeasurementSnapshot, Position
+from rssfield.pipeline import PipelineConfig
 
 
 def test_means_noise_free_recovery_is_exact():
@@ -325,6 +326,15 @@ def test_refine_all_empty_snapshot_rejected():
         refine_all(snap, CentroidState.empty())
 
 
+def test_refine_all_without_a_fix_raises():
+    # reports too weak to carry linear power (10^(z/10) underflows to 0)
+    # leave the centroid without a fix
+    weak = snap([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]], [-4000.0] * 3)
+    assert not centroid_update(CentroidState.empty(), weak).has_fix
+    with pytest.raises(NoFixError):
+        refine_all(weak, CentroidState.empty())
+
+
 def test_refine_all_estimates_variances_when_covariance_known():
     sc, snap = _noise_free_world(seed=12)
     hyper, _ = refine_all(
@@ -333,6 +343,25 @@ def test_refine_all_estimates_variances_when_covariance_known():
     assert hyper.var_p >= 0.0 and hyper.var_alpha >= 0.0
     # noise-free data with a correct covariance leaves nothing to explain
     assert hyper.var_p < 1e-10 and hyper.var_alpha < 1e-10
+
+
+@pytest.mark.parametrize(
+    "sigma_z_given", [None, lambda d: 7.0 + (200.0 / d) ** 2], ids=["kernel_path", "empirical_path"]
+)
+def test_known_transmitter_at_refine_alls_fix_gives_refine_alls_hyper(sigma_z_given):
+    # the static fit's known-transmitter branch takes refine_all's own
+    # means-at-the-fix step, so given refine_all's fix it returns its estimate
+    sc = rf.benchmark_scenario(seed=13, sigma_v_sq=10.0, nx=4, ny=4, n_sensors=60, area=(300.0, 300.0))
+    snap, _ = rf.sample_snapshot(sc, 0)
+    hyper, _ = refine_all(snap, CentroidState.empty(), area_bounds=sc.area_bounds, sigma_z_given=sigma_z_given)
+    config = PipelineConfig(
+        noise=rf.NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0)), area_bounds=sc.area_bounds,
+        sigma_z_given=sigma_z_given, fixed_tx=hyper.tx,
+    )
+    known, centroid = pipeline._hyper(snap, config, None)
+    assert known == hyper
+    assert (sigma_z_given is None) == (hyper.var_p == hyper.var_alpha == KERNEL_PATH_VAR)
+    assert not centroid.has_fix  # a known transmitter leaves the centroid alone
 
 
 def test_distance_weighting_shields_near_sensor_corruption():

@@ -360,6 +360,26 @@ def test_cli_bound_and_okd_and_recursive(tmp_path):
     assert (out / "field_rgp_t1.csv").exists()
 
 
+def test_one_snapshot_commands_synthesize_only_the_first_step(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(scenario, t=0):
+        calls.append(t)
+        return rf.sample_snapshot(scenario, t)
+
+    monkeypatch.setattr(cli, "sample_snapshot", counting)
+    cfg = write_cfg(tmp_path, SMALL_SCENARIO)
+    fields = []
+    for steps in ("1", "6"):
+        out = tmp_path / f"out{steps}"
+        for command in ("fit-static", "bound", "baseline-okd"):
+            calls.clear()
+            assert cli.main([command, "--config", cfg, "--out", str(out), "--steps", steps]) == 0
+            assert calls == [0]
+        fields.append((out / "field_static.csv").read_bytes())
+    assert fields[0] == fields[1]
+
+
 def test_cli_ingest_real(tmp_path):
     rng = np.random.default_rng(3)
     rows = [(0, str(i), *rng.uniform(0, 100, 2), float(rng.uniform(-90, -50))) for i in range(40)]

@@ -1,9 +1,8 @@
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
-from rssfield.localize import CentroidState, NoFixError, centroid_update, distances_to_estimate
-from rssfield.model import D_MIN, MeasurementSnapshot
+from rssfield.localize import CentroidState, centroid_update
+from rssfield.model import D_MIN, MeasurementSnapshot, Position, clamped_distances
 
 
 def snap(positions, rss, t=0):
@@ -63,20 +62,18 @@ def test_centroid_stays_in_convex_hull():
 def test_centroid_empty_snapshot_no_fix():
     state = centroid_update(CentroidState.empty(), snap(np.zeros((0, 2)), []))
     assert not state.has_fix
-    with pytest.raises(NoFixError):
-        distances_to_estimate(state, [[0.0, 0.0]])
 
 
-def test_distances_to_estimate_values_and_clamp():
+def test_distances_to_fix_values_and_clamp():
     state = centroid_update(CentroidState.empty(), snap([[0.0, 0.0]], [0.0]))
-    d = distances_to_estimate(state, [[3.0, 4.0], [0.0, 0.0]])
+    d = clamped_distances([[3.0, 4.0], [0.0, 0.0]], state.estimate)
     assert_allclose(d, [5.0, D_MIN])
 
 
 def test_distances_batch_matches_elementwise():
-    state = centroid_update(CentroidState.empty(), snap([[10.0, -3.0]], [-60.0]))
+    fix = Position(10.0, -3.0)
     rng = np.random.default_rng(2)
     pts = rng.uniform(-100, 100, (10, 2))
-    batch = distances_to_estimate(state, pts)
-    single = [distances_to_estimate(state, p.reshape(1, 2))[0] for p in pts]
+    batch = clamped_distances(pts, fix)
+    single = [clamped_distances(p.reshape(1, 2), fix)[0] for p in pts]
     assert_allclose(batch, single, rtol=1e-15)

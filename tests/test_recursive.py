@@ -232,7 +232,7 @@ def test_init_state_requires_data_and_gives_pd_covariance():
         init_state(lone, sc.grid, rcfg)
 
 
-def test_init_state_builds_the_grid_prior_once_and_equals_run_static(monkeypatch):
+def test_init_state_is_run_static_and_the_first_step_builds_the_grid_prior(monkeypatch):
     sc = rf.benchmark_scenario(seed=5, sigma_v_sq=10.0, nx=5, ny=5, n_sensors=20, area=(250.0, 250.0))
     snap0, _ = rf.sample_snapshot(sc, 0)
     noise = NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
@@ -246,17 +246,27 @@ def test_init_state_builds_the_grid_prior_once_and_equals_run_static(monkeypatch
             shapes.append(out.shape)
             return out
         monkeypatch.setattr(module, "kernel_matrix", recording)
+    grid_prior = (sc.grid.n_nodes, sc.grid.n_nodes)
     state = init_state(snap0, sc.grid, rcfg)
-    assert shapes.count((sc.grid.n_nodes, sc.grid.n_nodes)) == 1
+    assert shapes.count(grid_prior) == 1  # run_static's posterior
 
     assert_array_equal(state.posterior.mean, static.posterior.mean)
     assert_array_equal(state.posterior.cov, static.posterior.cov)
+    assert state.grid_prior_cov is None
+    assert (state.posterior.kernel, state.posterior.hyper, state.cov_tx, state.centroid.estimate) == (
+        static.kernel, static.hyper, static.hyper.tx, static.centroid.estimate
+    )
+
+    # under freeze_after_init the first step builds K_g and every later one reuses it
+    states = [state]
+    for t in range(1, 4):
+        snap, _ = rf.sample_snapshot(sc, t)
+        states.append(rgp_step(states[-1], snap, sc.grid, rcfg))
+    assert shapes.count(grid_prior) == 2
     assert_array_equal(
-        state.grid_prior_cov, kernel_matrix(sc.grid.xy, sc.grid.xy, static.kernel, static.hyper.tx)
+        states[1].grid_prior_cov, kernel_matrix(sc.grid.xy, sc.grid.xy, static.kernel, static.hyper.tx)
     )
-    assert (state.posterior.kernel, state.posterior.hyper, state.cov_tx) == (
-        static.kernel, static.hyper, static.hyper.tx
-    )
+    assert all(s.grid_prior_cov is states[1].grid_prior_cov for s in states[1:])
 
 
 def test_empty_snapshot_carries_state_with_warning():
@@ -319,8 +329,9 @@ def intermittent_run(kernel_refit, steps=5, empty_at=3, seed=8, fixed_tx=None):
 
 def test_grid_prior_reuse_gives_identical_states(monkeypatch):
     grid, reused = intermittent_run("freeze_after_init")
-    # under a frozen kernel every step keeps the initial grid prior itself
-    assert all(s.grid_prior_cov is reused[0].grid_prior_cov for s in reused)
+    # under a frozen kernel every step keeps the grid prior the first step built
+    assert reused[0].grid_prior_cov is None
+    assert all(s.grid_prior_cov is reused[1].grid_prior_cov for s in reused[1:])
 
     monkeypatch.setattr(
         recursive, "_grid_prior_cov",

@@ -13,8 +13,8 @@ from rssfield.synth import (
     Scenario,
     Static,
     advance_dynamics,
+    _correlation,
     sample_snapshot,
-    shadowing_covariance,
 )
 
 
@@ -39,7 +39,7 @@ def test_shadowing_covariance_matches_entrywise_oracle():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 300, (5, 2))
     sigma_v, d_corr = 3.0, 42.0
-    cov = shadowing_covariance(pts, sigma_v, d_corr)
+    cov = sigma_v**2 * _correlation(pts, pts, d_corr)
     for i in range(5):
         for j in range(5):
             d = math.hypot(*(pts[i] - pts[j]))
@@ -50,7 +50,7 @@ def test_shadowing_covariance_matches_entrywise_oracle():
 
 def test_shadowing_covariance_short_range_limit():
     pts = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 25.0]])
-    cov = shadowing_covariance(pts, 2.0, 1e-9)
+    cov = 2.0**2 * _correlation(pts, pts, 1e-9)
     off = cov[~np.eye(3, dtype=bool)]
     assert np.all(np.abs(off) < 1e-12)
 
@@ -58,7 +58,7 @@ def test_shadowing_covariance_short_range_limit():
 def test_joint_shadowing_is_positive_definite_after_jitter():
     sc = small_scenario(3)
     pts = np.vstack([sc.grid.xy, np.random.default_rng(1).uniform(0, 200, (8, 2))])
-    cov = shadowing_covariance(pts, sc.params.sigma_v, sc.params.d_corr)
+    cov = sc.params.sigma_v**2 * _correlation(pts, pts, sc.params.d_corr)
     cov[np.diag_indices_from(cov)] += 1e-8 * sc.params.sigma_v**2
     np.linalg.cholesky(cov)  # must not raise
 
@@ -103,7 +103,7 @@ def test_sensor_shadowing_monte_carlo_covariance():
         draws.append(truth.sensor_shadowing)
     draws = np.array(draws)
     sample_cov = np.cov(draws.T, bias=True)
-    target = shadowing_covariance(pos, math.sqrt(10), 50.0)
+    target = math.sqrt(10) ** 2 * _correlation(pos, pos, 50.0)
     assert_allclose(sample_cov, target, rtol=0.05, atol=0.15)
 
 
