@@ -21,6 +21,8 @@ from .gp import _blocks, matvec, prior_mean
 from .model import Grid, distance_matrix
 
 _DUP_EPS = 1e-9
+# distance bins of the empirical semivariogram, before any widening
+_N_BINS = 15
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ def _empirical_semivariogram(residuals, positions, n_bins):
     return np.array(hs), np.array(gs), np.array(counts, dtype=float), half_max
 
 
-def fit_variogram(residuals, positions, n_bins: int = 15) -> VariogramModel:
+def fit_variogram(residuals, positions) -> VariogramModel:
     """Least-squares exponential fit of the binned empirical semivariogram.
 
     Bins are widened (fewer of them) when too sparsely populated. Fewer than
@@ -88,7 +90,7 @@ def fit_variogram(residuals, positions, n_bins: int = 15) -> VariogramModel:
 
     hs = gs = counts = None
     half_max = None
-    for bins in (n_bins, max(n_bins // 2, 4), 4):
+    for bins in (_N_BINS, _N_BINS // 2, 4):
         hs, gs, counts, half_max = _empirical_semivariogram(residuals, positions, bins)
         if hs.shape[0] >= 3:
             break

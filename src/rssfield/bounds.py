@@ -75,15 +75,13 @@ def hcrb_all(
     """
     xy, _ = train
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-    n = xy.shape[0]
     tx = hyper.tx
     d_hat = clamped_distances(xy, tx)
     # u = C^-1 m_X; k_gx is (m, N) and k_gx.T is K_Xg
     low, k_gx, u = condition(xy, grid.xy, prior_mean(xy, hyper), kernel, tx, noise.variances(d_hat))
 
     # Jacobian of the training prior mean w.r.t. (mu_p, mu_alpha, tx)
-    a_mat = mean_tx_gradient(xy, tx.as_array(), hyper.mu_alpha, d_hat)
-    jac = np.column_stack([np.ones(n), -log_distance_feature(d_hat), a_mat])  # (N, 4)
+    jac = grid_mean_gradient(xy, tx, hyper.mu_alpha)  # (N, 4)
 
     # derivative of the training covariance w.r.t. the fix, through 1/d^2
     rho_sq = noise.rho_u**2

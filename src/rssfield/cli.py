@@ -23,7 +23,7 @@ from .bounds import hcrb_all
 from .empbayes import DegenerateFitError
 from .localize import NoFixError
 from .model import MeasurementSnapshot, NumericalError
-from .pipeline import run_static
+from .pipeline import _hyper, run_static
 from .recursive import init_state, rgp_step
 from .synth import sample_snapshot
 
@@ -188,10 +188,9 @@ def cmd_baseline_okd(args):
     out = _outdir(cfg)
     snaps, grid, truth = _train_inputs(args, cfg, 1)
     snap = snaps[0]
-    result = run_static(snap, grid, cfg.pipeline_config(), compute_cov=False)
-    pred, var = okd_predict(
-        (snap.positions, snap.rss), grid, result.hyper, return_variance=True
-    )
+    # kriging detrends by the fitted means and needs no kernel
+    hyper, _ = _hyper(snap, cfg.pipeline_config(), None)
+    pred, var = okd_predict((snap.positions, snap.rss), grid, hyper, return_variance=True)
     path = out / "field_okd.csv"
     ex.write_field_csv(path, grid, pred, var)
     print(f"wrote {path}")
@@ -221,7 +220,7 @@ def cmd_eval(args):
 def cmd_ingest_real(args):
     cfg = _load(args)
     out = _outdir(cfg)
-    train_rows, _, test_grid, test_rss = ex.ingest_real(args.measurements, cfg.seed)
+    train_rows, test_grid, test_rss = ex.ingest_real(args.measurements, cfg.seed)
     ex.write_measurements(out / "train_measurements.csv", [(0, r[1], r[2], r[3], r[4]) for r in train_rows])
     ex.write_truth(out / "test_truth.csv", test_grid, test_rss)
     print(

@@ -188,6 +188,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not self.sigma_v_sq_sweep or not all(v >= 0 for v in self.sigma_v_sq_sweep):
             raise ConfigError("sigma_v_sq_sweep needs one or more values >= 0")
+        # the scenario takes sigma_v squared, so it cannot see the sign
+        if self.sigma_v < 0:
+            raise ConfigError("sigma_v must be >= 0")
         try:
             self.scenario()
             self.recursive_config()
@@ -220,54 +223,39 @@ class ExperimentConfig:
         raise ConfigError(f"unknown dynamics {self.dynamics!r}")
 
     def scenario(self, seed: Optional[int] = None, sigma_v_sq: Optional[float] = None) -> Scenario:
-        sigma_v = self.sigma_v if sigma_v_sq is None else math.sqrt(sigma_v_sq)
-        params = synth.PropagationParams(
-            alpha=self.alpha,
-            power=self.power,
-            sigma_v=sigma_v,
-            d_corr=self.d_corr,
+        return synth.benchmark_scenario(
+            self.seed if seed is None else seed,
+            sigma_v_sq=self.sigma_v**2 if sigma_v_sq is None else sigma_v_sq,
             sigma_w=self.sigma_w,
             sigma_d=self.sigma_d,
-            tx_position=self.tx_position(),
-        )
-        return Scenario(
-            params=params,
-            grid=self.grid(),
+            alpha=self.alpha,
+            power=self.power,
+            d_corr=self.d_corr,
             area=self.area,
+            nx=self.grid_nx,
+            ny=self.grid_ny,
             n_sensors=self.n_sensors,
-            seed=self.seed if seed is None else seed,
             dynamics=self.dynamics_obj(),
+            tx=self.tx_position(),
         )
 
     def pipeline_config(self) -> PipelineConfig:
         """Static-fit config; the empirical variance path also gets the known
-        per-sensor measurement variances as a function of the fitted distances."""
+        shadowing variance sigma_v^2."""
         if self.variance_path not in ("kernel", "empirical"):
             raise ConfigError(f"unknown variance_path {self.variance_path!r}")
-        cfg = PipelineConfig(
+        return PipelineConfig(
             noise=self.noise_model(),
             area_bounds=((0.0, self.area[0]), (0.0, self.area[1])),
             n_starts=self.n_starts,
+            sigma_v_sq=self.sigma_v**2 if self.variance_path == "empirical" else None,
             fixed_tx=self.tx_position() if self.tx_known else None,
         )
-        if self.variance_path == "empirical":
-            cfg.sigma_z_given = _known_variances(self.sigma_v**2, cfg.noise)
-        return cfg
 
     def recursive_config(self) -> RecursiveConfig:
         return RecursiveConfig(
             pipeline=self.pipeline_config(), lam=self.lam, kernel_refit=self.kernel_refit
         )
-
-
-def _known_variances(sigma_v_sq: float, noise: NoiseModel):
-    """Known per-sensor measurement variances sigma_v^2 + sigma_w^2 + rho_u^2 / d^2
-    as a callable of the fitted distances (the empirical variance path)."""
-
-    def known(d_hat):
-        return sigma_v_sq + noise.variances(d_hat)
-
-    return known
 
 
 def _bool(text: str) -> bool:
@@ -440,9 +428,8 @@ def run_single_case(scenario, truth, snapshot, positions, rho_u, config: Experim
     )
     pcfg = config.pipeline_config()
     pcfg.noise = NoiseModel(rho_u=rho_u, sigma_w=config.sigma_w)
-    if pcfg.sigma_z_given is not None:
-        # the known variance follows the swept shadowing and the case's noise model
-        pcfg.sigma_z_given = _known_variances(scenario.params.sigma_v**2, pcfg.noise)
+    if pcfg.sigma_v_sq is not None:
+        pcfg.sigma_v_sq = scenario.params.sigma_v**2  # the swept shadowing
     result = run_static(snap, scenario.grid, pcfg, compute_cov=False)
     mse = compute_mse(result.posterior.mean, truth.grid_field)
     tx = result.hyper.tx
@@ -540,13 +527,7 @@ def ingest_real(measurements_path, split_seed: int):
         seen.add((x, y))
         test_xy.append((x, y))
         test_rss.append(rss)
-    train_snapshot = MeasurementSnapshot(
-        t=0,
-        sensor_ids=tuple(range(len(train_rows))),
-        positions=np.array([(r[2], r[3]) for r in train_rows]),
-        rss=np.array([r[4] for r in train_rows]),
-    )
-    return train_rows, train_snapshot, Grid(np.array(test_xy)), np.array(test_rss)
+    return train_rows, Grid(np.array(test_xy)), np.array(test_rss)
 
 
 # ---------------------------------------------------------------------------

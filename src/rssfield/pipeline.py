@@ -23,9 +23,8 @@ class PipelineConfig:
     noise: NoiseModel
     area_bounds: Optional[tuple] = None
     n_starts: int = 4
-    # known per-sensor measurement variances as a callable of the fitted
-    # distances (known shadowing parameters); enables the empirical variance path
-    sigma_z_given: Optional[object] = None
+    # known shadowing variance sigma_v^2; enables the empirical variance path
+    sigma_v_sq: Optional[float] = None
     # fixed kernel scales; skips the marginal-likelihood fit when given
     kernel: Optional[KernelParams] = None
     # known transmitter location; bypasses localization entirely
@@ -66,16 +65,19 @@ def run_static(
 
 def _hyper(snapshot: MeasurementSnapshot, config: PipelineConfig, centroid: Optional[CentroidState]) -> tuple:
     """(hyper, centroid): at the known transmitter when one is configured
-    (the centroid then passes through), else by ``refine_all``."""
+    (the centroid then passes through), else by ``refine_all``.
+
+    On the empirical variance path both get the known per-sensor measurement
+    variances sigma_v^2 + sigma_w^2 + rho_u^2 / d^2 as a function of the
+    distances to the fix, under the config's noise model as it is now.
+    """
     centroid = centroid if centroid is not None else CentroidState.empty()
+    known = None
+    if config.sigma_v_sq is not None:
+        known = lambda d_hat: config.sigma_v_sq + config.noise.variances(d_hat)  # noqa: E731
     if config.fixed_tx is None:
-        return refine_all(
-            snapshot,
-            centroid,
-            area_bounds=config.area_bounds,
-            sigma_z_given=config.sigma_z_given,
-        )
-    return hyper_at(snapshot, config.fixed_tx, config.sigma_z_given), centroid
+        return refine_all(snapshot, centroid, area_bounds=config.area_bounds, sigma_z_given=known)
+    return hyper_at(snapshot, config.fixed_tx, known), centroid
 
 
 def _kernel(snapshot: MeasurementSnapshot, hyper: HyperEstimate, config: PipelineConfig) -> KernelParams:

@@ -28,6 +28,7 @@ from .model import (
     PropagationParams,
     clamped_distances,
     distance_matrix,
+    uniform_grid,
 )
 
 # seed-tree purpose keys
@@ -288,13 +289,9 @@ def sample_snapshot(scenario: Scenario, t: int = 0) -> tuple:
     world = advance_dynamics(scenario, t)
 
     # moving sensors need conditional shadowing for the full roster at their
-    # current positions; static rosters reuse the t=0 draw (idx subset below)
-    if isinstance(scenario.dynamics, Moving):
-        roster_xy = world.true_positions
-        active = np.arange(roster_xy.shape[0])
-    else:
-        roster_xy = base_positions(scenario)
-        active = np.asarray(world.active_ids, dtype=int)
+    # current positions; static rosters reuse the t=0 draw (active subset below)
+    roster_xy = world.true_positions if isinstance(scenario.dynamics, Moving) else base_positions(scenario)
+    active = np.asarray(world.active_ids, dtype=int)
 
     v_g, v_roster = _shadowing_at(scenario, t, roster_xy)
 
@@ -344,8 +341,6 @@ def benchmark_scenario(
 ) -> Scenario:
     """Reference synthetic setup: 500 m x 500 m, 1088-node grid, 218 sensors,
     transmitter at the area center."""
-    from .model import uniform_grid
-
     w, h = area
     if tx is None:
         tx = Position(w / 2.0, h / 2.0)

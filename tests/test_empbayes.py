@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -345,23 +346,23 @@ def test_refine_all_estimates_variances_when_covariance_known():
     assert hyper.var_p < 1e-10 and hyper.var_alpha < 1e-10
 
 
-@pytest.mark.parametrize(
-    "sigma_z_given", [None, lambda d: 7.0 + (200.0 / d) ** 2], ids=["kernel_path", "empirical_path"]
-)
-def test_known_transmitter_at_refine_alls_fix_gives_refine_alls_hyper(sigma_z_given):
+@pytest.mark.parametrize("sigma_v_sq", [None, 10.0], ids=["kernel_path", "empirical_path"])
+def test_known_transmitter_at_refine_alls_fix_gives_refine_alls_hyper(sigma_v_sq):
     # the static fit's known-transmitter branch takes refine_all's own
     # means-at-the-fix step, so given refine_all's fix it returns its estimate
     sc = rf.benchmark_scenario(seed=13, sigma_v_sq=10.0, nx=4, ny=4, n_sensors=60, area=(300.0, 300.0))
     snap, _ = rf.sample_snapshot(sc, 0)
-    hyper, _ = refine_all(snap, CentroidState.empty(), area_bounds=sc.area_bounds, sigma_z_given=sigma_z_given)
-    config = PipelineConfig(
-        noise=rf.NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0)), area_bounds=sc.area_bounds,
-        sigma_z_given=sigma_z_given, fixed_tx=hyper.tx,
-    )
-    known, centroid = pipeline._hyper(snap, config, None)
-    assert known == hyper
-    assert (sigma_z_given is None) == (hyper.var_p == hyper.var_alpha == KERNEL_PATH_VAR)
+    noise = rf.NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
+    # the known variances as pipeline._hyper builds them from the config
+    known = None if sigma_v_sq is None else (lambda d: sigma_v_sq + noise.variances(d))
+    hyper, _ = refine_all(snap, CentroidState.empty(), area_bounds=sc.area_bounds, sigma_z_given=known)
+    config = PipelineConfig(noise=noise, area_bounds=sc.area_bounds, sigma_v_sq=sigma_v_sq, fixed_tx=hyper.tx)
+    known_tx, centroid = pipeline._hyper(snap, config, None)
+    assert known_tx == hyper
+    assert (sigma_v_sq is None) == (hyper.var_p == hyper.var_alpha == KERNEL_PATH_VAR)
     assert not centroid.has_fix  # a known transmitter leaves the centroid alone
+    # without the fix configured, _hyper is refine_all with the same variances
+    assert pipeline._hyper(snap, dataclasses.replace(config, fixed_tx=None), None)[0] == hyper
 
 
 def test_distance_weighting_shields_near_sensor_corruption():

@@ -226,10 +226,9 @@ def test_ingest_real_split_sizes(tmp_path):
     rows = [(0, str(i), *rng.uniform(0, 100, 2), float(rng.uniform(-90, -50))) for i in range(6437)]
     path = tmp_path / "real.csv"
     write_measurements(path, rows)
-    train_rows, train_snap, test_grid, test_rss = ingest_real(path, split_seed=7)
+    train_rows, test_grid, test_rss = ingest_real(path, split_seed=7)
     assert len(train_rows) == 3218
     assert test_grid.n_nodes == 3219
-    assert train_snap.n_sensors == 3218
     assert test_rss.shape == (3219,)
 
 
@@ -237,8 +236,8 @@ def test_ingest_real_two_rows_and_determinism(tmp_path):
     rows = [(0, "a", 1.0, 2.0, -60.0), (0, "b", 3.0, 4.0, -70.0)]
     path = tmp_path / "two.csv"
     write_measurements(path, rows)
-    train1, _, grid1, rss1 = ingest_real(path, split_seed=3)
-    train2, _, grid2, rss2 = ingest_real(path, split_seed=3)
+    train1, grid1, rss1 = ingest_real(path, split_seed=3)
+    train2, grid2, rss2 = ingest_real(path, split_seed=3)
     assert len(train1) == 1 and grid1.n_nodes == 1
     assert train1 == train2
     assert_allclose(grid1.xy, grid2.xy)
@@ -378,6 +377,20 @@ def test_one_snapshot_commands_synthesize_only_the_first_step(tmp_path, monkeypa
             assert calls == [0]
         fields.append((out / "field_static.csv").read_bytes())
     assert fields[0] == fields[1]
+
+
+def test_baseline_okd_fits_no_kernel(tmp_path, monkeypatch):
+    # kriging reads only the fitted means; the kernel fit is not run
+    cfg = write_cfg(tmp_path, SMALL_SCENARIO)
+    assert cli.main(["baseline-okd", "--config", cfg, "--out", str(tmp_path / "fit")]) == 0
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("baseline-okd ran the kernel fit")
+
+    monkeypatch.setattr(rf.pipeline, "fit_kernel", no_fit)
+    assert cli.main(["baseline-okd", "--config", cfg, "--out", str(tmp_path / "nofit")]) == 0
+    want = (tmp_path / "fit" / "field_okd.csv").read_bytes()
+    assert (tmp_path / "nofit" / "field_okd.csv").read_bytes() == want
 
 
 def test_cli_ingest_real(tmp_path):
@@ -525,6 +538,7 @@ def _cfg_with(line):
     ("cases", "sigma_v_sq_sweep = 4, -4", []),
     ("synth", None, ["--seed", "seven"]),
     ("fit-static", "refine_passes = 10", []),  # a removed key
+    ("fit-static", "sigma_v = -1", []),  # the scenario sees only sigma_v squared
 ])
 def test_cli_invalid_config_exits_2_before_any_work(tmp_path, capsys, command, line, flags):
     cfg = write_cfg(tmp_path, _cfg_with(line) if line else SMALL_SCENARIO)
@@ -630,7 +644,11 @@ def test_fit_recursive_fills_up_to_max_empty_steps_and_rejects_more():
     *[("six sensors", command) for command in _FIT_COMMANDS if command != "baseline-okd"],
 ])
 def test_cli_fittable_hostile_data_exits_0_with_finite_fields(tmp_path, capsys, case, command):
-    rc, _, fields = _run_hostile(case, command, tmp_path, capsys)
+    if command == "fit-recursive" and case == "empty step":
+        with pytest.warns(RuntimeWarning, match="empty snapshot at t=1: carrying the field forward"):
+            rc, _, fields = _run_hostile(case, command, tmp_path, capsys)
+    else:
+        rc, _, fields = _run_hostile(case, command, tmp_path, capsys)
     assert rc == 0
     want = {
         "fit-static": ["field_static.csv"],

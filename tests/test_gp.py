@@ -609,7 +609,7 @@ def test_fit_kernel_optimizes_only_the_two_spatial_scales(monkeypatch, variance_
     noise = NoiseModel(rho_u=0.0, sigma_w=sc.params.sigma_w)
     config = rf.PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=4)
     if variance_path == "empirical":
-        config.sigma_z_given = lambda d: np.full_like(d, 17.0)
+        config.sigma_v_sq = sc.params.sigma_v**2
     calls, real_minimize = [], gp.minimize
 
     def recording_minimize(fun, x0, **kwargs):
