@@ -188,9 +188,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not self.sigma_v_sq_sweep or not all(v >= 0 for v in self.sigma_v_sq_sweep):
             raise ConfigError("sigma_v_sq_sweep needs one or more values >= 0")
-        # the scenario takes sigma_v squared, so it cannot see the sign
+        # the scenario takes sigma_v squared, so it cannot see the sign, and
+        # squaring a huge sigma_v overflows before the scenario sees it
         if self.sigma_v < 0:
             raise ConfigError("sigma_v must be >= 0")
+        if not math.isfinite(self.sigma_v * self.sigma_v):
+            raise ConfigError("sigma_v squared must be finite")
         try:
             self.scenario()
             self.recursive_config()
@@ -266,41 +269,41 @@ def _bool(text: str) -> bool:
 
 
 def _floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(","))
+    return tuple(_finite(v) for v in text.split(","))
 
 
 def _schedule(text: str) -> tuple:
     """'0:-10, 5:-5' -> ((0, -10.0), (5, -5.0))"""
-    return tuple((int(t), float(p)) for t, p in (part.split(":") for part in text.split(",")))
+    return tuple((int(t), _finite(p)) for t, p in (part.split(":") for part in text.split(",")))
 
 
 # (section, key) -> (ExperimentConfig field, converter, slot). A blank value
 # keeps the field's default. area and tx take two keys each, one per slot of
 # their (x, y) pair; every other field takes one key (slot None).
 _KEYS = {
-    ("scenario", "area_width"): ("area", float, 0),
-    ("scenario", "area_height"): ("area", float, 1),
+    ("scenario", "area_width"): ("area", _finite, 0),
+    ("scenario", "area_height"): ("area", _finite, 1),
     ("scenario", "grid_nx"): ("grid_nx", int, None),
     ("scenario", "grid_ny"): ("grid_ny", int, None),
     ("scenario", "n_sensors"): ("n_sensors", int, None),
-    ("scenario", "alpha"): ("alpha", float, None),
-    ("scenario", "power_dbm"): ("power", float, None),
-    ("scenario", "sigma_w"): ("sigma_w", float, None),
-    ("scenario", "sigma_v"): ("sigma_v", float, None),
-    ("scenario", "d_corr"): ("d_corr", float, None),
-    ("scenario", "sigma_d"): ("sigma_d", float, None),
-    ("scenario", "tx_x"): ("tx", float, 0),
-    ("scenario", "tx_y"): ("tx", float, 1),
+    ("scenario", "alpha"): ("alpha", _finite, None),
+    ("scenario", "power_dbm"): ("power", _finite, None),
+    ("scenario", "sigma_w"): ("sigma_w", _finite, None),
+    ("scenario", "sigma_v"): ("sigma_v", _finite, None),
+    ("scenario", "d_corr"): ("d_corr", _finite, None),
+    ("scenario", "sigma_d"): ("sigma_d", _finite, None),
+    ("scenario", "tx_x"): ("tx", _finite, 0),
+    ("scenario", "tx_y"): ("tx", _finite, 1),
     ("scenario", "tx_known"): ("tx_known", _bool, None),
     ("scenario", "dynamics"): ("dynamics", str, None),
-    ("scenario", "drop_fraction"): ("drop_fraction", float, None),
-    ("scenario", "step_std"): ("step_std", float, None),
+    ("scenario", "drop_fraction"): ("drop_fraction", _finite, None),
+    ("scenario", "step_std"): ("step_std", _finite, None),
     ("scenario", "power_schedule"): ("power_schedule", _schedule, None),
-    ("estimator", "lambda"): ("lam", float, None),
+    ("estimator", "lambda"): ("lam", _finite, None),
     ("estimator", "steps"): ("steps", int, None),
     ("estimator", "kernel_refit"): ("kernel_refit", str, None),
     ("estimator", "variance_path"): ("variance_path", str, None),
-    ("estimator", "rho_u"): ("rho_u", float, None),
+    ("estimator", "rho_u"): ("rho_u", _finite, None),
     ("estimator", "n_starts"): ("n_starts", int, None),
     ("run", "replicates"): ("replicates", int, None),
     ("run", "seed"): ("seed", int, None),

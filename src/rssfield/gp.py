@@ -49,6 +49,14 @@ The one factorization kept C-ordered is synth's sensor conditional: its
 matrix comes out of a product and is only nearly symmetric, so it is
 factored from the triangle it always was. README's performance notes keep
 the measured memory and times of this path.
+
+Kernel fit: ``fit_kernel`` builds one NLML objective per fit
+(``_nlml_objective``) and hands it to every L-BFGS-B start. The objective
+owns three N x N buffers and rebuilds C in one of them at each evaluation;
+potrf, potrs and potri work in place on it, and the gradient traces are
+ddots of potri's triangle with the other two buffers, so an evaluation makes
+no N x N temporary beyond a boolean finiteness mask. Its LAPACK calls are
+most of what an evaluation costs.
 """
 
 from __future__ import annotations
@@ -59,8 +67,8 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.blas import dgemv, dsyrk
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg.blas import ddot, dgemv, dsyrk
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 from .empbayes import DegenerateFitError, HyperEstimate
@@ -154,10 +162,11 @@ def _check_in_place(out: np.ndarray, buf: np.ndarray, routine: str) -> None:
         raise RuntimeError(f"{routine} wrote into a copy of its argument, not the argument itself")
 
 
-def _potrf(f: np.ndarray) -> int:
+def _potrf(f: np.ndarray, clean: int = 0) -> int:
     """LAPACK potrf on the lower triangle of the F-ordered f, in place; info > 0
-    means f is not positive definite. The strict upper triangle is not touched."""
-    out, info = dpotrf(f, lower=1, clean=0, overwrite_a=1)
+    means f is not positive definite. The strict upper triangle is not touched,
+    unless clean zeroes it."""
+    out, info = dpotrf(f, lower=1, clean=clean, overwrite_a=1)
     _check_in_place(out, f, "potrf")
     if info < 0:
         raise ValueError(f"potrf rejected its argument {-info}")
@@ -347,47 +356,66 @@ def prior_mean(positions, hyper: HyperEstimate) -> np.ndarray:
     return hyper.mu_p - hyper.mu_alpha * q
 
 
-def _nlml_parts(theta, dists, noise_diag, resid, qouter, frozen):
-    """Negative log marginal likelihood and gradient in log-parameter space.
+def _nlml_objective(dists, noise_diag, resid, qouter, frozen):
+    """Negative log marginal likelihood and gradient in log-parameter space,
+    as f(theta) -> (nlml, grad) with theta = log([vk, s]) and frozen the
+    fixed (va, vp).
 
-    theta is log([vk, s]) and frozen the fixed (va, vp). C^-1 comes from
-    LAPACK's potri on the Cholesky factor, and the gradient traces run
-    element-wise, with no BLAS product (see the module docstring). C is
-    factored in its own buffer.
+    Built once per fit: f works in three N x N buffers of its own (exp(-D/s),
+    C and E o D), and va q q^T is formed once. C is assembled in one fixed
+    operation order, vk E + va q q^T + vp + diag(noise), factored in place
+    through its F-ordered view (potrf, which also zeroes the other triangle),
+    solved for beta (potrs) and inverted in place (potri). With the gradient
+    1/2 tr((C^-1 - beta beta^T) dC) (Rasmussen & Williams, GPML 2006,
+    5.4.1), each trace of a symmetric A is taken from potri's triangle alone,
+    tr(C^-1 A) = 2 <tril C^-1, A> - <diag C^-1, diag A>, as one ddot over
+    the flat buffer (diag E = 1, diag E o D = 0), and beta^T A beta through
+    matvec. Every evaluation rebuilds all three buffers, so none carries
+    state from the one before.
     """
-    vk, s = math.exp(theta[0]), math.exp(theta[1])
-    va, vp = frozen
     n = resid.shape[0]
-    expo = np.exp(-dists / s)
-    c = vk * expo + va * qouter + vp
-    c[np.diag_indices_from(c)] += noise_diag
-    if not np.isfinite(c).all():
-        raise NumericalError("kernel-fit covariance has non-finite entries")
+    va, vp = frozen
+    va_q = va * qouter
+    expo, c, expo_d = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
     low = c.T  # c is exactly symmetric, so its F-ordered view is C itself
-    if _potrf(low):
-        return 1e25, np.zeros(2)
-    _zero_upper(low)
-    beta = cho_solve((low, True), resid)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
-    nlml = 0.5 * float(resid @ beta) + 0.5 * logdet + 0.5 * n * _LOG2PI
+    flat_c, flat_expo, flat_expo_d = c.reshape(-1), expo.reshape(-1), expo_d.reshape(-1)
+    diag = np.diag_indices(n)
 
-    # potri fills the lower triangle of C^-1; the upper one is still the
-    # factor's zeros, so adding the strict lower transpose completes it
-    diff, info = dpotri(low, lower=1)
-    if info != 0:
-        return 1e25, np.zeros(2)
-    diff += np.tril(diff, -1).T
-    diff -= np.outer(beta, beta)  # C^-1 - beta beta^T
+    def f(theta):
+        vk, s = math.exp(theta[0]), math.exp(theta[1])
+        np.divide(dists, -s, out=expo)
+        np.exp(expo, out=expo)
+        np.multiply(expo, vk, out=c)
+        np.add(c, va_q, out=c)
+        np.add(c, vp, out=c)
+        c[diag] += noise_diag
+        if not _all_finite(c):
+            raise NumericalError("kernel-fit covariance has non-finite entries")
+        if _potrf(low, clean=1):
+            return 1e25, np.zeros(2)
+        beta, _ = dpotrs(low, resid, lower=1)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
+        nlml = 0.5 * float(resid @ beta) + 0.5 * logdet + 0.5 * n * _LOG2PI
 
-    # dC/d log vk = vk * expo and dC/d log s = vk * expo * dists / s
-    diff_expo = diff * expo
-    grad = [0.5 * vk * float(np.sum(diff_expo)), 0.5 * vk / s * float(np.sum(diff_expo * dists))]
-    return nlml, np.array(grad)
+        # potri leaves C^-1 in the lower triangle of low; the other is zero
+        out, info = dpotri(low, lower=1, overwrite_c=1)
+        _check_in_place(out, low, "potri")
+        if info:
+            return 1e25, np.zeros(2)
+        np.multiply(expo, dists, out=expo_d)
+        # dC/d log vk = vk E and dC/d log s = vk E o D / s
+        tr_e = 2.0 * ddot(flat_c, flat_expo) - float(np.sum(np.diag(low)))
+        tr_ed = 2.0 * ddot(flat_c, flat_expo_d)
+        grad_vk = 0.5 * vk * (tr_e - float(beta @ matvec(expo, beta)))
+        grad_s = 0.5 * vk / s * (tr_ed - float(beta @ matvec(expo_d, beta)))
+        return nlml, np.array([grad_vk, grad_s])
+
+    return f
 
 
 def _nlml_inputs(train, hyper, noise: NoiseModel) -> tuple:
     """(dists, noise_diag, resid, qouter): the per-snapshot arguments of
-    ``_nlml_parts`` after theta and before ``frozen``."""
+    ``_nlml_objective`` before ``frozen``."""
     xy, z = train
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     z = np.asarray(z, dtype=float).reshape(-1)
@@ -417,7 +445,9 @@ def fit_kernel(
     log-parameter space with analytic gradients; the result is the
     deterministic argmin over the starts (ties broken by start order).
     sigma_alpha_k^2 and sigma_p_k^2 are frozen at hyper.var_alpha and
-    hyper.var_p.
+    hyper.var_p. One ``_nlml_objective``, with its N x N buffers, serves
+    every start; a theta whose C does not factor scores 1e25 with a zero
+    gradient, and a non-finite C raises NumericalError.
     """
     dists, noise_diag, resid, qouter = _nlml_inputs(train, hyper, noise)
     if resid.shape[0] < 3:
@@ -425,12 +455,12 @@ def fit_kernel(
     frozen = (hyper.var_alpha, hyper.var_p)
     bounds = [(math.log(_VAR_LO), math.log(_VAR_HI)), (math.log(_SCALE_LO), math.log(_SCALE_HI))]
 
+    objective = _nlml_objective(dists, noise_diag, resid, qouter, frozen)
     best = None
     for idx, start in enumerate(_starts(resid, dists)[: max(n_starts, 1)]):
         res = minimize(
-            _nlml_parts,
+            objective,
             np.clip(start, [b[0] for b in bounds], [b[1] for b in bounds]),
-            args=(dists, noise_diag, resid, qouter, frozen),
             method="L-BFGS-B",
             jac=True,
             bounds=bounds,

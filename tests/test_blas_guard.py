@@ -4,7 +4,8 @@ numpy and scipy each ship their own OpenBLAS with its own thread pool, and a
 call into one right after a threaded call into the other waits on the first
 pool's spinning threads (see the ``rssfield.gp`` module docstring). Products
 on the estimation path therefore go through scipy. This test scans the source
-for every ``@``, ``np.dot`` and ``np.linalg.*`` call and fails on any that is
+for every ``@``, ``np.dot``, ``np.vdot``, ``np.inner``, ``np.matmul``,
+``np.tensordot`` and ``np.linalg.*`` call and fails on any that is
 not listed below with its reason.
 
 It also guards the memory order of factorizations: every ``cholesky(`` and
@@ -30,7 +31,11 @@ ALLOWED = {
     ("bounds.py", "g @ info_inv"): "(m, 4) times 4 x 4; below OpenBLAS's threading threshold at m = 4096",
     ("empbayes.py", "r @ r"): "vector . vector",
     ("experiments.py", "diff @ diff"): "vector . vector",
-    ("gp.py", "resid @ beta"): "vector . vector",
+    ("gp.py", "resid @ beta"): "vector . vector (kernel-fit objective: the data-fit term)",
+    ("gp.py", "beta @ matvec(expo, beta)"):
+        "vector . vector (kernel-fit objective: beta^T E beta; the product E beta is scipy's matvec)",
+    ("gp.py", "beta @ matvec(expo_d, beta)"):
+        "vector . vector (kernel-fit objective: beta^T (E o D) beta; the product is scipy's matvec)",
     ("localize.py", "w @ snapshot.positions"):
         "vector times the (N, 2) positions; below OpenBLAS's threading threshold",
     ("synth.py", "corr_gs.T @ w"):
@@ -41,11 +46,13 @@ ALLOWED = {
 
 # (file, source text of the call) -> why its operand has the memory order it has
 FACTORIZATIONS = {
-    ("gp.py", "dpotrf(f, lower=1, clean=0, overwrite_a=1)"):
-        "every covariance factorization (chol_with_jitter, _nlml_parts), in place on an "
+    ("gp.py", "dpotrf(f, lower=1, clean=clean, overwrite_a=1)"):
+        "every covariance factorization (chol_with_jitter, _nlml_objective), in place on an "
         "F-ordered buffer: the matrices are exactly symmetric, so a C-ordered one enters as its "
         "F-ordered view; chol_with_jitter factors its own copy, or with check_only the covariance "
-        "itself, restored from its untouched triangle afterwards, and _nlml_parts the C it just built",
+        "itself, restored from its untouched triangle afterwards, and the kernel-fit objective "
+        "the C it rebuilt in its own buffer, with clean=1 so that after potri the flat buffer "
+        "holds only C^-1's triangle for the trace ddots",
     ("synth.py", "cholesky(corr.T, lower=True)"):
         "grid correlation, exactly symmetric: its F-ordered view is the same matrix",
     ("synth.py", "cholesky(cond, lower=True)"):
@@ -54,8 +61,12 @@ FACTORIZATIONS = {
 }
 
 
+_PRODUCTS = [["dot"], ["vdot"], ["inner"], ["matmul"], ["tensordot"]]
+
+
 def _is_numpy_call(node) -> bool:
-    """np.dot(...), numpy.dot(...) or np.linalg.<anything>(...)."""
+    """np.dot, np.vdot, np.inner, np.matmul or np.tensordot(...) (or numpy.*),
+    or np.linalg.<anything>(...): numpy's ways into its OpenBLAS pool."""
     if not isinstance(node, ast.Call):
         return False
     parts = []
@@ -66,7 +77,7 @@ def _is_numpy_call(node) -> bool:
     if not isinstance(func, ast.Name) or func.id not in ("np", "numpy"):
         return False
     parts.reverse()
-    return parts == ["dot"] or (len(parts) == 2 and parts[0] == "linalg")
+    return parts in _PRODUCTS or (len(parts) == 2 and parts[0] == "linalg")
 
 
 def _is_matmul(node) -> bool:
@@ -122,3 +133,12 @@ def test_allowlist_has_no_stale_entries():
     present = {(name, expr) for name, expr, _ in _factorization_calls()}
     stale = sorted(set(FACTORIZATIONS) - present)
     assert not stale, f"allowlisted factorizations no longer in the source: {stale}"
+
+
+def test_every_numpy_product_is_detected():
+    calls = ["np.dot(a, b)", "numpy.vdot(a, b)", "np.inner(a, b)", "np.matmul(a, b)",
+             "np.tensordot(a, b, 1)", "np.linalg.solve(a, b)"]
+    for text in calls:
+        assert _is_numpy_call(ast.parse(text, mode="eval").body), text
+    for text in ["np.multiply(a, b)", "np.add.outer(a, b)", "dgemv(1.0, a, x)"]:
+        assert not _is_numpy_call(ast.parse(text, mode="eval").body), text

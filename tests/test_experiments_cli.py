@@ -539,6 +539,9 @@ def _cfg_with(line):
     ("synth", None, ["--seed", "seven"]),
     ("fit-static", "refine_passes = 10", []),  # a removed key
     ("fit-static", "sigma_v = -1", []),  # the scenario sees only sigma_v squared
+    ("fit-static", "sigma_v = 1e200", []),  # whose square overflows
+    ("fit-static", "sigma_v = inf", []),
+    ("fit-static", "d_corr = nan", []),
 ])
 def test_cli_invalid_config_exits_2_before_any_work(tmp_path, capsys, command, line, flags):
     cfg = write_cfg(tmp_path, _cfg_with(line) if line else SMALL_SCENARIO)

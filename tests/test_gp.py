@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_solve, cholesky
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.blas import ddot, dsyrk
+from scipy.linalg.lapack import dpotri, dpotrs
 
 import rssfield as rf
 from rssfield import gp
@@ -22,7 +22,7 @@ from rssfield.gp import (
     prior_mean,
     subtract_gram,
     _nlml_inputs,
-    _nlml_parts,
+    _nlml_objective,
 )
 from rssfield.model import (
     Grid,
@@ -472,16 +472,16 @@ def test_nlml_gradient_matches_finite_differences():
     data = (distance_matrix(xy, xy), NoiseModel(rho_u=150.0, sigma_w=2.0).variances(d_hat), resid, np.outer(q, q))
     for _ in range(5):
         draw = rng.uniform([-2, 1, -6, -3], [3, 6, -1, 2])
-        theta, args = draw[:2], (*data, (math.exp(draw[2]), math.exp(draw[3])))
-        _, grad = _nlml_parts(theta, *args)
+        theta, nlml = draw[:2], _nlml_objective(*data, (math.exp(draw[2]), math.exp(draw[3])))
+        _, grad = nlml(theta)
         fd = np.zeros_like(theta)
         eps = 1e-6
         for j in range(len(theta)):
             tp, tm = theta.copy(), theta.copy()
             tp[j] += eps
             tm[j] -= eps
-            fp, _ = _nlml_parts(tp, *args)
-            fm, _ = _nlml_parts(tm, *args)
+            fp, _ = nlml(tp)
+            fm, _ = nlml(tm)
             fd[j] = (fp - fm) / (2 * eps)
         assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
@@ -500,8 +500,9 @@ def _nlml_explicit_inverse(theta, dists, noise_diag, resid, qouter, frozen):
     return nlml, np.array([0.5 * np.sum(diff * dc) for dc in dcs])
 
 
-def _nlml_parts_scipy_cholesky(theta, dists, noise_diag, resid, qouter, frozen):
-    """_nlml_parts as written on scipy.linalg.cholesky of the C-ordered C."""
+def _nlml_scipy_cholesky(theta, dists, noise_diag, resid, qouter, frozen):
+    """_nlml_objective's formula on scipy.linalg.cholesky of the C-ordered C,
+    which factors a transposed F-ordered copy instead of C's own buffer."""
     vk, s = math.exp(theta[0]), math.exp(theta[1])
     va, vp = frozen
     n = resid.shape[0]
@@ -509,47 +510,86 @@ def _nlml_parts_scipy_cholesky(theta, dists, noise_diag, resid, qouter, frozen):
     c = vk * expo + va * qouter + vp
     c[np.diag_indices_from(c)] += noise_diag
     low = cholesky(c, lower=True)
-    beta = cho_solve((low, True), resid)
+    beta, _ = dpotrs(low, resid, lower=1)
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
     nlml = 0.5 * float(resid @ beta) + 0.5 * logdet + 0.5 * n * math.log(2.0 * math.pi)
-    diff, info = dpotri(low, lower=1)
+    inv, info = dpotri(low, lower=1)
     assert info == 0
-    diff += np.tril(diff, -1).T
-    diff -= np.outer(beta, beta)
-    diff_expo = diff * expo
-    grad = [0.5 * vk * float(np.sum(diff_expo)), 0.5 * vk / s * float(np.sum(diff_expo * dists))]
+    flat = inv.T.reshape(-1)  # the F-ordered buffer, element by element as stored
+    expo_d = expo * dists
+    tr_e = 2.0 * ddot(flat, expo.reshape(-1)) - float(np.sum(np.diag(inv)))
+    tr_ed = 2.0 * ddot(flat, expo_d.reshape(-1))
+    grad = [0.5 * vk * (tr_e - float(beta @ matvec(expo, beta))),
+            0.5 * vk / s * (tr_ed - float(beta @ matvec(expo_d, beta)))]
     return nlml, np.array(grad)
 
 
-def test_nlml_parts_match_explicit_inverse_oracle():
-    rng = np.random.default_rng(12)
-    n = 120
-    xy = rng.uniform(0, 400, (n, 2))
-    hyper = hyper_for(tx=Position(200.0, 200.0))
+def _nlml_data(n, seed):
+    """(dists, noise_diag, resid, qouter) of n reports with heteroscedastic noise."""
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(0, 500, (n, 2))
+    hyper = hyper_for(tx=Position(250.0, 250.0))
     z = prior_mean(xy, hyper) + rng.normal(0, 3, n)
-    d_hat = clamped_distances(xy, hyper.tx)
-    q = log_distance_feature(d_hat)
-    data = (distance_matrix(xy, xy), NoiseModel(rho_u=150.0, sigma_w=2.0).variances(d_hat),
-            z - prior_mean(xy, hyper), np.outer(q, q))
+    return _nlml_inputs((xy, z), hyper, NoiseModel(rho_u=150.0, sigma_w=2.0))
+
+
+def test_nlml_objective_matches_explicit_inverse_oracle_at_reference_size():
+    data = _nlml_data(218, seed=12)
+    assert np.ptp(data[1]) > 1.0  # the noise is heteroscedastic
+    rng = np.random.default_rng(12)
     for _ in range(4):
         theta = rng.uniform([-2, 1, -6, -3], [3, 6, -1, 2])
         th, frozen = theta[:2], (math.exp(theta[2]), math.exp(theta[3]))
-        val, grad = _nlml_parts(th, *data, frozen)
+        val, grad = _nlml_objective(*data, frozen)(th)
         want_val, want_grad = _nlml_explicit_inverse(th, *data, frozen)
         assert_allclose(val, want_val, rtol=1e-10)
         assert_allclose(grad, want_grad, rtol=1e-10)
         # factoring C's F-ordered view changes no bit of either
-        same_val, same_grad = _nlml_parts_scipy_cholesky(th, *data, frozen)
+        same_val, same_grad = _nlml_scipy_cholesky(th, *data, frozen)
         assert val == same_val and np.array_equal(grad, same_grad)
 
 
-def test_nlml_parts_rejects_non_finite_covariance():
+def test_nlml_objective_buffers_carry_no_state_between_evaluations():
+    data = _nlml_data(60, seed=14)
+    frozen = (1e-2, 0.5)
+    theta_a, theta_b = np.array([1.0, 3.0]), np.array([-1.0, 5.5])
+    # C ~ 1e30 (1 1^T) + noise: the rounding of the rank-one term swamps the noise
+    theta_bad = np.array([math.log(1e30), math.log(1e30)])
+    nlml = _nlml_objective(*data, frozen)
+    first = nlml(theta_a)
+    val, grad = nlml(theta_bad)
+    assert val == 1e25 and np.array_equal(grad, np.zeros(2))
+    nlml(theta_b)
+    again = nlml(theta_a)
+    fresh = _nlml_objective(*data, frozen)(theta_a)
+    for got in (first, again):
+        assert got[0] == fresh[0] and np.array_equal(got[1], fresh[1])
+
+
+def test_fit_kernel_matches_a_fit_driven_by_the_explicit_inverse_oracle(monkeypatch):
+    rng = np.random.default_rng(15)
+    xy = rng.uniform(0, 500, (120, 2))
+    hyper = hyper_for(var_p=1.3, var_alpha=0.02, tx=Position(250.0, 250.0))
+    true = KernelParams.from_decay(math.sqrt(8.0), 60.0, math.sqrt(0.02), math.sqrt(1.3))
+    low = np.linalg.cholesky(kernel_matrix(xy, xy, true, hyper.tx) + 1e-9 * np.eye(120))
+    z = prior_mean(xy, hyper) + low @ rng.standard_normal(120) + rng.normal(0, 2.0, 120)
+    noise = NoiseModel(rho_u=150.0, sigma_w=2.0)
+    fitted = fit_kernel((xy, z), hyper, noise)
+    monkeypatch.setattr(gp, "_nlml_objective",
+                        lambda *args: lambda theta: _nlml_explicit_inverse(theta, *args))
+    oracle = fit_kernel((xy, z), hyper, noise)
+    assert_allclose(fitted.sigma_k**2, oracle.sigma_k**2, rtol=1e-6)
+    assert_allclose(fitted.decay_scale, oracle.decay_scale, rtol=1e-6)
+
+
+def test_nlml_objective_rejects_non_finite_covariance():
     xy = np.random.default_rng(13).uniform(0, 300, (12, 2))
     dists = distance_matrix(xy, xy)
     dists[2, 5] = dists[5, 2] = np.nan
     q = log_distance_feature(clamped_distances(xy, TX))
+    nlml = _nlml_objective(dists, np.ones(12), np.zeros(12), np.outer(q, q), (1e-4, 1e-4))
     with pytest.raises(NumericalError, match="kernel-fit covariance has non-finite entries"):
-        _nlml_parts(np.zeros(2), dists, np.ones(12), np.zeros(12), np.outer(q, q), (1e-4, 1e-4))
+        nlml(np.zeros(2))
 
 
 def test_fit_kernel_recovers_scales_from_simulated_fields():
@@ -587,7 +627,7 @@ def test_noisier_model_never_fits_better():
     def nlml(kernel, noise):
         theta = np.log([kernel.sigma_k**2, kernel.decay_scale])
         frozen = (kernel.sigma_alpha_k**2, kernel.sigma_p_k**2)
-        return _nlml_parts(theta, *_nlml_inputs((xy, z), hyper, noise), frozen)[0]
+        return _nlml_objective(*_nlml_inputs((xy, z), hyper, noise), frozen)(theta)[0]
 
     assert nlml(k_doubled, doubled) >= nlml(k_base, base) - 1e-6
 
