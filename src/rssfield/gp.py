@@ -35,11 +35,11 @@ matrix and goes to BLAS and LAPACK without a copy.
   so its only temporaries are one block.
 - ``subtract_gram`` accumulates -alpha W^T W straight into one triangle of c
   with dsyrk (beta = 1, overwrite_c) and mirrors that triangle.
-- The PD check (``chol_with_jitter(..., check_only=True)``) factors the
-  covariance in place with potrf, then restores the triangle and diagonal
-  potrf overwrote from the other triangle and a saved diagonal. A factor
-  that is kept (the N x N training covariance) is computed in one F-ordered
-  copy.
+- ``chol_with_jitter`` factors its matrix in place with potrf, through its
+  F-ordered view. The PD check (``check_only=True``) then restores it from
+  the other triangle and a saved diagonal; the N x N training factor that
+  ``condition`` keeps is the lower triangle of the buffer it built, and only
+  that triangle is read.
 - Each of these LAPACK/BLAS calls is checked to have written into the
   caller's buffer: f2py silently copies an argument it cannot write into,
   which would lose the update instead of failing.
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import ddot, dgemv, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
@@ -86,7 +86,7 @@ _VAR_LO, _VAR_HI = 1e-4, 1e4  # bounds on sigma_k^2
 _SCALE_LO, _SCALE_HI = 1.0, 2000.0  # bounds on the decay scale 2 l^2, meters
 _LOG2PI = math.log(2.0 * math.pi)
 _LBFGS_MAXITER = 200  # iterations per start; measured fits converge within 31
-_BLOCK = 32  # rows or columns per block when zeroing or mirroring a triangle in place
+_BLOCK = 32  # rows or columns per block when mirroring a triangle in place
 _BLOCK_BYTES = 1 << 20  # size of a block of rows when assembling or scanning a matrix
 
 
@@ -173,16 +173,6 @@ def _potrf(f: np.ndarray, clean: int = 0) -> int:
     return info
 
 
-def _zero_upper(low: np.ndarray) -> None:
-    """Zero the strict upper triangle of the F-ordered low one block of columns
-    at a time, where it is contiguous."""
-    upper = ~np.tri(_BLOCK, dtype=bool)
-    for j0 in range(0, low.shape[0], _BLOCK):
-        j1 = min(j0 + _BLOCK, low.shape[0])
-        low[:j0, j0:j1] = 0.0
-        np.copyto(low[j0:j1, j0:j1], 0.0, where=upper[: j1 - j0, : j1 - j0])
-
-
 def _mirror(g: np.ndarray, from_upper: bool) -> None:
     """Copy the strict upper triangle of the C-ordered square g onto its strict
     lower one (from_upper) or the other way round.
@@ -236,37 +226,29 @@ def chol_with_jitter(mat: np.ndarray, what: str = "covariance", *, check_only: b
     1e-4*diag until the factorization succeeds.
 
     ``mat`` must be exactly symmetric, as every covariance in this library is
-    by construction, and comes back unchanged. The factor is computed in one
-    F-ordered copy of it (a C-ordered mat is copied through its F-ordered
-    view mat.T, which is the same matrix), whose diagonal is reset to
-    diag(mat) + jitter at each rung. The factor is bit-identical to
-    scipy.linalg.cholesky of that matrix.
+    by construction, writeable and C- or F-contiguous. It is factored in
+    place through its F-ordered view f (mat.T when C-ordered, the same
+    matrix); each failed rung is undone from the other triangle and a saved
+    diagonal. The factor returned is f: its lower triangle is bit-identical
+    to scipy.linalg.cholesky of mat + jitter I, and its strict upper triangle
+    is still mat's, so only readers of the lower triangle (potrs, trtrs) may
+    take it.
 
-    With check_only, mat is only verified positive definite, and (None,
-    jitter) is returned. mat must then be writeable and C- or F-contiguous:
-    it is factored in place through its F-ordered view, and the triangle and
-    diagonal potrf overwrote are restored from the other triangle and a saved
-    diagonal after every rung, after the pass and before NumericalError. mat
-    comes back bit for bit, and no second M x M buffer is made.
-
-    A mat with a non-finite entry raises NumericalError before any
-    factorization.
+    With check_only, mat is restored after the pass and comes back bit for
+    bit, and (None, jitter) is returned. A mat with a non-finite entry raises
+    NumericalError before any factorization.
     """
-    if check_only:
-        f = mat.T if mat.flags.c_contiguous else mat
-        if not (f.flags.f_contiguous and f.flags.writeable):
-            raise ValueError("check_only needs a writeable, C- or F-contiguous mat")
+    f = mat.T if mat.flags.c_contiguous else mat
+    if not (f.flags.f_contiguous and f.flags.writeable):
+        raise ValueError("chol_with_jitter needs a writeable, C- or F-contiguous mat")
     if not _all_finite(mat):
         raise NumericalError(f"{what} has non-finite entries")
+    diag = f.diagonal().copy()
+    jitter = _jitter_ladder(f, diag, what)
     if check_only:
-        diag = f.diagonal().copy()
-        jitter = _jitter_ladder(f, diag, what)
         _restore(f, diag)
         return None, jitter
-    low = np.array(mat.T if mat.flags.c_contiguous else mat, order="F")
-    jitter = _jitter_ladder(low, np.diag(mat), what)  # a view of mat, which stays as it is
-    _zero_upper(low)
-    return low, jitter
+    return f, jitter
 
 
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -337,15 +319,17 @@ def condition(xy, targets_xy, rhs, kernel: KernelParams, kernel_tx: Position, no
     """Condition the GP on reports at xy: (L, K_gX, (K_X + S)^-1 rhs).
 
     L is the lower Cholesky factor of the training covariance K_X + S with
-    S = diag(noise_var), escalating jitter if needed; K_gX is the kernel
-    between the targets and the reports. Both kernels use (kernel,
+    S = diag(noise_var), escalating jitter if needed. It is factored in the
+    buffer K_X + S was built in, whose strict upper triangle it keeps, so it
+    is read only by potrs and lower=True triangular solves. K_gX is the
+    kernel between the targets and the reports. Both kernels use (kernel,
     kernel_tx). Callers that need W = L^-1 K_Xg take one triangular solve
     into K_gX's buffer. (Rasmussen & Williams, GPML 2006, Algorithm 2.1.)
     """
     c = kernel_matrix(xy, xy, kernel, kernel_tx)
     c[np.diag_indices_from(c)] += noise_var
     low, _ = chol_with_jitter(c, "training covariance")
-    solved = cho_solve((low, True), rhs)
+    solved, _ = dpotrs(low, rhs, lower=1)
     k_gx = kernel_matrix(targets_xy, xy, kernel, kernel_tx)
     return low, k_gx, solved
 

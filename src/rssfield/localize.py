@@ -18,7 +18,8 @@ from .model import MeasurementSnapshot, Position
 
 
 class NoFixError(RuntimeError):
-    """No measurement has ever contributed weight: the centroid is undefined."""
+    """The centroid is undefined: no measurement has ever contributed weight,
+    or the weights overflow."""
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,18 @@ def centroid_update(state: CentroidState, snapshot: MeasurementSnapshot) -> Cent
     """Fold one snapshot into the running weighted centroid.
 
     Weights are w_i = 10^(z_i / 10); the previous estimate enters with the
-    accumulated weight, so the recursion keeps all past information.
+    accumulated weight, so the recursion keeps all past information. Reports
+    so strong that a weight or the weighted sum overflows leave no finite
+    centroid and raise NoFixError.
     """
     if snapshot.n_sensors == 0:
         return state
-    w = np.power(10.0, snapshot.rss / 10.0)
-    weighted_sum = state.weighted_sum + w @ snapshot.positions
-    total = state.total_weight + float(np.sum(w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.power(10.0, snapshot.rss / 10.0)
+        weighted_sum = state.weighted_sum + w @ snapshot.positions
+        total = state.total_weight + float(np.sum(w))
+    if not (np.isfinite(weighted_sum).all() and np.isfinite(total)):
+        raise NoFixError(f"reported powers up to {np.max(snapshot.rss):g} dBm overflow the centroid weights")
     if total <= 0.0:
         return CentroidState(weighted_sum=weighted_sum, total_weight=total, estimate=None)
     est = weighted_sum / total

@@ -43,7 +43,6 @@ def run_static(
     snapshot: MeasurementSnapshot,
     grid: Grid,
     config: PipelineConfig,
-    centroid: Optional[CentroidState] = None,
     *,
     compute_cov: bool = True,
 ) -> StaticResult:
@@ -54,7 +53,7 @@ def run_static(
     by marginal likelihood unless a kernel is given, then the GP posterior at
     the grid.
     """
-    hyper, centroid = _hyper(snapshot, config, centroid)
+    hyper, centroid = _hyper(snapshot, config, None)
     kernel = _kernel(snapshot, hyper, config)
     post = posterior(
         (snapshot.positions, snapshot.rss), grid, hyper, kernel, config.noise,

@@ -49,10 +49,11 @@ FACTORIZATIONS = {
     ("gp.py", "dpotrf(f, lower=1, clean=clean, overwrite_a=1)"):
         "every covariance factorization (chol_with_jitter, _nlml_objective), in place on an "
         "F-ordered buffer: the matrices are exactly symmetric, so a C-ordered one enters as its "
-        "F-ordered view; chol_with_jitter factors its own copy, or with check_only the covariance "
-        "itself, restored from its untouched triangle afterwards, and the kernel-fit objective "
-        "the C it rebuilt in its own buffer, with clean=1 so that after potri the flat buffer "
-        "holds only C^-1's triangle for the trace ddots",
+        "F-ordered view; chol_with_jitter factors the caller's matrix itself and with check_only "
+        "restores it from its untouched triangle afterwards, else keeps the factor in its lower "
+        "triangle (condition's training covariance, read only by potrs and trtrs), and the "
+        "kernel-fit objective factors the C it rebuilt in its own buffer, with clean=1 so that "
+        "after potri the flat buffer holds only C^-1's triangle for the trace ddots",
     ("synth.py", "cholesky(corr.T, lower=True)"):
         "grid correlation, exactly symmetric: its F-ordered view is the same matrix",
     ("synth.py", "cholesky(cond, lower=True)"):

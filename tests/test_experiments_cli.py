@@ -576,6 +576,8 @@ def _hostile_inputs(case, tmp_path):
         rss = -10.0 - 35.0 * np.log10(d) + rng.normal(0, 2.0, len(d))
         if case == "rss -4000":
             rss[:] = -4000.0  # finite, but 10^(rss/10) underflows to 0
+        elif case == "rss 4000":
+            rss[0] = 4000.0  # finite, but 10^(rss/10) overflows
         rows += [(t, str(i), x, y, r) for i, ((x, y), r) in enumerate(zip(pos, rss))]
     meas, truth = tmp_path / "meas.csv", tmp_path / "truth.csv"
     write_measurements(meas, rows)
@@ -618,6 +620,7 @@ _FIT_COMMANDS = ["fit-static", "bound", "baseline-okd", "fit-recursive"]
     ("rss -4000", "baseline-okd"),
     ("six sensors", "baseline-okd"),  # the variogram needs 10 reports
     *[(case, "fit-recursive") for case in ["coincident", "two sensors", "nan truth", "rss -4000", "long gap"]],
+    *[("rss 4000", command) for command in _FIT_COMMANDS],
 ])
 def test_cli_hostile_data_exits_4_with_one_line(tmp_path, capsys, case, command):
     rc, err, fields = _run_hostile(case, command, tmp_path, capsys)
@@ -628,6 +631,19 @@ def test_cli_hostile_data_exits_4_with_one_line(tmp_path, capsys, case, command)
     if case == "long gap":
         assert "no reports from t=1 to t=99999999" in err
     assert fields == []
+
+
+@pytest.mark.parametrize("line", ["power_dbm = 4000", "sigma_v = 1e100"])
+@pytest.mark.parametrize("command", ["fit-static", "fit-recursive", "baseline-okd"])
+def test_cli_overflowing_synthetic_reports_exit_4_with_one_line(tmp_path, capsys, line, command):
+    # a valid config whose synthetic reports overflow the centroid weights
+    cfg = write_cfg(tmp_path, _cfg_with(line))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("I/O or data error: ")
+    assert _written_fields(out) == []
 
 
 def test_fit_recursive_fills_up_to_max_empty_steps_and_rejects_more():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.blas import ddot, dsyrk
 from scipy.linalg.lapack import dpotri, dpotrs
 
@@ -141,20 +141,23 @@ def test_blocks_cover_the_range_in_whole_blocks():
         assert len(blocks) == 1 or step <= blocks[-1].stop - blocks[-1].start < 2 * step
 
 
-def test_chol_with_jitter_escalates_on_rank_deficient_input_without_modifying_it():
+def test_chol_with_jitter_escalates_on_rank_deficient_input():
     mat = np.ones((4, 4))  # rank one: the unjittered factorization fails
-    mat.setflags(write=False)
     low, jitter = chol_with_jitter(mat, "rank-one matrix")
     assert jitter > 0.0
     assert jitter in [10.0**-k for k in range(4, 11)]
-    assert np.array_equal(mat, np.ones((4, 4)))
-    assert_allclose(low @ low.T, mat + jitter * np.eye(4), rtol=1e-12, atol=1e-12)
+    assert np.shares_memory(low, mat)
+    assert np.array_equal(np.triu(low, 1), np.triu(np.ones((4, 4)), 1))  # the upper triangle is mat's own
+    factor = np.tril(low)
+    assert_allclose(factor @ factor.T, np.ones((4, 4)) + jitter * np.eye(4), rtol=1e-12, atol=1e-12)
     # a positive-definite input needs no jitter
     _, none = chol_with_jitter(np.eye(3) * 2.0)
     assert none == 0.0
-    # an indefinite one exhausts the ladder
+    # an indefinite one exhausts the ladder and comes back as it was
+    indefinite = np.diag([1.0, -1.0])
     with pytest.raises(NumericalError, match="indefinite"):
-        chol_with_jitter(np.diag([1.0, -1.0]), "indefinite")
+        chol_with_jitter(indefinite, "indefinite")
+    assert np.array_equal(indefinite, np.diag([1.0, -1.0]))
 
 
 def _symmetric_cov(m, seed):
@@ -167,32 +170,22 @@ def _symmetric_cov(m, seed):
     return mat
 
 
-def test_chol_with_jitter_factor_is_bit_identical_to_scipy_in_every_memory_order():
+def test_chol_with_jitter_factors_in_the_callers_buffer_bit_identical_to_scipy():
     mat = _symmetric_cov(150, 21)
     want = cholesky(mat, lower=True)
-    read_only = mat.copy()
-    read_only.setflags(write=False)
-    big = _symmetric_cov(300, 22)
-    strided = big[::2, ::2]  # symmetric, neither C- nor F-contiguous
-    assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
-    for arr, expect in [
-        (mat, want),
-        (np.asfortranarray(mat), want),
-        (read_only, want),
-        (strided, cholesky(strided, lower=True)),
-    ]:
+    for arr in (mat.copy(), np.asfortranarray(mat)):
         low, jitter = chol_with_jitter(arr)
         assert jitter == 0.0
-        assert np.array_equal(low, expect) and np.array_equal(np.triu(low, 1), np.zeros_like(low))
-        assert low.flags.f_contiguous == expect.flags.f_contiguous
-    assert np.array_equal(read_only, mat)
-    # a jitter rung factors diag(mat) + jitter on a copy
+        assert np.shares_memory(low, arr) and low.flags.f_contiguous
+        assert np.array_equal(np.tril(low), want)
+        assert np.array_equal(np.triu(low, 1), np.triu(mat, 1))  # the upper triangle is mat's own
+    # a jitter rung factors diag(mat) + jitter in place
     rank_def = np.outer(np.arange(1.0, 41.0), np.arange(1.0, 41.0)) + np.ones((40, 40))
-    low, jitter = chol_with_jitter(rank_def)
-    assert jitter > 0.0
     bumped = rank_def.copy()
-    bumped[np.diag_indices_from(bumped)] = np.diag(rank_def) + jitter
-    assert np.array_equal(low, cholesky(bumped, lower=True))
+    low, jitter = chol_with_jitter(rank_def)
+    assert jitter > 0.0 and np.shares_memory(low, rank_def)
+    bumped[np.diag_indices_from(bumped)] += jitter
+    assert np.array_equal(np.tril(low), cholesky(bumped, lower=True))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -200,7 +193,6 @@ def test_chol_with_jitter_rejects_non_finite_input_before_factoring(monkeypatch,
     monkeypatch.setattr(gp, "dpotrf", lambda *a, **k: pytest.fail("factored a non-finite matrix"))
     mat = _symmetric_cov(30, 23)
     mat[4, 9] = mat[9, 4] = bad
-    mat.setflags(write=False)
     kept = mat.copy()
     with pytest.raises(NumericalError, match="^grid posterior covariance has non-finite entries$"):
         chol_with_jitter(mat, "grid posterior covariance")
@@ -238,7 +230,7 @@ def test_check_only_factors_in_place_and_restores_the_matrix_bit_for_bit(monkeyp
     # a jitter rung: the matrix comes back with its own diagonal
     rank_def = np.outer(np.arange(1.0, 41.0), np.arange(1.0, 41.0)) + np.ones((40, 40))
     kept = rank_def.copy()
-    _, want = chol_with_jitter(rank_def)
+    _, want = chol_with_jitter(rank_def.copy())
     calls.clear()
     assert _check_pd(rank_def) == want > 0.0
     assert np.array_equal(rank_def, kept)
@@ -252,13 +244,16 @@ def test_check_only_factors_in_place_and_restores_the_matrix_bit_for_bit(monkeyp
     assert np.array_equal(indefinite, kept)
 
 
-def test_check_only_rejects_a_matrix_it_cannot_factor_in_place(monkeypatch):
-    monkeypatch.setattr(gp, "dpotrf", lambda *a, **k: pytest.fail("factored a matrix it cannot restore"))
+@pytest.mark.parametrize("check_only", [True, False])
+def test_chol_with_jitter_rejects_a_matrix_it_cannot_factor_in_place(monkeypatch, check_only):
+    monkeypatch.setattr(gp, "dpotrf", lambda *a, **k: pytest.fail("factored a matrix it cannot factor in place"))
     read_only = _symmetric_cov(50, 33)
     read_only.setflags(write=False)
-    for mat in (read_only, _symmetric_cov(100, 34)[::2, ::2]):
+    strided = _symmetric_cov(100, 34)[::2, ::2]  # symmetric, neither C- nor F-contiguous
+    assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+    for mat in (read_only, strided):
         with pytest.raises(ValueError, match="writeable, C- or F-contiguous"):
-            _check_pd(mat)
+            chol_with_jitter(mat, check_only=check_only)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -285,6 +280,25 @@ def test_a_wrapper_that_writes_into_a_copy_raises_instead_of_losing_the_result(m
         chol_with_jitter(mat)
     with pytest.raises(RuntimeError, match="^syrk wrote into a copy"):
         subtract_gram(mat, np.ones((3, 40)))
+
+
+def test_condition_matches_a_clean_scipy_factor_bit_for_bit():
+    # condition keeps the factor in the buffer it built K_X + S in, upper
+    # triangle unzeroed; every read of it must see only the lower one
+    rng = np.random.default_rng(36)
+    xy, targets = rng.uniform(0, 300, (218, 2)), rng.uniform(0, 300, (300, 2))
+    kernel = KernelParams.from_decay(sigma_k=2.0, decay_scale=60.0, sigma_alpha_k=0.1, sigma_p_k=0.5)
+    noise_var = rng.uniform(0.5, 2.0, 218)
+    rhs = rng.normal(0.0, 3.0, 218)
+    low, k_gx, solved = gp.condition(xy, targets, rhs, kernel, TX, noise_var)
+    c = kernel_matrix(xy, xy, kernel, TX)
+    c[np.diag_indices_from(c)] += noise_var
+    clean = cholesky(c, lower=True)
+    assert np.array_equal(np.tril(low), clean) and np.any(np.triu(low, 1))
+    assert np.array_equal(solved, cho_solve((clean, True), rhs))
+    assert np.array_equal(k_gx, kernel_matrix(targets, xy, kernel, TX))
+    w = solve_triangular(low, k_gx.T, lower=True)
+    assert np.array_equal(w, solve_triangular(clean, k_gx.T, lower=True))
 
 
 def _subtract_gram_two_pass(c, w, alpha):

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
-from rssfield.localize import CentroidState, centroid_update
+from rssfield.localize import CentroidState, NoFixError, centroid_update
 from rssfield.model import D_MIN, MeasurementSnapshot, Position, clamped_distances
 
 
@@ -15,6 +16,20 @@ def snap(positions, rss, t=0):
 def test_centroid_single_sensor():
     state = centroid_update(CentroidState.empty(), snap([[3.0, 4.0]], [-55.0]))
     assert_allclose([state.estimate.x, state.estimate.y], [3.0, 4.0])
+
+
+def test_centroid_raises_no_fix_error_when_the_weights_overflow():
+    # 10^(z/10) overflows above about 3083 dBm; numpy's overflow warning would
+    # be an error here, so the update must not emit one either
+    with pytest.raises(NoFixError, match="overflow"):
+        centroid_update(CentroidState.empty(), snap([[3.0, 4.0], [5.0, 6.0]], [-55.0, 4000.0]))
+    # finite weights whose weighted sum overflows
+    with pytest.raises(NoFixError, match="overflow"):
+        centroid_update(CentroidState.empty(), snap([[1e300, 0.0], [1e300, 1.0]], [3000.0, 3000.0]))
+    # finite weights whose running total overflows
+    state = centroid_update(CentroidState.empty(), snap([[0.5, 0.5]], [3080.0]))
+    with pytest.raises(NoFixError, match="overflow"):
+        centroid_update(state, snap([[0.5, 0.5]], [3080.0], t=1))
 
 
 def test_centroid_symmetry():
