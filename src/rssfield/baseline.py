@@ -79,7 +79,8 @@ def fit_variogram(residuals, positions) -> VariogramModel:
     """Least-squares exponential fit of the binned empirical semivariogram.
 
     Bins are widened (fewer of them) when too sparsely populated. Fewer than
-    10 points or three populated bins raise DegenerateFitError.
+    10 points or three populated bins raise DegenerateFitError, and so does
+    a binned semivariogram whose weighted sum of squares overflows.
     """
     residuals = np.asarray(residuals, dtype=float).reshape(-1)
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
@@ -97,9 +98,14 @@ def fit_variogram(residuals, positions) -> VariogramModel:
     if hs.shape[0] < 3:
         raise DegenerateFitError("too few populated distance bins to fit a variogram")
 
+    w = np.sqrt(counts)
+    # least_squares' starting cost is about sum((w gamma)^2); an infinite one ends it in a ValueError
+    with np.errstate(over="ignore"):
+        cost = np.sum(np.square(w * gs))
+    if not np.isfinite(cost):
+        raise DegenerateFitError(f"residuals up to {np.max(np.abs(residuals)):g} dB overflow the variogram fit")
     s0 = max(float(np.var(residuals)), 1e-12)
     r0 = max(half_max / 3.0, 1e-3)
-    w = np.sqrt(counts)
 
     def model_residuals(p):
         nugget, sill, rng = p

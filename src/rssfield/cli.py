@@ -4,6 +4,11 @@ Subcommands: synth, fit-static, fit-recursive, bound, baseline-okd, cases,
 eval, ingest-real. Exit codes: 0 success, 2 configuration error, 3 numerical
 failure, 4 I/O or data error (including sensor data too degenerate to fit).
 
+Each subcommand takes only the flags it reads (_COMMANDS); --seed, --out,
+--lambda, --steps and --replicates override config keys (_FLAGS). Without
+--measurements the fit commands synthesize their reports, so --truth without
+--measurements is a configuration error.
+
 fit-recursive steps through every t from the first to the last of a
 measurement file, carrying the field over a t without reports; more than
 MAX_EMPTY_STEPS such steps in a row are a data error.
@@ -33,21 +38,29 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-# command-line flag -> the (section, key) of the config it overrides
-_OVERRIDES = {
-    "seed": ("run", "seed"),
-    "out": ("run", "out_dir"),
-    "lam": ("estimator", "lambda"),
-    "steps": ("estimator", "steps"),
-    "replicates": ("run", "replicates"),
+# every flag a subcommand may take -> (help, the (section, key) of the config
+# value it overrides, converted and checked exactly like that key; None for
+# the flags that name a file)
+_FLAGS = {
+    "--config": ("experiment config file (INI)", None),
+    "--seed": ("override run seed", ("run", "seed")),
+    "--out": ("override output directory", ("run", "out_dir")),
+    "--lambda": ("forgetting factor", ("estimator", "lambda")),
+    "--steps": ("number of time steps", ("estimator", "steps")),
+    "--replicates": ("number of replicates", ("run", "replicates")),
+    "--measurements": ("measurement CSV (the fits synthesize one without it)", None),
+    "--truth": ("truth CSV (grid + reference RSS)", None),
+    "--field": ("field CSV", None),
 }
 
 
 def _load(args) -> ex.ExperimentConfig:
     flags, overrides = vars(args), {}
-    for dest, (section, key) in _OVERRIDES.items():
-        if flags[dest] is not None:
-            overrides.setdefault(section, {})[key] = flags[dest]
+    if flags.get("truth") and not flags.get("measurements"):
+        raise ex.ConfigError("--truth needs --measurements: the synthetic world brings its own truth")
+    for flag, (_, key) in _FLAGS.items():
+        if key is not None and flags.get(flag[2:]) is not None:
+            overrides.setdefault(key[0], {})[key[1]] = flags[flag[2:]]
     return ex.load_config(args.config, overrides)
 
 
@@ -138,7 +151,8 @@ def cmd_synth(args):
     return EXIT_OK
 
 
-def cmd_fit_static(args, *, with_bounds=False):
+def cmd_fit_static(args):
+    with_bounds = args.command == "bound"
     cfg = _load(args)
     out = _outdir(cfg)
     snaps, grid, truth = _train_inputs(args, cfg, 1)
@@ -152,15 +166,11 @@ def cmd_fit_static(args, *, with_bounds=False):
     path = out / ("field_bound.csv" if with_bounds else "field_static.csv")
     ex.emit_field(result.posterior, bounds, path, grid)
     print(f"wrote {path}")
-    _report_fit(result, truth, 0)
-    return EXIT_OK
-
-
-def _report_fit(result, truth, t):
     hyper = result.hyper
-    print(f"t={t} mu_alpha={hyper.mu_alpha:.4f} mu_p={hyper.mu_p:.4f} tx=({hyper.tx.x:.2f},{hyper.tx.y:.2f})")
+    print(f"t=0 mu_alpha={hyper.mu_alpha:.4f} mu_p={hyper.mu_p:.4f} tx=({hyper.tx.x:.2f},{hyper.tx.y:.2f})")
     if truth is not None:
-        print(f"t={t} mse={ex.compute_mse(result.posterior.mean, _truth_at(truth, t)):.6g}")
+        print(f"t=0 mse={ex.compute_mse(result.posterior.mean, _truth_at(truth, 0)):.6g}")
+    return EXIT_OK
 
 
 def cmd_fit_recursive(args):
@@ -230,53 +240,38 @@ def cmd_ingest_real(args):
     return EXIT_OK
 
 
+_RUN = ("--config", "--seed", "--out")
+_FIT = (*_RUN, "--measurements", "--truth")
+
+# subcommand -> (handler, help, the flags it reads, those of them it requires)
+_COMMANDS = {
+    "synth": (cmd_synth, "generate synthetic measurement/truth files", (*_RUN, "--steps"), ()),
+    "fit-static": (cmd_fit_static, "one-snapshot GP field estimate", _FIT, ()),
+    "fit-recursive": (cmd_fit_recursive, "recursive GP over all time steps", (*_FIT, "--lambda", "--steps"), ()),
+    "bound": (cmd_fit_static, "static fit plus per-node error bounds", _FIT, ()),
+    "baseline-okd": (cmd_baseline_okd, "ordinary-kriging baseline", _FIT, ()),
+    "cases": (cmd_cases, "location-error case sweep", (*_RUN, "--replicates"), ()),
+    "eval": (cmd_eval, "MSE of a field file against a truth file", ("--field", "--truth"), ("--field", "--truth")),
+    "ingest-real": (
+        cmd_ingest_real, "split a measurement CSV into train/test", (*_RUN, "--measurements"), ("--measurements",)
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rssfield", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, measurements=False):
-        p.add_argument("--config", help="experiment config file (INI)")
-        # converted and checked with the config keys they override (_OVERRIDES)
-        p.add_argument("--seed", help="override run seed")
-        p.add_argument("--out", help="override output directory")
-        p.add_argument("--lambda", dest="lam", help="forgetting factor")
-        p.add_argument("--steps", help="number of time steps")
-        p.add_argument("--replicates", help="number of replicates")
-        if measurements:
-            p.add_argument("--measurements", help="measurement CSV (else synthetic)")
-            p.add_argument("--truth", help="truth CSV (grid + reference RSS)")
-
-    common(sub.add_parser("synth", help="generate synthetic measurement/truth files"))
-    common(sub.add_parser("fit-static", help="one-snapshot GP field estimate"), measurements=True)
-    common(sub.add_parser("fit-recursive", help="recursive GP over all time steps"), measurements=True)
-    common(sub.add_parser("bound", help="static fit plus per-node error bounds"), measurements=True)
-    common(sub.add_parser("baseline-okd", help="ordinary-kriging baseline"), measurements=True)
-    common(sub.add_parser("cases", help="location-error case sweep"))
-    p_eval = sub.add_parser("eval", help="MSE of a field file against a truth file")
-    p_eval.add_argument("--field", required=True)
-    p_eval.add_argument("--truth", required=True)
-    p_ing = sub.add_parser("ingest-real", help="split a measurement CSV into train/test")
-    p_ing.add_argument("--measurements", required=True)
-    common(p_ing)
+    for name, (_, help_, flags, required) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flag in flags:
+            p.add_argument(flag, help=_FLAGS[flag][0], required=flag in required)
     return parser
-
-
-_COMMANDS = {
-    "synth": cmd_synth,
-    "fit-static": cmd_fit_static,
-    "fit-recursive": cmd_fit_recursive,
-    "bound": lambda args: cmd_fit_static(args, with_bounds=True),
-    "baseline-okd": cmd_baseline_okd,
-    "cases": cmd_cases,
-    "eval": cmd_eval,
-    "ingest-real": cmd_ingest_real,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ex.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

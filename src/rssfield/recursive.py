@@ -65,22 +65,22 @@ class RecursiveConfig:
 class RecursiveState:
     """Carried state: the last posterior and what the next step reads besides.
 
-    grid_prior_cov is K_g under posterior.kernel and cov_tx, kept so that a
-    step under the same kernel and fix does not rebuild it. It is None in
-    the state ``init_state`` returns and under ``every_step``, whose steps
-    refit both; a step that finds None rebuilds K_g. cov_tx is the
-    transmitter fix of the covariance-side kernel evaluations, which moves
-    only under ``every_step``. The carried prior
-    mean is prior_mean(grid, posterior.hyper). Each step blends the current
-    static posterior covariance with the carried posterior.cov convexly (see
-    the module docstring), so the carried covariance stays positive definite
-    under either kernel_refit cadence; the mean path always tracks the
-    current estimates.
+    grid_prior_cov is K_g under posterior.kernel and cov_tx, carried under
+    ``freeze_after_init``, where neither changes; there is no cache key. It
+    is None in the state ``init_state`` returns and under ``every_step``,
+    whose steps refit both and build K_g. cov_tx is the transmitter fix of
+    the covariance-side kernel evaluations, which moves only under
+    ``every_step``. The carried prior mean is prior_mean(grid,
+    posterior.hyper). Each step blends the current static posterior
+    covariance with the carried posterior.cov convexly (see the module
+    docstring), so the carried covariance stays positive definite under
+    either kernel_refit cadence; the mean path always tracks the current
+    estimates.
     """
 
     posterior: FieldPosterior
     centroid: CentroidState
-    grid_prior_cov: Optional[np.ndarray]  # K_g under (posterior.kernel, cov_tx)
+    grid_prior_cov: Optional[np.ndarray]  # K_g under (posterior.kernel, cov_tx), or None
     cov_tx: Position  # transmitter fix of the covariance-side kernel evaluations
 
 
@@ -95,14 +95,6 @@ def init_state(snapshot0: MeasurementSnapshot, grid: Grid, config: RecursiveConf
     return RecursiveState(
         posterior=static.posterior, centroid=static.centroid, grid_prior_cov=None, cov_tx=static.hyper.tx,
     )
-
-
-def _grid_prior_cov(state: RecursiveState, grid: Grid, kernel, cov_tx) -> np.ndarray:
-    """K_g under (kernel, cov_tx): the state's own when it has one and both
-    are unchanged."""
-    if state.grid_prior_cov is not None and kernel == state.posterior.kernel and cov_tx == state.cov_tx:
-        return state.grid_prior_cov
-    return kernel_matrix(grid.xy, grid.xy, kernel, cov_tx)
 
 
 def rgp_step(
@@ -123,7 +115,7 @@ def rgp_step(
     The data term conditions on the snapshot through ``gp.condition``, with L
     the lower Cholesky factor of K_X + S: mu_post = K_gX (K_X + S)^-1 (z - m_X)
     and sigma_post = W^T W with W = L^-1 K_Xg. The grid prior K_g is the
-    state's when the kernel and the fix are the state's own, and recomputed
+    state's under ``freeze_after_init`` when it carries one, and built
     otherwise. Every term of the blended covariance is exactly symmetric, so
     the result is too, and it is assembled and checked in the one M x M
     buffer it is returned in. At lambda = 1 it is bit-identical to
@@ -148,10 +140,11 @@ def rgp_step(
         hyper, centroid = _hyper(snapshot, pconf, state.centroid)
     else:
         hyper, centroid = state.posterior.hyper, state.centroid
-    if config.kernel_refit == "every_step":
-        kernel, cov_tx = _kernel(snapshot, hyper, pconf), hyper.tx
-    else:
+    freeze = config.kernel_refit == "freeze_after_init"
+    if freeze:
         kernel, cov_tx = state.posterior.kernel, state.cov_tx
+    else:
+        kernel, cov_tx = _kernel(snapshot, hyper, pconf), hyper.tx
 
     xy = snapshot.positions
     noise_var = pconf.noise.variances(clamped_distances(xy, hyper.tx))
@@ -162,7 +155,9 @@ def rgp_step(
 
     m_grid = prior_mean(grid.xy, hyper)
     mu_prior = state.posterior.mean - prior_mean(grid.xy, state.posterior.hyper)
-    k_grid = _grid_prior_cov(state, grid, kernel, cov_tx)
+    k_grid = state.grid_prior_cov if freeze else None
+    if k_grid is None:
+        k_grid = kernel_matrix(grid.xy, grid.xy, kernel, cov_tx)
 
     lam = config.lam
     mean = m_grid + (1.0 - lam) * mu_prior + lam * mu_post
@@ -177,5 +172,5 @@ def rgp_step(
     new_post = FieldPosterior(t=snapshot.t, mean=mean, cov=cov, hyper=hyper, kernel=kernel)
     return RecursiveState(
         posterior=new_post, centroid=centroid, cov_tx=cov_tx,
-        grid_prior_cov=None if config.kernel_refit == "every_step" else k_grid,
+        grid_prior_cov=k_grid if freeze else None,
     )

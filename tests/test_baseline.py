@@ -31,6 +31,18 @@ def test_variogram_requires_enough_points():
         fit_variogram(np.zeros(5), rng.uniform(0, 10, (5, 2)))
 
 
+def test_variogram_whose_fit_cost_overflows_is_degenerate():
+    # every residual and binned semivariance is finite, but their weighted
+    # sum of squares, least_squares' cost, is not; no RuntimeWarning either
+    rng = np.random.default_rng(2)
+    pos = rng.uniform(0, 200, (25, 2))
+    resid = 1e100 * rng.standard_normal(25)
+    with pytest.raises(rf.DegenerateFitError, match="overflow the variogram fit"):
+        fit_variogram(resid, pos)
+    model = fit_variogram(1e-100 * resid, pos)  # the check reads only
+    assert math.isfinite(model.sill) and math.isfinite(model.range_m)
+
+
 def test_variogram_recovers_shadowing_scales():
     # residuals drawn from the exponential shadowing model: the fitted sill
     # approaches the field variance and the range its correlation distance

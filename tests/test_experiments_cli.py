@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import itertools
@@ -367,13 +368,13 @@ def test_one_snapshot_commands_synthesize_only_the_first_step(tmp_path, monkeypa
         return rf.sample_snapshot(scenario, t)
 
     monkeypatch.setattr(cli, "sample_snapshot", counting)
-    cfg = write_cfg(tmp_path, SMALL_SCENARIO)
     fields = []
     for steps in ("1", "6"):
+        cfg = write_cfg(tmp_path, _cfg_with(f"steps = {steps}"))
         out = tmp_path / f"out{steps}"
         for command in ("fit-static", "bound", "baseline-okd"):
             calls.clear()
-            assert cli.main([command, "--config", cfg, "--out", str(out), "--steps", steps]) == 0
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
             assert calls == [0]
         fields.append((out / "field_static.csv").read_bytes())
     assert fields[0] == fields[1]
@@ -516,14 +517,48 @@ def test_cli_exit_codes(tmp_path):
     assert rc == 4
 
 
-def _cfg_with(line):
-    """SMALL_SCENARIO with one key line set (replacing the key's own line)."""
-    key = line.split("=")[0].strip()
-    section = {
-        "lambda": "estimator", "kernel_refit": "estimator", "refine_passes": "estimator", "sigma_v_sq_sweep": "run",
-    }.get(key, "scenario")
-    text = re.sub(rf"^{key} = .*\n", "", SMALL_SCENARIO, flags=re.M)
-    return text.replace(f"[{section}]", f"[{section}]\n{line}")
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    taken = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    run = {"--config", "--seed", "--out"}
+    fit = run | {"--measurements", "--truth"}
+    assert taken == {
+        "synth": run | {"--steps"},
+        "fit-static": fit,
+        "fit-recursive": fit | {"--lambda", "--steps"},
+        "bound": fit,
+        "baseline-okd": fit,
+        "cases": run | {"--replicates"},
+        "eval": {"--field", "--truth"},
+        "ingest-real": run | {"--measurements"},
+    }
+    assert sum(map(len, taken.values())) == 36
+    # a flag the command would not read is an argparse error, not ignored
+    for argv in (["fit-static", "--steps", "1"], ["eval", "--field", "f.csv"], ["ingest-real"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --steps 1" in err
+    assert "the following arguments are required: --truth" in err
+    assert "the following arguments are required: --measurements" in err
+
+
+def _cfg_with(lines):
+    """SMALL_SCENARIO with each key line of lines set (replacing the key's own line)."""
+    text = SMALL_SCENARIO
+    for line in lines.splitlines():
+        key = line.split("=")[0].strip()
+        section = {
+            "lambda": "estimator", "kernel_refit": "estimator", "refine_passes": "estimator", "steps": "estimator",
+            "sigma_v_sq_sweep": "run",
+        }.get(key, "scenario")
+        text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+        text = text.replace(f"[{section}]", f"[{section}]\n{line}")
+    return text
 
 
 @pytest.mark.parametrize("command, line, flags", [
@@ -542,6 +577,9 @@ def _cfg_with(line):
     ("fit-static", "sigma_v = 1e200", []),  # whose square overflows
     ("fit-static", "sigma_v = inf", []),
     ("fit-static", "d_corr = nan", []),
+    # the synthetic world brings its own truth, so a truth file scores only a measurement file
+    ("fit-static", None, ["--truth", "truth.csv"]),
+    ("fit-recursive", None, ["--truth", "truth.csv"]),
 ])
 def test_cli_invalid_config_exits_2_before_any_work(tmp_path, capsys, command, line, flags):
     cfg = write_cfg(tmp_path, _cfg_with(line) if line else SMALL_SCENARIO)
@@ -633,11 +671,14 @@ def test_cli_hostile_data_exits_4_with_one_line(tmp_path, capsys, case, command)
     assert fields == []
 
 
-@pytest.mark.parametrize("line", ["power_dbm = 4000", "sigma_v = 1e100"])
-@pytest.mark.parametrize("command", ["fit-static", "fit-recursive", "baseline-okd"])
-def test_cli_overflowing_synthetic_reports_exit_4_with_one_line(tmp_path, capsys, line, command):
+@pytest.mark.parametrize("command, lines", [
+    *itertools.product(["fit-static", "fit-recursive", "baseline-okd"], ["power_dbm = 4000", "sigma_v = 1e100"]),
+    # a known transmitter forms no centroid: the reports overflow the variogram fit's cost
+    ("baseline-okd", "tx_known = true\nsigma_v = 1e100"),
+])
+def test_cli_overflowing_synthetic_reports_exit_4_with_one_line(tmp_path, capsys, command, lines):
     # a valid config whose synthetic reports overflow the centroid weights
-    cfg = write_cfg(tmp_path, _cfg_with(line))
+    cfg = write_cfg(tmp_path, _cfg_with(lines))
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 4
     err = capsys.readouterr().err

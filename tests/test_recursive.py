@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -301,9 +302,11 @@ def test_covariance_stays_pd_along_a_noisy_run():
         assert_allclose(cov, cov.T, atol=1e-10)
 
 
-def intermittent_run(kernel_refit, steps=5, empty_at=3, seed=8, fixed_tx=None):
+def intermittent_run(kernel_refit, steps=5, empty_at=3, seed=8, fixed_tx=None, rebuild=False):
     """States of an Intermittent run with an empty snapshot at t = empty_at;
-    the transmitter sits at the area center, (150, 150)."""
+    the transmitter sits at the area center, (150, 150). With rebuild, each
+    step starts from its state without the carried grid prior, so it builds
+    K_g itself."""
     sc = rf.benchmark_scenario(
         seed=seed, sigma_v_sq=10.0, nx=6, ny=5, n_sensors=30, area=(300.0, 300.0),
         dynamics=rf.Intermittent(0.3),
@@ -317,33 +320,44 @@ def intermittent_run(kernel_refit, steps=5, empty_at=3, seed=8, fixed_tx=None):
     snap0, _ = rf.sample_snapshot(sc, 0)
     states = [init_state(snap0, sc.grid, rcfg)]
     for t in range(1, steps + 1):
+        prev = replace(states[-1], grid_prior_cov=None) if rebuild else states[-1]
         if t == empty_at:
             empty = MeasurementSnapshot(t=t, sensor_ids=(), positions=np.zeros((0, 2)), rss=np.zeros(0))
             with pytest.warns(RuntimeWarning, match="empty snapshot"):
-                states.append(rgp_step(states[-1], empty, sc.grid, rcfg))
+                states.append(rgp_step(prev, empty, sc.grid, rcfg))
         else:
             snap, _ = rf.sample_snapshot(sc, t)
-            states.append(rgp_step(states[-1], snap, sc.grid, rcfg))
+            states.append(rgp_step(prev, snap, sc.grid, rcfg))
     return sc.grid, states
 
 
-def test_grid_prior_reuse_gives_identical_states(monkeypatch):
+def assert_same_states(states, rebuilt, empty_at=3):
+    """The states of a run and of its rebuild=True replay are bit-identical;
+    the grid prior is compared on the steps that conditioned on reports (the
+    empty step carries the state it was given)."""
+    assert len(states) == len(rebuilt)
+    for a, b in zip(states, rebuilt):
+        assert a.posterior.t == b.posterior.t
+        assert_array_equal(a.posterior.mean, b.posterior.mean)
+        assert_array_equal(a.posterior.cov, b.posterior.cov)
+        assert (a.posterior.hyper, a.posterior.kernel, a.cov_tx) == (b.posterior.hyper, b.posterior.kernel, b.cov_tx)
+        if a.posterior.t != empty_at:
+            assert (a.grid_prior_cov is None) == (b.grid_prior_cov is None)
+            if a.grid_prior_cov is not None:
+                assert_array_equal(a.grid_prior_cov, b.grid_prior_cov)
+
+
+def test_grid_prior_reuse_gives_identical_states():
     grid, reused = intermittent_run("freeze_after_init")
     # under a frozen kernel every step keeps the grid prior the first step built
     assert reused[0].grid_prior_cov is None
     assert all(s.grid_prior_cov is reused[1].grid_prior_cov for s in reused[1:])
+    assert all(np.array_equal(s.posterior.cov, s.posterior.cov.T) for s in reused)
 
-    monkeypatch.setattr(
-        recursive, "_grid_prior_cov",
-        lambda state, grid, kernel, cov_tx: kernel_matrix(grid.xy, grid.xy, kernel, cov_tx),
-    )
-    _, recomputed = intermittent_run("freeze_after_init")
-    for a, b in zip(reused, recomputed):
-        assert a.posterior.t == b.posterior.t
-        assert_array_equal(a.posterior.mean, b.posterior.mean)
-        assert_array_equal(a.posterior.cov, b.posterior.cov)
-        assert_array_equal(a.grid_prior_cov, b.grid_prior_cov)
-        assert np.array_equal(a.posterior.cov, a.posterior.cov.T)
+    # stepping from each state without its grid prior builds K_g anew
+    _, rebuilt = intermittent_run("freeze_after_init", rebuild=True)
+    assert rebuilt[3].grid_prior_cov is None  # the empty step carried the stripped state
+    assert_same_states(reused, rebuilt)
 
 
 def test_every_step_refit_recomputes_grid_prior(monkeypatch):
@@ -367,15 +381,9 @@ def test_every_step_refit_recomputes_grid_prior(monkeypatch):
     assert checks == [("recursive grid covariance", 0.0)] * (10 * 4)
 
     # every step builds its grid prior from scratch, as the always-rebuild path does
-    monkeypatch.setattr(
-        recursive, "_grid_prior_cov",
-        lambda state, grid, kernel, cov_tx: kernel_matrix(grid.xy, grid.xy, kernel, cov_tx),
-    )
     for seed, states in enumerate(runs):
-        _, rebuilt = intermittent_run("every_step", steps=5, empty_at=3, seed=seed)
-        for a, b in zip(states, rebuilt):
-            assert_array_equal(a.posterior.mean, b.posterior.mean)
-            assert_array_equal(a.posterior.cov, b.posterior.cov)
+        _, rebuilt = intermittent_run("every_step", steps=5, empty_at=3, seed=seed, rebuild=True)
+        assert_same_states(states, rebuilt)
 
 
 @pytest.mark.parametrize("kernel_refit", recursive.KERNEL_REFIT_MODES)
