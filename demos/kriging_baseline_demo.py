@@ -22,7 +22,7 @@ def main():
         noise = rf.NoiseModel(rho_u=rf.rho_u_from(3.5, 13.16), sigma_w=math.sqrt(7.0))
         result = run_static(
             snapshot, scenario.grid,
-            PipelineConfig(noise=noise, area_bounds=scenario.area_bounds, n_starts=2),
+            PipelineConfig(noise=noise, area_bounds=scenario.area_bounds),
             compute_cov=False,
         )
         gp_mse.append(rf.compute_mse(result.posterior.mean, truth.grid_field))

@@ -17,7 +17,6 @@ def main():
     cfg.replicates = 20
     cfg.seed = 3
     cfg.sigma_v_sq_sweep = (4.0, 10.0)
-    cfg.n_starts = 2
     cfg.out_dir = "out_cases_demo"
 
     records, path = run_cases(cfg)

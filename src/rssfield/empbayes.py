@@ -144,12 +144,18 @@ def hyper_at(snapshot: MeasurementSnapshot, tx: Position, sigma_z_given: Optiona
 
     With ``sigma_z_given`` (a callable of those distances giving the known
     per-sensor measurement variances) the variances come from
-    ``estimate_variances``; without it both are KERNEL_PATH_VAR.
+    ``estimate_variances``; without it both are KERNEL_PATH_VAR. Reports
+    whose residuals' sum of squares overflows raise DegenerateFitError: the
+    kernel fit and the variogram both square them.
     """
     z = snapshot.rss
     d_hat = clamped_distances(snapshot.positions, tx)
     q_hat = log_distance_feature(d_hat)
     mu_p, mu_alpha = estimate_means(z, q_hat, d_hat)
+    with np.errstate(over="ignore"):
+        sum_sq = np.sum(np.square(z - mu_p + mu_alpha * q_hat))
+    if not np.isfinite(sum_sq):
+        raise DegenerateFitError(f"reports up to {np.max(np.abs(z)):g} dBm overflow the residuals' sum of squares")
     if sigma_z_given is None:
         var_p = var_alpha = KERNEL_PATH_VAR
     else:

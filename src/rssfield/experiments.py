@@ -175,7 +175,6 @@ class ExperimentConfig:
     kernel_refit: str = "freeze_after_init"
     variance_path: str = "kernel"  # kernel | empirical
     rho_u: Optional[float] = None  # None: rho_u_from(alpha, sigma_d)
-    n_starts: int = 4
     # run
     replicates: int = 100
     seed: int = 0
@@ -250,7 +249,6 @@ class ExperimentConfig:
         return PipelineConfig(
             noise=self.noise_model(),
             area_bounds=((0.0, self.area[0]), (0.0, self.area[1])),
-            n_starts=self.n_starts,
             sigma_v_sq=self.sigma_v**2 if self.variance_path == "empirical" else None,
             fixed_tx=self.tx_position() if self.tx_known else None,
         )
@@ -304,7 +302,6 @@ _KEYS = {
     ("estimator", "kernel_refit"): ("kernel_refit", str, None),
     ("estimator", "variance_path"): ("variance_path", str, None),
     ("estimator", "rho_u"): ("rho_u", _finite, None),
-    ("estimator", "n_starts"): ("n_starts", int, None),
     ("run", "replicates"): ("replicates", int, None),
     ("run", "seed"): ("seed", int, None),
     ("run", "out_dir"): ("out_dir", str, None),

@@ -416,18 +416,13 @@ def _starts(resid, dists):
     return [np.log(np.asarray(r)) for r in raw]
 
 
-def fit_kernel(
-    train,
-    hyper: HyperEstimate,
-    noise: NoiseModel,
-    *,
-    n_starts: int = 4,
-) -> KernelParams:
+def fit_kernel(train, hyper: HyperEstimate, noise: NoiseModel) -> KernelParams:
     """Spatial kernel scales minimizing the negative log marginal likelihood.
 
-    Fits sigma_k^2 and the decay scale by multi-start bounded L-BFGS-B in
-    log-parameter space with analytic gradients; the result is the
-    deterministic argmin over the starts (ties broken by start order).
+    Fits sigma_k^2 and the decay scale by bounded L-BFGS-B from every start
+    of ``_starts``, in log-parameter space with analytic gradients; the
+    result is the deterministic argmin over the starts (ties broken by start
+    order).
     sigma_alpha_k^2 and sigma_p_k^2 are frozen at hyper.var_alpha and
     hyper.var_p. One ``_nlml_objective``, with its N x N buffers, serves
     every start; a theta whose C does not factor scores 1e25 with a zero
@@ -441,7 +436,7 @@ def fit_kernel(
 
     objective = _nlml_objective(dists, noise_diag, resid, qouter, frozen)
     best = None
-    for idx, start in enumerate(_starts(resid, dists)[: max(n_starts, 1)]):
+    for idx, start in enumerate(_starts(resid, dists)):
         res = minimize(
             objective,
             np.clip(start, [b[0] for b in bounds], [b[1] for b in bounds]),

@@ -22,7 +22,6 @@ class PipelineConfig:
 
     noise: NoiseModel
     area_bounds: Optional[tuple] = None
-    n_starts: int = 4
     # known shadowing variance sigma_v^2; enables the empirical variance path
     sigma_v_sq: Optional[float] = None
     # fixed kernel scales; skips the marginal-likelihood fit when given
@@ -83,4 +82,4 @@ def _kernel(snapshot: MeasurementSnapshot, hyper: HyperEstimate, config: Pipelin
     """The configured kernel, else the marginal-likelihood fit under hyper."""
     if config.kernel is not None:
         return config.kernel
-    return fit_kernel((snapshot.positions, snapshot.rss), hyper, config.noise, n_starts=config.n_starts)
+    return fit_kernel((snapshot.positions, snapshot.rss), hyper, config.noise)

@@ -151,39 +151,25 @@ def _correlation(a_xy, b_xy, d_corr: float) -> np.ndarray:
     return corr
 
 
-class _FifoCache:
-    """Bounded cache keyed by byte fingerprints of numpy arrays; when full it
-    evicts the oldest insertion, whatever was read since."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._data: dict = {}
-
-    def get(self, key):
-        return self._data.get(key)
-
-    def put(self, key, value):
-        if key not in self._data and len(self._data) >= self.maxsize:
-            self._data.pop(next(iter(self._data)))
-        self._data[key] = value
-
-
-_grid_chol_cache = _FifoCache(4)
-_cond_cache = _FifoCache(4)
+# One world's factors at a time, each under its key: every workload and
+# subcommand draws from one grid and one sensor roster at a time (a case sweep
+# reuses its roster for every sigma_v^2, a tracking run or a report for every
+# step), so a second slot would only hold factors that are never read again.
+# A new key drops the old entry before its replacement is built.
+_grid_factor: dict = {}
+_conditional: dict = {}
 
 
 def _grid_corr_chol(grid: Grid, d_corr: float) -> np.ndarray:
     key = (grid.xy.tobytes(), float(d_corr))
-    hit = _grid_chol_cache.get(key)
-    if hit is not None:
-        return hit
-    corr = _correlation(grid.xy, grid.xy, d_corr)
-    corr[np.diag_indices_from(corr)] += _SHADOW_JITTER
-    # corr is exactly symmetric, so its F-ordered view is the same matrix and
-    # reaches LAPACK without a transposing copy
-    low = cholesky(corr.T, lower=True)
-    _grid_chol_cache.put(key, low)
-    return low
+    if key not in _grid_factor:
+        _grid_factor.clear()
+        corr = _correlation(grid.xy, grid.xy, d_corr)
+        corr[np.diag_indices_from(corr)] += _SHADOW_JITTER
+        # corr is exactly symmetric, so its F-ordered view is the same matrix and
+        # reaches LAPACK without a transposing copy
+        _grid_factor[key] = cholesky(corr.T, lower=True)
+    return _grid_factor[key]
 
 
 def _sensor_conditional(grid: Grid, sensor_xy: np.ndarray, d_corr: float):
@@ -192,22 +178,20 @@ def _sensor_conditional(grid: Grid, sensor_xy: np.ndarray, d_corr: float):
     v_S | v_g ~ N(W^T v_g, sigma_v^2 * L L^T) on the correlation scale.
     """
     key = (grid.xy.tobytes(), sensor_xy.tobytes(), float(d_corr))
-    hit = _cond_cache.get(key)
-    if hit is not None:
-        return hit
-    low_gg = _grid_corr_chol(grid, d_corr)
-    corr_gs = _correlation(grid.xy, sensor_xy, d_corr)
-    w = cho_solve((low_gg, True), corr_gs)  # (M, N), F-ordered
-    cond = _correlation(sensor_xy, sensor_xy, d_corr)
-    # numpy's BLAS on purpose: scipy's OpenBLAS splits this threaded product
-    # differently, which would change every snapshot's bits; runs once per roster
-    cond -= corr_gs.T @ w
-    cond[np.diag_indices_from(cond)] += _SHADOW_JITTER
-    # cond is C-ordered on purpose: the product above leaves it only nearly
-    # symmetric, and the factor must read its lower triangle as before
-    low_cond = cholesky(cond, lower=True)
-    _cond_cache.put(key, (w, low_cond))
-    return w, low_cond
+    if key not in _conditional:
+        _conditional.clear()
+        low_gg = _grid_corr_chol(grid, d_corr)
+        corr_gs = _correlation(grid.xy, sensor_xy, d_corr)
+        w = cho_solve((low_gg, True), corr_gs)  # (M, N), F-ordered
+        cond = _correlation(sensor_xy, sensor_xy, d_corr)
+        # numpy's BLAS on purpose: scipy's OpenBLAS splits this threaded product
+        # differently, which would change every snapshot's bits; runs once per roster
+        cond -= corr_gs.T @ w
+        cond[np.diag_indices_from(cond)] += _SHADOW_JITTER
+        # cond is C-ordered on purpose: the product above leaves it only nearly
+        # symmetric, and the factor must read its lower triangle as before
+        _conditional[key] = (w, cholesky(cond, lower=True))
+    return _conditional[key]
 
 
 def base_positions(scenario: Scenario) -> np.ndarray:

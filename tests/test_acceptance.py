@@ -58,7 +58,6 @@ def test_criterion_2_location_error_case_ordering(tmp_path):
     cfg.replicates = 100
     cfg.seed = 20
     cfg.sigma_v_sq_sweep = (4.0, 10.0, 16.0)
-    cfg.n_starts = 2
     cfg.out_dir = str(tmp_path)
     records, _ = run_cases(cfg)
     elapsed = time.monotonic() - t0
@@ -165,7 +164,7 @@ def test_criterion_4a_recursive_improvement_win_rate():
             seed=seed, sigma_v_sq=10.0, nx=10, ny=10, dynamics=rf.Moving(step_std=5.0)
         )
         rcfg = RecursiveConfig(
-            pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2),
+            pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds),
             lam=0.5,
         )
         first, last = _recursive_mse_series(sc, rcfg, n_steps=10)
@@ -186,7 +185,7 @@ def test_criterion_4b_intermittent_first_step_worse_than_moving():
     moving_first, intermittent_first = [], []
     for seed in range(100):
         common = dict(seed=seed, sigma_v_sq=10.0, nx=10, ny=10)
-        pcfg = lambda sc: PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2)
+        pcfg = lambda sc: PipelineConfig(noise=noise, area_bounds=sc.area_bounds)
         sc_m = rf.benchmark_scenario(dynamics=rf.Moving(step_std=5.0), **common)
         snap, truth = rf.sample_snapshot(sc_m, 0)
         res = run_static(snap, sc_m.grid, pcfg(sc_m), compute_cov=False)
@@ -388,7 +387,6 @@ def test_criterion_8_byte_identical_metrics(tmp_path):
         cfg.replicates = 3
         cfg.seed = 9
         cfg.sigma_v_sq_sweep = (10.0,)
-        cfg.n_starts = 2
         cfg.out_dir = str(tmp_path / seed_dir)
         return cfg
 
@@ -415,7 +413,7 @@ def test_criterion_9_pd_safety():
                 dynamics=rf.Moving(step_std=5.0),
             )
             rcfg = RecursiveConfig(
-                pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2),
+                pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds),
                 lam=0.5,
                 kernel_refit=kernel_refit,
             )

@@ -13,6 +13,7 @@ from rssfield.empbayes import (
     KERNEL_PATH_VAR,
     estimate_means,
     estimate_variances,
+    hyper_at,
     refine_all,
     refine_transmitter,
 )
@@ -363,6 +364,19 @@ def test_known_transmitter_at_refine_alls_fix_gives_refine_alls_hyper(sigma_v_sq
     assert not centroid.has_fix  # a known transmitter leaves the centroid alone
     # without the fix configured, _hyper is refine_all with the same variances
     assert pipeline._hyper(snap, dataclasses.replace(config, fixed_tx=None), None)[0] == hyper
+
+
+@pytest.mark.parametrize("known", [None, np.ones_like], ids=["kernel_path", "empirical_path"])
+def test_hyper_at_rejects_reports_whose_residual_sum_of_squares_overflows(known):
+    # finite reports at a known transmitter: the kernel fit and the variogram
+    # square their residuals, so a sum of squares past the float range is degenerate
+    xy = np.random.default_rng(5).uniform(0, 200, (25, 2))
+    signs = np.where(np.arange(25) % 2 == 0, 1.0, -1.0)
+    with pytest.raises(DegenerateFitError, match="reports up to 1e\\+160 dBm overflow the residuals' sum of squares"):
+        hyper_at(snap(xy, 1e160 * signs), Position(100.0, 100.0), known)
+    # one that still fits passes the check
+    hyper = hyper_at(snap(xy, 1e150 * signs), Position(100.0, 100.0), None)
+    assert np.isfinite([hyper.mu_p, hyper.mu_alpha]).all()
 
 
 def test_distance_weighting_shields_near_sensor_corruption():

@@ -253,7 +253,6 @@ def _tiny_cases_config(tmp_path, seed=0):
     cfg.replicates = 2
     cfg.seed = seed
     cfg.sigma_v_sq_sweep = (10.0,)
-    cfg.n_starts = 2
     cfg.out_dir = str(tmp_path)
     return cfg
 
@@ -315,7 +314,6 @@ grid_nx = 4
 grid_ny = 4
 n_sensors = 25
 [estimator]
-n_starts = 2
 [run]
 seed = 1
 """
@@ -430,7 +428,6 @@ tx_y = 150
 tx_known = true
 sigma_w = 2.0
 [estimator]
-n_starts = 2
 rho_u = 50
 """
     cfg = write_cfg(tmp_path, cfg_text)
@@ -452,7 +449,6 @@ def test_pipeline_empirical_variance_path():
     cfg.n_sensors = 40
     cfg.seed = 4
     cfg.variance_path = "empirical"
-    cfg.n_starts = 2
     scenario = cfg.scenario()
     snap, _ = rf.sample_snapshot(scenario, 0)
     from rssfield.pipeline import run_static
@@ -554,6 +550,7 @@ def _cfg_with(lines):
         key = line.split("=")[0].strip()
         section = {
             "lambda": "estimator", "kernel_refit": "estimator", "refine_passes": "estimator", "steps": "estimator",
+            "n_starts": "estimator",
             "sigma_v_sq_sweep": "run",
         }.get(key, "scenario")
         text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
@@ -580,6 +577,7 @@ def _cfg_with(lines):
     # the synthetic world brings its own truth, so a truth file scores only a measurement file
     ("fit-static", None, ["--truth", "truth.csv"]),
     ("fit-recursive", None, ["--truth", "truth.csv"]),
+    ("fit-static", "n_starts = 2", []),  # a removed key, like refine_passes
 ])
 def test_cli_invalid_config_exits_2_before_any_work(tmp_path, capsys, command, line, flags):
     cfg = write_cfg(tmp_path, _cfg_with(line) if line else SMALL_SCENARIO)
@@ -616,6 +614,8 @@ def _hostile_inputs(case, tmp_path):
             rss[:] = -4000.0  # finite, but 10^(rss/10) underflows to 0
         elif case == "rss 4000":
             rss[0] = 4000.0  # finite, but 10^(rss/10) overflows
+        elif case == "rss 1e160 known tx":
+            rss[:] = np.where(np.arange(len(d)) % 2 == 0, 1e160, -1e160)  # finite, but their squares overflow
         rows += [(t, str(i), x, y, r) for i, ((x, y), r) in enumerate(zip(pos, rss))]
     meas, truth = tmp_path / "meas.csv", tmp_path / "truth.csv"
     write_measurements(meas, rows)
@@ -640,7 +640,7 @@ def _written_fields(out):
 def _run_hostile(case, command, tmp_path, capsys):
     """(exit code, stderr, field files written) of one command on one hostile case."""
     meas, truth = _hostile_inputs(case, tmp_path)
-    cfg = write_cfg(tmp_path, SMALL_SCENARIO)
+    cfg = write_cfg(tmp_path, _cfg_with("tx_known = true") if case.endswith("known tx") else SMALL_SCENARIO)
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out"),
                    "--measurements", meas, "--truth", truth])
     err = capsys.readouterr().err
@@ -659,6 +659,8 @@ _FIT_COMMANDS = ["fit-static", "bound", "baseline-okd", "fit-recursive"]
     ("six sensors", "baseline-okd"),  # the variogram needs 10 reports
     *[(case, "fit-recursive") for case in ["coincident", "two sensors", "nan truth", "rss -4000", "long gap"]],
     *[("rss 4000", command) for command in _FIT_COMMANDS],
+    # a known transmitter forms no centroid: the residuals' sum of squares overflows
+    *[("rss 1e160 known tx", command) for command in _FIT_COMMANDS],
 ])
 def test_cli_hostile_data_exits_4_with_one_line(tmp_path, capsys, case, command):
     rc, err, fields = _run_hostile(case, command, tmp_path, capsys)

@@ -621,7 +621,7 @@ def test_fit_kernel_recovers_scales_from_simulated_fields():
         cov[np.diag_indices_from(cov)] += 1e-9
         f = np.linalg.cholesky(cov) @ rng.standard_normal(200)
         z = prior_mean(xy, hyper) + f + rng.normal(0, 1.0, 200)
-        fitted = fit_kernel((xy, z), hyper, noise, n_starts=2)
+        fitted = fit_kernel((xy, z), hyper, noise)
         vks.append(fitted.sigma_k**2)
         scales.append(fitted.decay_scale)
     assert 5.0 <= np.median(vks) <= 20.0
@@ -661,7 +661,7 @@ def test_fit_kernel_optimizes_only_the_two_spatial_scales(monkeypatch, variance_
     sc = rf.benchmark_scenario(seed=3, nx=5, ny=5, n_sensors=40, area=(300.0, 300.0))
     snap, _ = rf.sample_snapshot(sc, 0)
     noise = NoiseModel(rho_u=0.0, sigma_w=sc.params.sigma_w)
-    config = rf.PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=4)
+    config = rf.PipelineConfig(noise=noise, area_bounds=sc.area_bounds)
     if variance_path == "empirical":
         config.sigma_v_sq = sc.params.sigma_v**2
     calls, real_minimize = [], gp.minimize

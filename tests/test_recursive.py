@@ -210,7 +210,7 @@ def test_init_then_identical_snapshot_at_lambda_one():
     sc = rf.benchmark_scenario(seed=4, sigma_v_sq=10.0, nx=4, ny=4, n_sensors=15, area=(200.0, 200.0))
     snap0, _ = rf.sample_snapshot(sc, 0)
     noise = NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
-    pcfg = PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2)
+    pcfg = PipelineConfig(noise=noise, area_bounds=sc.area_bounds)
     rcfg = RecursiveConfig(pipeline=pcfg, lam=1.0, reestimate_hyper=False)
     state = init_state(snap0, sc.grid, rcfg)
     snap0b = MeasurementSnapshot(
@@ -224,7 +224,7 @@ def test_init_state_requires_data_and_gives_pd_covariance():
     sc = rf.benchmark_scenario(seed=5, sigma_v_sq=10.0, nx=5, ny=5, n_sensors=20, area=(250.0, 250.0))
     snap0, _ = rf.sample_snapshot(sc, 0)
     noise = NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
-    rcfg = RecursiveConfig(pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2))
+    rcfg = RecursiveConfig(pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds))
     state = init_state(snap0, sc.grid, rcfg)
     chol_with_jitter(np.array(state.posterior.cov), "check")  # must not raise
 
@@ -237,7 +237,7 @@ def test_init_state_is_run_static_and_the_first_step_builds_the_grid_prior(monke
     sc = rf.benchmark_scenario(seed=5, sigma_v_sq=10.0, nx=5, ny=5, n_sensors=20, area=(250.0, 250.0))
     snap0, _ = rf.sample_snapshot(sc, 0)
     noise = NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
-    rcfg = RecursiveConfig(pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2))
+    rcfg = RecursiveConfig(pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds))
     static = rf.run_static(snap0, sc.grid, rcfg.pipeline)
 
     shapes = []
@@ -290,7 +290,7 @@ def test_covariance_stays_pd_along_a_noisy_run():
     )
     noise = NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
     rcfg = RecursiveConfig(
-        pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2),
+        pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds),
         lam=0.5,
     )
     snap0, _ = rf.sample_snapshot(sc, 0)
@@ -313,7 +313,7 @@ def intermittent_run(kernel_refit, steps=5, empty_at=3, seed=8, fixed_tx=None, r
     )
     noise = NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
     rcfg = RecursiveConfig(
-        pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, n_starts=2, fixed_tx=fixed_tx),
+        pipeline=PipelineConfig(noise=noise, area_bounds=sc.area_bounds, fixed_tx=fixed_tx),
         lam=0.5,
         kernel_refit=kernel_refit,
     )

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rssfield as rf
+from rssfield import synth
 from rssfield.model import Position, PropagationParams
 from rssfield.synth import (
     Intermittent,
@@ -171,3 +172,26 @@ def test_moving_sensors_share_the_static_grid_field():
     _, t3 = sample_snapshot(sc, 3)
     assert_allclose(t0.grid_field, t3.grid_field)  # static field
     assert not np.allclose(t0.sensor_true_positions, t3.sensor_true_positions)
+
+
+def test_synth_keeps_one_worlds_factors(monkeypatch):
+    # one grid factor and one sensor conditional, each under its key: a
+    # second roster replaces the first's conditional, which is then rebuilt
+    monkeypatch.setattr(synth, "_grid_factor", {})
+    monkeypatch.setattr(synth, "_conditional", {})
+    built, real = [], synth.cholesky
+
+    def counting(a, **kwargs):
+        built.append(a.shape[0])  # 9 grid nodes, 12 sensors
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(synth, "cholesky", counting)
+    first, second = small_scenario(0), small_scenario(1)
+    sample_snapshot(first, 0)
+    sample_snapshot(first, 1)
+    assert built == [9, 12]
+    sample_snapshot(second, 0)
+    assert built == [9, 12, 12]
+    sample_snapshot(first, 0)
+    assert built == [9, 12, 12, 12]
+    assert len(synth._grid_factor) == len(synth._conditional) == 1
