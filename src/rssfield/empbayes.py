@@ -104,7 +104,9 @@ def estimate_variances(z, mu_p, mu_alpha, q_hat, known_var) -> tuple:
     Fits the element-wise squared residuals, less the known per-sensor
     measurement variances ``known_var``, against the columns [1, q_hat^2].
     Solved exactly: the unconstrained 2x2 solution if feasible, else the best
-    of the three boundary candidates.
+    of the three boundary candidates. Squared residuals whose own sum of
+    squares overflows raise DegenerateFitError: that sum is the objective at
+    (0, 0), and it bounds the objective of every other candidate.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     q = np.asarray(q_hat, dtype=float).reshape(-1)
@@ -112,6 +114,10 @@ def estimate_variances(z, mu_p, mu_alpha, q_hat, known_var) -> tuple:
     resid = z - (mu_p - q * mu_alpha)
     a = resid**2 - known
     b = q**2
+    with np.errstate(over="ignore"):
+        sum_a_sq = np.sum(np.square(a))
+    if not np.isfinite(sum_a_sq):
+        raise DegenerateFitError(f"reports up to {np.max(np.abs(z)):g} dBm overflow the variance fit's fourth powers")
 
     n = float(z.shape[0])
     sb = float(np.sum(b))

@@ -9,6 +9,12 @@ bit-reproducible and order-independent on a fixed BLAS build and thread
 count. The sensor conditional's threaded matrix product is split differently
 at different thread counts, so reference-size snapshots hash differently at
 OPENBLAS_NUM_THREADS=1 and =2; the library sets no thread count.
+
+The generator caches one world's draws, not the M x M grid correlation
+factor L that made them (keys and reasons at the caches below). L is
+factored in place in the correlation buffer, and a world whose roster does
+not move (Static, Intermittent, PowerSchedule) releases it when sampled at
+t >= 1; a case sweep and a Moving world keep it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
 
-from .gp import matvec
+from .gp import _check_in_place, matvec
 from .model import (
     Grid,
     MeasurementSnapshot,
@@ -151,12 +157,22 @@ def _correlation(a_xy, b_xy, d_corr: float) -> np.ndarray:
     return corr
 
 
-# One world's factors at a time, each under its key: every workload and
-# subcommand draws from one grid and one sensor roster at a time (a case sweep
-# reuses its roster for every sigma_v^2, a tracking run or a report for every
-# step), so a second slot would only hold factors that are never read again.
-# A new key drops the old entry before its replacement is built.
+# One world's draws at a time, each under its key: every workload and
+# subcommand draws from one grid and one sensor roster at a time, so a second
+# slot would only hold entries that are never read again, and a new key drops
+# the old entry before its replacement is built.
+# - _grid_draw: the unit grid draw u_g = L xi_g (M floats), keyed on
+#   (grid, d_corr, seed); the grid shadowing is sigma_v u_g.
+# - _conditional: the sensor conditional (W, L_c), keyed on
+#   (grid, roster, d_corr).
+# - _grid_factor: the grid correlation's Cholesky factor L (M x M), keyed on
+#   (grid, d_corr). Only the two entries above read it, so a world whose
+#   roster does not move drops it when sampled at t >= 1: from then on that
+#   world reads only its draws. A case sweep samples only t = 0 and keeps L
+#   for the next replicate's world on the same grid; moving sensors need a new
+#   conditional every step and keep it too.
 _grid_factor: dict = {}
+_grid_draw: dict = {}
 _conditional: dict = {}
 
 
@@ -166,10 +182,22 @@ def _grid_corr_chol(grid: Grid, d_corr: float) -> np.ndarray:
         _grid_factor.clear()
         corr = _correlation(grid.xy, grid.xy, d_corr)
         corr[np.diag_indices_from(corr)] += _SHADOW_JITTER
-        # corr is exactly symmetric, so its F-ordered view is the same matrix and
-        # reaches LAPACK without a transposing copy
-        _grid_factor[key] = cholesky(corr.T, lower=True)
+        # corr is exactly symmetric, so its F-ordered view is the same matrix:
+        # it reaches LAPACK without a transposing copy and is factored in place
+        low = cholesky(corr.T, lower=True, overwrite_a=True)
+        _check_in_place(low, corr, "potrf")
+        _grid_factor[key] = low
     return _grid_factor[key]
+
+
+def _unit_grid_draw(grid: Grid, d_corr: float, seed: int) -> np.ndarray:
+    """u_g = L xi_g: the grid shadowing of the seed's world per unit sigma_v."""
+    key = (grid.xy.tobytes(), float(d_corr), seed)
+    if key not in _grid_draw:
+        _grid_draw.clear()
+        xi = _rng(seed, _K_GRID_FIELD).standard_normal(grid.n_nodes)
+        _grid_draw[key] = matvec(_grid_corr_chol(grid, d_corr), xi)
+    return _grid_draw[key]
 
 
 def _sensor_conditional(grid: Grid, sensor_xy: np.ndarray, d_corr: float):
@@ -248,17 +276,17 @@ def _shadowing_at(scenario: Scenario, t: int, sensor_xy: np.ndarray):
     per step at the current positions when they do.
     """
     p = scenario.params
-    m = scenario.grid.n_nodes
     if p.sigma_v == 0.0:
-        return np.zeros(m), np.zeros(sensor_xy.shape[0])
-    low_gg = _grid_corr_chol(scenario.grid, p.d_corr)
-    v_g = p.sigma_v * matvec(low_gg, _rng(scenario.seed, _K_GRID_FIELD).standard_normal(m))
-    if sensor_xy.shape[0] == 0:
-        return v_g, np.zeros(0)
-    field_step = t if isinstance(scenario.dynamics, Moving) else 0
-    w, low_cond = _sensor_conditional(scenario.grid, sensor_xy, p.d_corr)
-    xi = _rng(scenario.seed, _K_SENSOR_FIELD, field_step).standard_normal(sensor_xy.shape[0])
-    v_s = matvec(w.T, v_g) + p.sigma_v * matvec(low_cond, xi)
+        return np.zeros(scenario.grid.n_nodes), np.zeros(sensor_xy.shape[0])
+    moving = isinstance(scenario.dynamics, Moving)
+    v_g = p.sigma_v * _unit_grid_draw(scenario.grid, p.d_corr, scenario.seed)
+    v_s = np.zeros(0)
+    if sensor_xy.shape[0] > 0:
+        w, low_cond = _sensor_conditional(scenario.grid, sensor_xy, p.d_corr)
+        xi = _rng(scenario.seed, _K_SENSOR_FIELD, t if moving else 0).standard_normal(sensor_xy.shape[0])
+        v_s = matvec(w.T, v_g) + p.sigma_v * matvec(low_cond, xi)
+    if t >= 1 and not moving:
+        _grid_factor.clear()  # this world reads only its cached draws from now on
     return v_g, v_s
 
 

@@ -54,8 +54,9 @@ FACTORIZATIONS = {
         "triangle (condition's training covariance, read only by potrs and trtrs), and the "
         "kernel-fit objective factors the C it rebuilt in its own buffer, with clean=1 so that "
         "after potri the flat buffer holds only C^-1's triangle for the trace ddots",
-    ("synth.py", "cholesky(corr.T, lower=True)"):
-        "grid correlation, exactly symmetric: its F-ordered view is the same matrix",
+    ("synth.py", "cholesky(corr.T, lower=True, overwrite_a=True)"):
+        "grid correlation, exactly symmetric: its F-ordered view is the same matrix, factored "
+        "in place in the correlation buffer",
     ("synth.py", "cholesky(cond, lower=True)"):
         "sensor conditional: cond comes out of a product and is only nearly symmetric, so it must "
         "stay C-ordered to be factored from the same triangle; runs once per sensor roster",

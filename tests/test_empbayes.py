@@ -130,6 +130,14 @@ def test_variances_never_negative():
         assert vp >= 0.0 and va >= 0.0
 
 
+def test_variances_whose_fourth_powers_overflow_raise():
+    # squared residuals of 1e160 are finite, but the fit's objective sums their squares
+    q = 10 * np.log10(np.linspace(10, 200, 25))
+    z = np.where(np.arange(25) % 2 == 0, 1e80, -1e80)
+    with pytest.raises(DegenerateFitError, match="fourth powers"):
+        estimate_variances(z, 0.0, 0.0, q, np.zeros(25))
+
+
 def snap(positions, rss, t=0):
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     return MeasurementSnapshot(

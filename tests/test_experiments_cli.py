@@ -550,7 +550,7 @@ def _cfg_with(lines):
         key = line.split("=")[0].strip()
         section = {
             "lambda": "estimator", "kernel_refit": "estimator", "refine_passes": "estimator", "steps": "estimator",
-            "n_starts": "estimator",
+            "n_starts": "estimator", "variance_path": "estimator",
             "sigma_v_sq_sweep": "run",
         }.get(key, "scenario")
         text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
@@ -616,6 +616,8 @@ def _hostile_inputs(case, tmp_path):
             rss[0] = 4000.0  # finite, but 10^(rss/10) overflows
         elif case == "rss 1e160 known tx":
             rss[:] = np.where(np.arange(len(d)) % 2 == 0, 1e160, -1e160)  # finite, but their squares overflow
+        elif case == "rss 1e80 known tx, empirical variances":
+            rss[:] = np.where(np.arange(len(d)) % 2 == 0, 1e80, -1e80)  # finite, but their fourth powers overflow
         rows += [(t, str(i), x, y, r) for i, ((x, y), r) in enumerate(zip(pos, rss))]
     meas, truth = tmp_path / "meas.csv", tmp_path / "truth.csv"
     write_measurements(meas, rows)
@@ -637,10 +639,16 @@ def _written_fields(out):
     return names
 
 
+_CASE_CONFIG = {
+    "rss 1e160 known tx": "tx_known = true",
+    "rss 1e80 known tx, empirical variances": "tx_known = true\nvariance_path = empirical",
+}
+
+
 def _run_hostile(case, command, tmp_path, capsys):
     """(exit code, stderr, field files written) of one command on one hostile case."""
     meas, truth = _hostile_inputs(case, tmp_path)
-    cfg = write_cfg(tmp_path, _cfg_with("tx_known = true") if case.endswith("known tx") else SMALL_SCENARIO)
+    cfg = write_cfg(tmp_path, _cfg_with(_CASE_CONFIG.get(case, "")))
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out"),
                    "--measurements", meas, "--truth", truth])
     err = capsys.readouterr().err
@@ -661,6 +669,8 @@ _FIT_COMMANDS = ["fit-static", "bound", "baseline-okd", "fit-recursive"]
     *[("rss 4000", command) for command in _FIT_COMMANDS],
     # a known transmitter forms no centroid: the residuals' sum of squares overflows
     *[("rss 1e160 known tx", command) for command in _FIT_COMMANDS],
+    # the empirical variance fit sums the residuals' fourth powers
+    *[("rss 1e80 known tx, empirical variances", command) for command in _FIT_COMMANDS],
 ])
 def test_cli_hostile_data_exits_4_with_one_line(tmp_path, capsys, case, command):
     rc, err, fields = _run_hostile(case, command, tmp_path, capsys)

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import rssfield as rf
 from rssfield import synth
@@ -174,11 +175,17 @@ def test_moving_sensors_share_the_static_grid_field():
     assert not np.allclose(t0.sensor_true_positions, t3.sensor_true_positions)
 
 
-def test_synth_keeps_one_worlds_factors(monkeypatch):
-    # one grid factor and one sensor conditional, each under its key: a
-    # second roster replaces the first's conditional, which is then rebuilt
-    monkeypatch.setattr(synth, "_grid_factor", {})
-    monkeypatch.setattr(synth, "_conditional", {})
+_CACHES = ("_grid_factor", "_grid_draw", "_conditional")
+
+
+def _empty_caches(monkeypatch):
+    for name in _CACHES:
+        monkeypatch.setattr(synth, name, {})
+
+
+def _counting_cholesky(monkeypatch):
+    """Empty synth caches, and the list of the sizes synth.cholesky factors."""
+    _empty_caches(monkeypatch)
     built, real = [], synth.cholesky
 
     def counting(a, **kwargs):
@@ -186,12 +193,86 @@ def test_synth_keeps_one_worlds_factors(monkeypatch):
         return real(a, **kwargs)
 
     monkeypatch.setattr(synth, "cholesky", counting)
-    first, second = small_scenario(0), small_scenario(1)
-    sample_snapshot(first, 0)
-    sample_snapshot(first, 1)
-    assert built == [9, 12]
-    sample_snapshot(second, 0)
-    assert built == [9, 12, 12]
-    sample_snapshot(first, 0)
-    assert built == [9, 12, 12, 12]
-    assert len(synth._grid_factor) == len(synth._conditional) == 1
+    return built
+
+
+def test_synth_keeps_one_worlds_factors(monkeypatch):
+    # a sweep over seeds on one grid factors the grid once, and each world's
+    # roster gets its own conditional
+    built = _counting_cholesky(monkeypatch)
+    for seed in range(4):
+        sample_snapshot(small_scenario(seed), 0)
+    assert built == [9, 12, 12, 12, 12]
+    assert len(synth._grid_factor) == len(synth._grid_draw) == len(synth._conditional) == 1
+
+    # a fixed-roster world releases the grid factor at t >= 1 and reads only its
+    # draws from then on; a later new world rebuilds the factor
+    for dynamics in (Static(), Intermittent(0.5), PowerSchedule(((1, -4.0),))):
+        built = _counting_cholesky(monkeypatch)
+        world = small_scenario(0, dynamics=dynamics)
+        sample_snapshot(world, 0)
+        assert built == [9, 12] and len(synth._grid_factor) == 1
+        for t in (1, 2, 0):
+            sample_snapshot(world, t)
+        assert built == [9, 12] and synth._grid_factor == {}
+        sample_snapshot(small_scenario(1, dynamics=dynamics), 0)
+        assert built == [9, 12, 9, 12]
+
+    # a moving world needs a new conditional every step, so it keeps the factor
+    built = _counting_cholesky(monkeypatch)
+    world = small_scenario(0, dynamics=Moving(5.0))
+    for t in range(4):
+        sample_snapshot(world, t)
+    assert built == [9, 12, 12, 12, 12]
+    assert len(synth._grid_factor) == 1
+
+
+def _assert_same_snapshot(a, b):
+    (snap_a, truth_a), (snap_b, truth_b) = a, b
+    assert snap_a.sensor_ids == snap_b.sensor_ids
+    for x, y in [(snap_a.positions, snap_b.positions), (snap_a.rss, snap_b.rss),
+                 (truth_a.grid_field, truth_b.grid_field),
+                 (truth_a.sensor_shadowing, truth_b.sensor_shadowing)]:
+        assert_array_equal(x, y)
+
+
+def test_warm_caches_draw_what_fresh_caches_draw(monkeypatch):
+    # order-independence oracle: a sweep, then tracked worlds of every dynamics,
+    # then the sweep again, each snapshot against one drawn from empty caches
+    def world(seed, dynamics=Static()):
+        return rf.benchmark_scenario(seed=seed, nx=8, ny=9, n_sensors=30, dynamics=dynamics)
+
+    sweep = [(world(seed), 0) for seed in range(3)]
+    tracked = [
+        (world(seed, dynamics), t)
+        for seed, dynamics in [(3, Intermittent(0.2)), (4, Moving(5.0)), (5, PowerSchedule(((2, -4.0),)))]
+        for t in range(4)
+    ]
+    order = sweep + tracked + sweep
+    _empty_caches(monkeypatch)
+    warm = [sample_snapshot(sc, t) for sc, t in order]
+    for (sc, t), drawn in zip(order, warm):
+        _empty_caches(monkeypatch)
+        _assert_same_snapshot(drawn, sample_snapshot(sc, t))
+
+
+def test_first_snapshot_factors_in_place_and_t1_holds_no_grid_matrix(monkeypatch):
+    _empty_caches(monkeypatch)
+    sc = rf.benchmark_scenario(seed=2, nx=32, ny=32, n_sensors=50, dynamics=Intermittent(0.2))
+    one_matrix = sc.grid.n_nodes**2 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sample_snapshot(sc, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        held_t0 = tracemalloc.get_traced_memory()[0] - base
+        sample_snapshot(sc, 1)
+        held_t1 = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # the grid factor is the correlation buffer itself: a copy would double it
+    assert peak < 1.3 * one_matrix, f"first snapshot peak {peak / one_matrix:.2f} grid matrices"
+    assert held_t0 > one_matrix  # the factor stays for the next world's draws
+    assert held_t1 < 0.1 * one_matrix, f"synth holds {held_t1 / 1e6:.1f} MB after t = 1"
+    assert synth._grid_factor == {}
