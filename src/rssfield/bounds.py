@@ -18,13 +18,7 @@ from scipy.linalg.blas import dgemm
 from .empbayes import HyperEstimate
 # chol_with_jitter and kernel_matrix are unused here; the benchmark tracer resolves them by module name
 from .gp import KernelParams, chol_with_jitter, condition, kernel_diag, kernel_matrix, prior_mean  # noqa: F401
-from .model import (
-    Grid,
-    NoiseModel,
-    clamped_distances,
-    log_distance_feature,
-    mean_tx_gradient,
-)
+from .model import LOG10_E, Grid, NoiseModel, clamped_distances, log_distance_feature
 
 _SINGULAR_RCOND = 1e-10
 
@@ -43,19 +37,15 @@ class HcrbReport:
 def grid_mean_gradient(node_xy, tx, mu_alpha: float) -> np.ndarray:
     """Derivative of the node prior mean w.r.t. (mu_p, mu_alpha, tx_x, tx_y).
 
-    One node (shape (2,)) gives shape (4,); an (m, 2) array of nodes gives
-    one row per node.
+    The transmitter columns are -10 mu_alpha log10(e) (x0 - x_i) / d_i^2,
+    with d the clamped node-to-transmitter distances. One node (shape (2,))
+    gives shape (4,); an (m, 2) array of nodes gives one row per node.
     """
     nodes = np.asarray(node_xy, dtype=float)
     xy = nodes.reshape(-1, 2)
     d = clamped_distances(xy, tx)
-    grad = np.column_stack(
-        [
-            np.ones(xy.shape[0]),
-            -log_distance_feature(d),
-            mean_tx_gradient(xy, tx.as_array(), mu_alpha, d),
-        ]
-    )
+    d_tx = -10.0 * mu_alpha * LOG10_E * (tx.as_array() - xy) / d[:, None] ** 2
+    grad = np.column_stack([np.ones(xy.shape[0]), -log_distance_feature(d), d_tx])
     return grad[0] if nodes.ndim == 1 else grad
 
 

@@ -132,9 +132,12 @@ class PropagationParams:
     def __post_init__(self):
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        for name in ("sigma_v", "d_corr", "sigma_w", "sigma_d"):
+        for name in ("sigma_v", "sigma_w", "sigma_d"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        # the shadowing correlation exp(-d / d_corr) is nan on its diagonal at 0
+        if not self.d_corr > 0:
+            raise ValueError("d_corr must be > 0")
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,12 @@ class NoiseModel:
     sigma_w: float  # dB
 
     def __post_init__(self):
-        if self.rho_u < 0 or self.sigma_w < 0:
-            raise ValueError("rho_u and sigma_w must be >= 0")
+        for name in ("rho_u", "sigma_w"):
+            x = getattr(self, name)
+            if x < 0:
+                raise ValueError(f"{name} must be >= 0")
+            if not math.isfinite(x * x):
+                raise ValueError(f"{name} squared must be finite")
 
     def variances(self, d_hat: np.ndarray) -> np.ndarray:
         """Diagonal entries sigma_w^2 + rho_u^2 / d_hat^2 (dB^2)."""
@@ -185,19 +192,6 @@ def log_distance_feature(d_hat):
         raise ValueError("log-distance feature requires d_hat > 0 (apply the D_MIN floor)")
     out = 10.0 * np.log10(d)
     return float(out) if np.isscalar(d_hat) else out
-
-
-def mean_tx_gradient(points, tx_xy, mu_alpha: float, d_hat) -> np.ndarray:
-    """Derivative of the prior mean mu_p - mu_alpha * 10 log10(d) w.r.t. the
-    transmitter position, one (d/dx0, d/dy0) row per point.
-
-    Equals -10 mu_alpha log10(e) (x0 - x_i) / d_i^2, with d_hat the
-    (clamped) point-to-transmitter distances.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    tx = np.asarray(tx_xy, dtype=float).reshape(1, 2)
-    d = np.asarray(d_hat, dtype=float).reshape(-1, 1)
-    return -10.0 * mu_alpha * LOG10_E * (tx - pts) / d**2
 
 
 def rho_u_from(alpha: float, sigma_d: float) -> float:

@@ -52,7 +52,6 @@ class RecursiveConfig:
     pipeline: PipelineConfig
     lam: float = 0.5
     kernel_refit: str = "freeze_after_init"
-    reestimate_hyper: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.lam <= 1.0:
@@ -105,10 +104,10 @@ def rgp_step(
 ) -> RecursiveState:
     """Advance the recursion by one snapshot.
 
-    Hyper-parameters come from the static fit's own path (``pipeline._hyper``:
-    the known transmitter when one is configured, else ``refine_all``) unless
-    ``reestimate_hyper`` is off. Under ``every_step`` the kernel comes from
-    the static fit's path too (``pipeline._kernel``: the configured kernel,
+    Hyper-parameters are re-estimated from every snapshot on the static fit's
+    own path (``pipeline._hyper``: the known transmitter when one is
+    configured, else ``refine_all``). Under ``every_step`` the kernel comes
+    from the static fit's path too (``pipeline._kernel``: the configured kernel,
     else a refit) and the covariance-side fix follows the new
     hyper-parameters; otherwise both are the state's.
 
@@ -136,10 +135,7 @@ def rgp_step(
         return replace(state, posterior=carried)
 
     pconf = config.pipeline
-    if config.reestimate_hyper:
-        hyper, centroid = _hyper(snapshot, pconf, state.centroid)
-    else:
-        hyper, centroid = state.posterior.hyper, state.centroid
+    hyper, centroid = _hyper(snapshot, pconf, state.centroid)
     freeze = config.kernel_refit == "freeze_after_init"
     if freeze:
         kernel, cov_tx = state.posterior.kernel, state.cov_tx

@@ -95,7 +95,11 @@ Dynamics = Union[Static, Intermittent, Moving, PowerSchedule]
 
 @dataclass(frozen=True)
 class Scenario:
-    """Ground-truth world configuration for the synthetic generator."""
+    """Ground-truth world configuration for the synthetic generator.
+
+    The seed (an integer >= 0) roots the seed tree of every draw: sensor
+    placement, field, noise and dynamics.
+    """
 
     params: PropagationParams
     grid: Grid
@@ -103,23 +107,15 @@ class Scenario:
     n_sensors: int
     seed: int
     dynamics: Dynamics = Static()
-    # Optional fixed base placement (n_sensors, 2); when given, the seed
-    # governs only the field and noise draws (used for fixed-geometry replays).
-    sensor_positions: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.n_sensors < 0:
             raise ValueError("n_sensors must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         w, h = self.area
         if w <= 0 or h <= 0:
             raise ValueError("area must be positive")
-        if self.sensor_positions is not None:
-            pos = np.asarray(self.sensor_positions, dtype=float).reshape(-1, 2)
-            if pos.shape[0] != self.n_sensors:
-                raise ValueError("sensor_positions length must equal n_sensors")
-            pos = pos.copy()
-            pos.setflags(write=False)
-            object.__setattr__(self, "sensor_positions", pos)
 
     @property
     def area_bounds(self) -> tuple:
@@ -223,9 +219,7 @@ def _sensor_conditional(grid: Grid, sensor_xy: np.ndarray, d_corr: float):
 
 
 def base_positions(scenario: Scenario) -> np.ndarray:
-    """Base (t=0) true sensor positions: fixed override or uniform placement."""
-    if scenario.sensor_positions is not None:
-        return np.array(scenario.sensor_positions)
+    """Base (t=0) true sensor positions, uniform over the area."""
     w, h = scenario.area
     rng = _rng(scenario.seed, _K_PLACE)
     return rng.uniform([0.0, 0.0], [w, h], size=(scenario.n_sensors, 2))
@@ -349,7 +343,6 @@ def benchmark_scenario(
     n_sensors: int = 218,
     dynamics: Dynamics = Static(),
     tx: Optional[Position] = None,
-    sensor_positions: Optional[np.ndarray] = None,
 ) -> Scenario:
     """Reference synthetic setup: 500 m x 500 m, 1088-node grid, 218 sensors,
     transmitter at the area center."""
@@ -372,5 +365,4 @@ def benchmark_scenario(
         n_sensors=n_sensors,
         seed=seed,
         dynamics=dynamics,
-        sensor_positions=sensor_positions,
     )

@@ -110,17 +110,17 @@ def _state_from(post, grid):
     )
 
 
-def test_criterion_3_lambda_one_equivalence():
+def test_criterion_3_lambda_one_equivalence(pin_hyper):
     rng = np.random.default_rng(30)
     worst = 0.0
     for _ in range(20):
         snap0, snap1, grid, hyper, kernel, noise = _random_small_inputs(rng)
         post0 = posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
         state = _state_from(post0, grid)
-        cfg = RecursiveConfig(
-            pipeline=PipelineConfig(noise=noise, kernel=kernel), lam=1.0, reestimate_hyper=False
-        )
+        cfg = RecursiveConfig(pipeline=PipelineConfig(noise=noise, kernel=kernel), lam=1.0)
+        pin = pin_hyper(hyper)
         stepped = rgp_step(state, snap1, grid, cfg)
+        assert pin.calls == 1
         ref = posterior((snap1.positions, snap1.rss), grid, hyper, kernel, noise, t=1)
         worst = max(
             worst,
@@ -287,7 +287,7 @@ def test_criterion_6_location_error_linearization():
     report("6 linearization", ok, "; ".join(lines))
 
 
-def test_criterion_7_oracle_equivalence():
+def test_criterion_7_oracle_equivalence(pin_hyper):
     worst = 0.0
     # (a) joint-Gaussian conditioning on instances with <= 5 training points
     rng = np.random.default_rng(70)
@@ -323,9 +323,11 @@ def test_criterion_7_oracle_equivalence():
     ]
     post0 = posterior((snaps[0].positions, snaps[0].rss), grid2, hyper2, kernel2, noise2, t=0)
     state = _state_from(post0, grid2)
-    cfg = RecursiveConfig(pipeline=PipelineConfig(noise=noise2, kernel=kernel2), lam=lam, reestimate_hyper=False)
+    cfg = RecursiveConfig(pipeline=PipelineConfig(noise=noise2, kernel=kernel2), lam=lam)
+    pin = pin_hyper(hyper2)
     for snap in snaps[1:]:
         state = rgp_step(state, snap, grid2, cfg)
+    assert pin.calls == 2
 
     def k_of(a, b):
         return kernel_matrix(a, b, kernel2, tx)

@@ -550,7 +550,7 @@ def _cfg_with(lines):
         key = line.split("=")[0].strip()
         section = {
             "lambda": "estimator", "kernel_refit": "estimator", "refine_passes": "estimator", "steps": "estimator",
-            "n_starts": "estimator", "variance_path": "estimator",
+            "n_starts": "estimator", "variance_path": "estimator", "rho_u": "estimator",
             "sigma_v_sq_sweep": "run",
         }.get(key, "scenario")
         text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
@@ -578,6 +578,12 @@ def _cfg_with(lines):
     ("fit-static", None, ["--truth", "truth.csv"]),
     ("fit-recursive", None, ["--truth", "truth.csv"]),
     ("fit-static", "n_starts = 2", []),  # a removed key, like refine_passes
+    ("synth", None, ["--seed", "-1"]),
+    ("cases", None, ["--seed", "-1"]),
+    ("ingest-real", None, ["--seed", "-1", "--measurements", "measurements.csv"]),
+    ("fit-static", "d_corr = 0", []),
+    ("fit-static", "sigma_w = 1e200", []),  # whose square overflows
+    ("fit-recursive", "rho_u = 1e200", []),
 ])
 def test_cli_invalid_config_exits_2_before_any_work(tmp_path, capsys, command, line, flags):
     cfg = write_cfg(tmp_path, _cfg_with(line) if line else SMALL_SCENARIO)
@@ -586,6 +592,9 @@ def test_cli_invalid_config_exits_2_before_any_work(tmp_path, capsys, command, l
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert not out.exists()
+    # the error line names the offending key or flag; grid_nx reaches the grid as nx
+    key = line.split("=")[0].strip() if line else flags[0][2:]
+    assert {"grid_nx": "nx"}.get(key, key) in err[0]
 
 
 def _hostile_inputs(case, tmp_path):

@@ -131,6 +131,11 @@ def test_snapshot_validation():
 def test_propagation_params_validation():
     with pytest.raises(ValueError):
         PropagationParams(alpha=-1, power=0, sigma_v=1, d_corr=50, sigma_w=1, sigma_d=1, tx_position=Position(0, 0))
+    # the diagonal of exp(-d / d_corr) is exp(-0 / 0) = nan at d_corr = 0 or -0
+    for d_corr in (0.0, -0.0):
+        with pytest.raises(ValueError, match="d_corr"):
+            PropagationParams(alpha=3, power=0, sigma_v=1, d_corr=d_corr, sigma_w=1, sigma_d=1,
+                              tx_position=Position(0, 0))
 
 
 def test_noise_model_variances():

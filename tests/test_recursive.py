@@ -50,12 +50,13 @@ def state_from_posterior(post, grid):
     )
 
 
-def frozen_config(hyper, kernel, noise, lam):
+def frozen_config(pin_hyper, hyper, kernel, noise, lam):
+    """(config, pin): steps under the fixed kernel and the pinned hyper."""
     pcfg = PipelineConfig(noise=noise, kernel=kernel)
-    return RecursiveConfig(pipeline=pcfg, lam=lam, reestimate_hyper=False)
+    return RecursiveConfig(pipeline=pcfg, lam=lam), pin_hyper(hyper)
 
 
-def test_lambda_one_matches_static_posterior():
+def test_lambda_one_matches_static_posterior(pin_hyper):
     # with all prior knowledge forgotten, one recursive step equals the
     # static fit on the current snapshot alone
     rng = np.random.default_rng(0)
@@ -64,13 +65,15 @@ def test_lambda_one_matches_static_posterior():
         snap1 = make_snapshot(rng, snap0.n_sensors, t=1)
         post0 = posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
         state = state_from_posterior(post0, grid)
-        stepped = rgp_step(state, snap1, grid, frozen_config(hyper, kernel, noise, 1.0))
+        cfg, pin = frozen_config(pin_hyper, hyper, kernel, noise, 1.0)
+        stepped = rgp_step(state, snap1, grid, cfg)
+        assert pin.calls == 1
         ref = posterior((snap1.positions, snap1.rss), grid, hyper, kernel, noise, t=1)
         assert_array_equal(stepped.posterior.mean, ref.mean)
         assert_array_equal(stepped.posterior.cov, ref.cov)
 
 
-def test_lambda_one_matches_static_posterior_beyond_one_accumulation_block():
+def test_lambda_one_matches_static_posterior_beyond_one_accumulation_block(pin_hyper):
     # 600 reports: W^T W is accumulated over several dsyrk blocks, where the
     # order of the updates decides the last bits
     rng = np.random.default_rng(9)
@@ -78,7 +81,9 @@ def test_lambda_one_matches_static_posterior_beyond_one_accumulation_block():
     snap1 = make_snapshot(rng, 600, t=1)
     post0 = posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
     state = state_from_posterior(post0, grid)
-    stepped = rgp_step(state, snap1, grid, frozen_config(hyper, kernel, noise, 1.0))
+    cfg, pin = frozen_config(pin_hyper, hyper, kernel, noise, 1.0)
+    stepped = rgp_step(state, snap1, grid, cfg)
+    assert pin.calls == 1
     ref = posterior((snap1.positions, snap1.rss), grid, hyper, kernel, noise, t=1)
     assert_array_equal(stepped.posterior.mean, ref.mean)
     assert_array_equal(stepped.posterior.cov, ref.cov)
@@ -97,7 +102,7 @@ def _traced_peak(fn):
     return out, peak
 
 
-def test_posterior_and_step_hold_one_grid_covariance_at_a_time():
+def test_posterior_and_step_hold_one_grid_covariance_at_a_time(pin_hyper):
     # the returned M x M covariance is the only one: kernel assembly, the Gram
     # update and the PD check all run inside it
     rng = np.random.default_rng(10)
@@ -110,24 +115,28 @@ def test_posterior_and_step_hold_one_grid_covariance_at_a_time():
     assert peak < budget, f"posterior peak {peak / 1e6:.1f} MB"
     state = state_from_posterior(post0, grid)
     snap1 = make_snapshot(rng, 100, t=1)
-    stepped, peak = _traced_peak(lambda: rgp_step(state, snap1, grid, frozen_config(hyper, kernel, noise, 0.5)))
+    cfg, pin = frozen_config(pin_hyper, hyper, kernel, noise, 0.5)
+    stepped, peak = _traced_peak(lambda: rgp_step(state, snap1, grid, cfg))
     assert peak < budget, f"rgp_step peak {peak / 1e6:.1f} MB"
+    assert pin.calls == 1
     assert stepped.posterior.cov.shape == (grid.n_nodes, grid.n_nodes)
 
 
-def test_lambda_to_zero_carries_field():
+def test_lambda_to_zero_carries_field(pin_hyper):
     rng = np.random.default_rng(1)
     snap0, grid, hyper, kernel, noise = random_inputs(rng)
     snap1 = make_snapshot(rng, snap0.n_sensors, t=1)
     post0 = posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
     lam = 1e-12
     state = state_from_posterior(post0, grid)
-    stepped = rgp_step(state, snap1, grid, frozen_config(hyper, kernel, noise, lam))
+    cfg, pin = frozen_config(pin_hyper, hyper, kernel, noise, lam)
+    stepped = rgp_step(state, snap1, grid, cfg)
+    assert pin.calls == 1
     assert_allclose(stepped.posterior.mean, post0.mean, atol=1e-8)
     assert_allclose(stepped.posterior.cov, post0.cov, atol=1e-8)
 
 
-def test_two_step_trace_matches_hand_unrolled_equations():
+def test_two_step_trace_matches_hand_unrolled_equations(pin_hyper):
     # independent re-implementation of the five update equations on a
     # 2-node / 2-sensor case, two steps at lambda = 0.5
     lam = 0.5
@@ -141,9 +150,10 @@ def test_two_step_trace_matches_hand_unrolled_equations():
 
     post0 = posterior((snaps[0].positions, snaps[0].rss), grid, hyper, kernel, noise, t=0)
     state = state_from_posterior(post0, grid)
-    cfg = frozen_config(hyper, kernel, noise, lam)
+    cfg, pin = frozen_config(pin_hyper, hyper, kernel, noise, lam)
     for snap in snaps[1:]:
         state = rgp_step(state, snap, grid, cfg)
+    assert pin.calls == 2
 
     # oracle: plain numpy evaluation of the update equations
     def k_mat(a, b):
@@ -181,7 +191,7 @@ def test_two_step_trace_matches_hand_unrolled_equations():
     assert_allclose(state.posterior.cov, 0.5 * (sig + sig.T), atol=1e-8)
 
 
-def test_refit_step_is_convex_blend_of_static_and_carried_posteriors():
+def test_refit_step_is_convex_blend_of_static_and_carried_posteriors(pin_hyper):
     # under a new kernel the step is lam * (static posterior under it) +
     # (1 - lam) * (carried posterior), in mean deviation and covariance
     rng = np.random.default_rng(12)
@@ -196,27 +206,31 @@ def test_refit_step_is_convex_blend_of_static_and_carried_posteriors():
         )
         cfg = RecursiveConfig(
             pipeline=PipelineConfig(noise=noise, kernel=new_kernel), lam=lam,
-            kernel_refit="every_step", reestimate_hyper=False,
+            kernel_refit="every_step",
         )
+        pin = pin_hyper(hyper)
         stepped = rgp_step(state_from_posterior(post0, grid), snap1, grid, cfg)
+        assert pin.calls == 1
         static = posterior((snap1.positions, snap1.rss), grid, hyper, new_kernel, noise, t=1)
         assert stepped.posterior.kernel == new_kernel
         assert_allclose(stepped.posterior.mean, lam * static.mean + (1 - lam) * post0.mean, atol=1e-8)
         assert_allclose(stepped.posterior.cov, lam * static.cov + (1 - lam) * post0.cov, atol=1e-8)
 
 
-def test_init_then_identical_snapshot_at_lambda_one():
+def test_init_then_identical_snapshot_at_lambda_one(pin_hyper):
     rng = np.random.default_rng(3)
     sc = rf.benchmark_scenario(seed=4, sigma_v_sq=10.0, nx=4, ny=4, n_sensors=15, area=(200.0, 200.0))
     snap0, _ = rf.sample_snapshot(sc, 0)
     noise = NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
     pcfg = PipelineConfig(noise=noise, area_bounds=sc.area_bounds)
-    rcfg = RecursiveConfig(pipeline=pcfg, lam=1.0, reestimate_hyper=False)
+    rcfg = RecursiveConfig(pipeline=pcfg, lam=1.0)
     state = init_state(snap0, sc.grid, rcfg)
+    pin = pin_hyper(state.posterior.hyper)
     snap0b = MeasurementSnapshot(
         t=1, sensor_ids=snap0.sensor_ids, positions=snap0.positions, rss=snap0.rss
     )
     stepped = rgp_step(state, snap0b, sc.grid, rcfg)
+    assert pin.calls == 1
     assert_allclose(stepped.posterior.mean, state.posterior.mean, atol=1e-8)
 
 
@@ -270,14 +284,16 @@ def test_init_state_is_run_static_and_the_first_step_builds_the_grid_prior(monke
     assert all(s.grid_prior_cov is states[1].grid_prior_cov for s in states[1:])
 
 
-def test_empty_snapshot_carries_state_with_warning():
+def test_empty_snapshot_carries_state_with_warning(pin_hyper):
     rng = np.random.default_rng(6)
     snap0, grid, hyper, kernel, noise = random_inputs(rng)
     post0 = posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
     state = state_from_posterior(post0, grid)
     empty = MeasurementSnapshot(t=1, sensor_ids=(), positions=np.zeros((0, 2)), rss=np.zeros(0))
+    cfg, pin = frozen_config(pin_hyper, hyper, kernel, noise, 0.5)
     with pytest.warns(RuntimeWarning, match="empty snapshot"):
-        stepped = rgp_step(state, empty, grid, frozen_config(hyper, kernel, noise, 0.5))
+        stepped = rgp_step(state, empty, grid, cfg)
+    assert pin.calls == 0  # an empty step re-estimates nothing
     assert stepped.posterior.t == 1
     assert_allclose(stepped.posterior.mean, post0.mean)
     assert_allclose(stepped.posterior.cov, post0.cov)
@@ -411,7 +427,7 @@ def test_config_validation():
         "the per-run win rate saturates near 80% (mean improvement is positive)"
     ),
 )
-def test_improvement_win_rate_static_sensors_fixed_hyper():
+def test_improvement_win_rate_static_sensors_fixed_hyper(pin_hyper):
     # fixed kernel and hyper-parameters, static truth and sensors: grid MSE
     # after nine updates below the first estimate in >= 90% of 100 runs
     noise = NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
@@ -422,9 +438,8 @@ def test_improvement_win_rate_static_sensors_fixed_hyper():
                                    area=(300.0, 300.0))
         hyper = HyperEstimate(mu_p=-10.0, mu_alpha=3.5, var_p=0.0, var_alpha=0.0,
                               tx=sc.params.tx_position)
-        cfg = RecursiveConfig(
-            pipeline=PipelineConfig(noise=noise, kernel=kernel), lam=0.5, reestimate_hyper=False
-        )
+        cfg = RecursiveConfig(pipeline=PipelineConfig(noise=noise, kernel=kernel), lam=0.5)
+        pin = pin_hyper(hyper)
         snap, truth = rf.sample_snapshot(sc, 0)
         post0 = posterior((snap.positions, snap.rss), sc.grid, hyper, kernel, noise, t=0)
         state = state_from_posterior(post0, sc.grid)
@@ -432,5 +447,6 @@ def test_improvement_win_rate_static_sensors_fixed_hyper():
         for t in range(1, 10):
             snap, truth = rf.sample_snapshot(sc, t)
             state = rgp_step(state, snap, sc.grid, cfg)
+        assert pin.calls == 9
         wins += rf.compute_mse(state.posterior.mean, truth.grid_field) < first
     assert wins >= 90, f"wins={wins}/100"

@@ -21,7 +21,7 @@ from rssfield.synth import (
 
 
 def small_scenario(seed=0, *, sigma_v=math.sqrt(10), sigma_w=math.sqrt(7), sigma_d=13.16,
-                   n_sensors=12, dynamics=Static(), sensor_positions=None, power=-10.0):
+                   n_sensors=12, dynamics=Static(), power=-10.0):
     params = PropagationParams(
         alpha=3.5, power=power, sigma_v=sigma_v, d_corr=50.0,
         sigma_w=sigma_w, sigma_d=sigma_d, tx_position=Position(100.0, 100.0),
@@ -33,7 +33,6 @@ def small_scenario(seed=0, *, sigma_v=math.sqrt(10), sigma_w=math.sqrt(7), sigma
         n_sensors=n_sensors,
         seed=seed,
         dynamics=dynamics,
-        sensor_positions=sensor_positions,
     )
 
 
@@ -65,9 +64,16 @@ def test_joint_shadowing_is_positive_definite_after_jitter():
     np.linalg.cholesky(cov)  # must not raise
 
 
-def test_sample_snapshot_noise_free_closed_form():
+def place_sensors(monkeypatch, pos):
+    """Replace the seeded uniform placement with the fixed geometry pos; the
+    seed then governs only the field and noise draws."""
+    monkeypatch.setattr(synth, "base_positions", lambda scenario: np.array(pos))
+
+
+def test_sample_snapshot_noise_free_closed_form(monkeypatch):
     pos = np.array([[200.0, 100.0]])  # 100 m east of the transmitter
-    sc = small_scenario(0, sigma_v=0.0, sigma_w=0.0, sigma_d=0.0, n_sensors=1, sensor_positions=pos)
+    place_sensors(monkeypatch, pos)
+    sc = small_scenario(0, sigma_v=0.0, sigma_w=0.0, sigma_d=0.0, n_sensors=1)
     snap, truth = sample_snapshot(sc, 0)
     assert_allclose(snap.rss, [-10.0 - 35.0 * math.log10(100.0)], rtol=1e-12)
     assert_allclose(snap.rss, [-80.0], rtol=1e-12)
@@ -94,13 +100,14 @@ def test_sample_snapshot_reference_configuration_shapes():
     assert truth.sensor_shadowing.shape == (218,)
 
 
-def test_sensor_shadowing_monte_carlo_covariance():
+def test_sensor_shadowing_monte_carlo_covariance(monkeypatch):
     # fixed five-sensor geometry; sample covariance over replicates must match
     # the exponential model within 5% relative on every entry
     pos = np.array([[20.0, 30.0], [60.0, 40.0], [110.0, 150.0], [80.0, 90.0], [160.0, 60.0]])
+    place_sensors(monkeypatch, pos)
     draws = []
     for seed in range(10_000):
-        sc = small_scenario(seed, sigma_d=0.0, sigma_w=0.0, n_sensors=5, sensor_positions=pos)
+        sc = small_scenario(seed, sigma_d=0.0, sigma_w=0.0, n_sensors=5)
         _, truth = sample_snapshot(sc, 0)
         draws.append(truth.sensor_shadowing)
     draws = np.array(draws)
