@@ -18,7 +18,7 @@ from scipy.linalg.blas import dgemm
 from .empbayes import HyperEstimate
 # chol_with_jitter and kernel_matrix are unused here; the benchmark tracer resolves them by module name
 from .gp import KernelParams, chol_with_jitter, condition, kernel_diag, kernel_matrix, prior_mean  # noqa: F401
-from .model import LOG10_E, Grid, NoiseModel, clamped_distances, log_distance_feature
+from .model import LOG10_E, Grid, NoiseModel, NumericalError, clamped_distances, log_distance_feature
 
 _SINGULAR_RCOND = 1e-10
 
@@ -75,11 +75,15 @@ def hcrb_all(
 
     # derivative of the training covariance w.r.t. the fix, through 1/d^2
     rho_sq = noise.rho_u**2
-    a1_diag = -2.0 * rho_sq * (tx.x - xy[:, 0]) / d_hat**4
-    a2_diag = -2.0 * rho_sq * (tx.y - xy[:, 1]) / d_hat**4
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1_diag = -2.0 * rho_sq * (tx.x - xy[:, 0]) / d_hat**4
+        a2_diag = -2.0 * rho_sq * (tx.y - xy[:, 1]) / d_hat**4
+        loc_cols = np.column_stack([u * a1_diag, u * a2_diag])
+    if not np.all(np.isfinite(loc_cols)):
+        raise NumericalError(f"the bound's location-error columns u * a are not finite (rho_u = {noise.rho_u:g})")
 
     # L^-1 [J, u*a1, u*a2]
-    v = solve_triangular(low, np.column_stack([jac, u * a1_diag, u * a2_diag]), lower=True)
+    v = solve_triangular(low, np.column_stack([jac, loc_cols]), lower=True)
     info = v[:, :4].T @ v[:, :4]  # (4, 4)
     eig = np.linalg.eigvalsh(info)
     singular = bool(eig[0] <= _SINGULAR_RCOND * max(eig[-1], 0.0) or eig[0] <= 0.0)
@@ -97,6 +101,8 @@ def hcrb_all(
     g[:, 2] += terms[4]
     g[:, 3] += terms[5]
     added = np.maximum(np.sum((g @ info_inv) * g, axis=1), 0.0)
+    if not np.all(np.isfinite(added)):
+        raise NumericalError("the bound's added term g^T M^-1 g is not finite")
     var = np.maximum(gp_var, 0.0)
     return [
         HcrbReport(

@@ -13,12 +13,11 @@ projection) and one bounded least-squares solve moves the fix alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .model import D_MIN, MeasurementSnapshot, Position, clamped_distances, log_distance_feature
+from .model import MeasurementSnapshot, Position, clamped_distances, log_distance_feature
 from .localize import CentroidState, NoFixError, centroid_update
 
 ALPHA_MIN = 2.0
@@ -69,6 +68,7 @@ def estimate_means(z, q_hat, d_hat) -> tuple:
     Minimizes sum_i d_hat_i^2 (mu_p - q_i mu_alpha - z_i)^2. The constrained
     solution is exact: if the unconstrained minimizer violates the exponent
     floor, mu_alpha is pinned at 2 and mu_p re-solved in closed form.
+    Distances whose weighted sums overflow raise DegenerateFitError.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     q = np.asarray(q_hat, dtype=float).reshape(-1)
@@ -78,13 +78,16 @@ def estimate_means(z, q_hat, d_hat) -> tuple:
         raise ValueError("z, q_hat and d_hat must have equal length")
     if n < 2:
         raise DegenerateFitError("need at least 2 sensors to fit (mu_p, mu_alpha)")
-    w = d**2
-    sw = float(np.sum(w))
-    sq = float(np.sum(w * q))
-    sqq = float(np.sum(w * q * q))
-    sz = float(np.sum(w * z))
-    sqz = float(np.sum(w * q * z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = d**2
+        sw = float(np.sum(w))
+        sq = float(np.sum(w * q))
+        sqq = float(np.sum(w * q * q))
+        sz = float(np.sum(w * z))
+        sqz = float(np.sum(w * q * z))
     det = sw * sqq - sq * sq
+    if not np.isfinite(det):
+        raise DegenerateFitError(f"sensors up to {np.max(d):g} m from the fix overflow the weighted means' sums")
     if det <= 1e-12 * max(sw * sqq, 1.0):
         raise DegenerateFitError(
             "rank-deficient design: log-distance feature is constant across sensors"
@@ -144,15 +147,15 @@ def estimate_variances(z, mu_p, mu_alpha, q_hat, known_var) -> tuple:
     return float(vp), float(va)
 
 
-def hyper_at(snapshot: MeasurementSnapshot, tx: Position, sigma_z_given: Optional[Callable]) -> HyperEstimate:
+def hyper_at(snapshot: MeasurementSnapshot, tx: Position, known_var=None) -> HyperEstimate:
     """HyperEstimate at the fix tx: the means by ``estimate_means`` at the
     clamped distances to tx, then the variances.
 
-    With ``sigma_z_given`` (a callable of those distances giving the known
-    per-sensor measurement variances) the variances come from
-    ``estimate_variances``; without it both are KERNEL_PATH_VAR. Reports
-    whose residuals' sum of squares overflows raise DegenerateFitError: the
-    kernel fit and the variogram both square them.
+    With ``known_var`` (the known per-sensor measurement variances at those
+    distances) the variances come from ``estimate_variances``; without it
+    both are KERNEL_PATH_VAR. Reports whose residuals' sum of squares
+    overflows raise DegenerateFitError: the kernel fit and the variogram both
+    square them.
     """
     z = snapshot.rss
     d_hat = clamped_distances(snapshot.positions, tx)
@@ -162,10 +165,10 @@ def hyper_at(snapshot: MeasurementSnapshot, tx: Position, sigma_z_given: Optiona
         sum_sq = np.sum(np.square(z - mu_p + mu_alpha * q_hat))
     if not np.isfinite(sum_sq):
         raise DegenerateFitError(f"reports up to {np.max(np.abs(z)):g} dBm overflow the residuals' sum of squares")
-    if sigma_z_given is None:
+    if known_var is None:
         var_p = var_alpha = KERNEL_PATH_VAR
     else:
-        var_p, var_alpha = estimate_variances(z, mu_p, mu_alpha, q_hat, sigma_z_given(d_hat))
+        var_p, var_alpha = estimate_variances(z, mu_p, mu_alpha, q_hat, known_var)
     return HyperEstimate(mu_p=mu_p, mu_alpha=mu_alpha, var_p=var_p, var_alpha=var_alpha, tx=tx)
 
 
@@ -183,18 +186,7 @@ def _profiled_objective(x0, xy, z) -> float:
     return float(r @ r)
 
 
-def _search_box(xy, area_bounds) -> tuple:
-    """(lo, hi) corners of the box the fix is searched in: the area, or else
-    the sensors' bounding box padded on every side by its diagonal."""
-    if area_bounds is not None:
-        lo, hi = np.transpose(np.asarray(area_bounds, dtype=float))
-        return lo, hi
-    lo, hi = xy.min(axis=0), xy.max(axis=0)
-    pad = max(float(np.hypot(*(hi - lo))), D_MIN)
-    return lo - pad, hi + pad
-
-
-def refine_transmitter(snapshot: MeasurementSnapshot, init: Position, area_bounds=None) -> tuple:
+def refine_transmitter(snapshot: MeasurementSnapshot, init: Position, area_bounds) -> tuple:
     """Least-squares fix of the transmitter with the means profiled out.
 
     Minimizes the unweighted sum of squares of ``_profiled_residuals`` over
@@ -204,8 +196,7 @@ def refine_transmitter(snapshot: MeasurementSnapshot, init: Position, area_bound
     ``init`` is returned with the degenerate flag set. The result never has
     a larger objective than ``init``.
 
-    The fix is searched in ``area_bounds`` or, without an area, in the
-    sensors' bounding box padded by its diagonal. The box keeps the means
+    The fix is searched in the box ``area_bounds``. The box keeps the means
     identifiable: far from the sensors the log-distance feature is nearly
     constant across them, and from a start on a symmetry line of the
     sensors (all of them on one line, say) an unbounded first step goes
@@ -215,38 +206,28 @@ def refine_transmitter(snapshot: MeasurementSnapshot, init: Position, area_bound
         return init, True
     xy, z = snapshot.positions, snapshot.rss
     x_init = init.as_array()
-    lo, hi = _search_box(xy, area_bounds)
+    lo, hi = np.transpose(np.asarray(area_bounds, dtype=float))
     res = least_squares(
         _profiled_residuals, np.clip(x_init, lo, hi), args=(xy, z), method="dogbox", bounds=(lo, hi),
         ftol=_FIX_TOL, xtol=_FIX_TOL, gtol=_FIX_TOL,
     )
-    if _profiled_objective(res.x, xy, z) > _profiled_objective(x_init, xy, z):
+    if res.fun @ res.fun > _profiled_objective(x_init, xy, z):
         return init, False
     return Position(float(res.x[0]), float(res.x[1])), False
 
 
-def refine_all(
-    snapshot: MeasurementSnapshot,
-    centroid_state: CentroidState,
-    *,
-    area_bounds=None,
-    sigma_z_given: Optional[Callable] = None,
-) -> tuple:
-    """Full hyper-parameter pass: centroid -> profiled fix -> means at the fix.
+def refine_all(snapshot: MeasurementSnapshot, centroid_state: CentroidState, area_bounds) -> tuple:
+    """The transmitter fix of one snapshot: centroid, then the profiled fix
+    in the box ``area_bounds``.
 
-    Returns (HyperEstimate, new CentroidState); the refined fix is folded
-    back into the centroid state so the recursion carries the best available
-    estimate forward.
-
-    The means and variances at the fix come from ``hyper_at``.
-    ``sigma_z_given`` maps the distances to the refined fix to the known
-    per-sensor measurement variances (known shadowing parameters; the
-    location-error part depends on the fix).
+    Returns (fix, new CentroidState); the fix is folded back into the
+    centroid state so the recursion carries the best available estimate
+    forward. The means and variances at the fix come from ``hyper_at``.
     """
     if snapshot.n_sensors == 0:
         raise DegenerateFitError("snapshot is empty")
     state = centroid_update(centroid_state, snapshot)
     if not state.has_fix:
         raise NoFixError("centroid has no fix: no report has carried positive linear power yet")
-    tx, _ = refine_transmitter(snapshot, state.estimate, area_bounds=area_bounds)
-    return hyper_at(snapshot, tx, sigma_z_given), state.with_estimate(tx)
+    tx, _ = refine_transmitter(snapshot, state.estimate, area_bounds)
+    return tx, state.with_estimate(tx)

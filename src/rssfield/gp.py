@@ -209,8 +209,8 @@ def _jitter_ladder(f: np.ndarray, diag: np.ndarray, what: str) -> float:
     f's own. Every failed rung restores f before the next one, so f is f
     again when NumericalError is raised.
     """
-    diag_mean = float(np.mean(diag)) if f.size else 0.0
-    limit = max(1e-4 * diag_mean, 1e-10)
+    # summed from scaled terms, so that it cannot overflow
+    limit = max(float(np.sum(diag * (1e-4 / max(diag.size, 1)))), 1e-10)
     jitter = 0.0
     while _potrf(f):
         _restore(f, diag)

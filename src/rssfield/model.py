@@ -21,7 +21,8 @@ LOG10_E = math.log10(math.e)
 
 
 class NumericalError(RuntimeError):
-    """A covariance factorization failed beyond the jitter ladder."""
+    """A covariance factorization failed beyond the jitter ladder, or an error
+    bound is not finite."""
 
 
 @dataclass(frozen=True)
@@ -157,13 +158,17 @@ class NoiseModel:
                 raise ValueError(f"{name} must be >= 0")
             if not math.isfinite(x * x):
                 raise ValueError(f"{name} squared must be finite")
+        # the largest entry of variances(), at a sensor on the fix
+        if not math.isfinite(self.sigma_w**2 + self.rho_u**2 / D_MIN**2):
+            raise ValueError("sigma_w^2 + rho_u^2 / D_MIN^2 must be finite")
 
     def variances(self, d_hat: np.ndarray) -> np.ndarray:
         """Diagonal entries sigma_w^2 + rho_u^2 / d_hat^2 (dB^2)."""
         d = np.asarray(d_hat, dtype=float)
         if np.any(d < D_MIN - 1e-12):
             raise ValueError("d_hat entries must be clamped at the distance floor")
-        return self.sigma_w**2 + self.rho_u**2 / d**2
+        with np.errstate(over="ignore"):  # d^2 = inf gives the limit rho_u^2 / d^2 = 0
+            return self.sigma_w**2 + self.rho_u**2 / d**2
 
 
 def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Optional
 from .empbayes import HyperEstimate, hyper_at, refine_all
 from .gp import FieldPosterior, KernelParams, fit_kernel, posterior
 from .localize import CentroidState
-from .model import Grid, MeasurementSnapshot, NoiseModel, Position
+from .model import Grid, MeasurementSnapshot, NoiseModel, Position, clamped_distances
 
 
 @dataclass
@@ -21,7 +21,8 @@ class PipelineConfig:
     """Knobs of the static fit."""
 
     noise: NoiseModel
-    area_bounds: Optional[tuple] = None
+    # ((x_lo, x_hi), (y_lo, y_hi)): the box the transmitter fix is searched in
+    area_bounds: tuple
     # known shadowing variance sigma_v^2; enables the empirical variance path
     sigma_v_sq: Optional[float] = None
     # fixed kernel scales; skips the marginal-likelihood fit when given
@@ -47,10 +48,10 @@ def run_static(
 ) -> StaticResult:
     """Fit the field posterior from a single snapshot.
 
-    Hyper-parameters first (weighted centroid, profiled fix, means and
-    variances, see ``empbayes.refine_all``), then the two spatial kernel scales
-    by marginal likelihood unless a kernel is given, then the GP posterior at
-    the grid.
+    Hyper-parameters first (centroid and profiled fix by ``refine_all``,
+    means and variances by ``hyper_at``, see ``_hyper``), then the two spatial
+    kernel scales by marginal likelihood unless a kernel is given, then the
+    GP posterior at the grid.
     """
     hyper, centroid = _hyper(snapshot, config, None)
     kernel = _kernel(snapshot, hyper, config)
@@ -62,20 +63,22 @@ def run_static(
 
 
 def _hyper(snapshot: MeasurementSnapshot, config: PipelineConfig, centroid: Optional[CentroidState]) -> tuple:
-    """(hyper, centroid): at the known transmitter when one is configured
-    (the centroid then passes through), else by ``refine_all``.
+    """(hyper, centroid): ``hyper_at`` the known transmitter when one is
+    configured (the centroid then passes through), else at ``refine_all``'s
+    fix in the area.
 
-    On the empirical variance path both get the known per-sensor measurement
-    variances sigma_v^2 + sigma_w^2 + rho_u^2 / d^2 as a function of the
+    On the empirical variance path ``hyper_at`` gets the known per-sensor
+    measurement variances sigma_v^2 + sigma_w^2 + rho_u^2 / d^2 at the
     distances to the fix, under the config's noise model as it is now.
     """
     centroid = centroid if centroid is not None else CentroidState.empty()
+    tx = config.fixed_tx
+    if tx is None:
+        tx, centroid = refine_all(snapshot, centroid, config.area_bounds)
     known = None
     if config.sigma_v_sq is not None:
-        known = lambda d_hat: config.sigma_v_sq + config.noise.variances(d_hat)  # noqa: E731
-    if config.fixed_tx is None:
-        return refine_all(snapshot, centroid, area_bounds=config.area_bounds, sigma_z_given=known)
-    return hyper_at(snapshot, config.fixed_tx, known), centroid
+        known = config.sigma_v_sq + config.noise.variances(clamped_distances(snapshot.positions, tx))
+    return hyper_at(snapshot, tx, known), centroid
 
 
 def _kernel(snapshot: MeasurementSnapshot, hyper: HyperEstimate, config: PipelineConfig) -> KernelParams:

@@ -15,7 +15,7 @@ import pytest
 from scipy import stats
 
 import rssfield as rf
-from rssfield.empbayes import HyperEstimate
+from rssfield.empbayes import HyperEstimate, hyper_at
 from rssfield.experiments import ExperimentConfig, compute_mse, run_cases
 from rssfield.gp import KernelParams, kernel_matrix, posterior, prior_mean
 from rssfield.localize import CentroidState
@@ -79,6 +79,10 @@ def test_criterion_2_location_error_case_ordering(tmp_path):
     report("2 case ordering", ok, "; ".join(lines) + f"; runtime={elapsed:.0f}s")
 
 
+# the area _random_small_inputs draws its sensors and nodes in
+_AREA_200 = ((0.0, 200.0), (0.0, 200.0))
+
+
 def _random_small_inputs(rng, n_train=8, n_grid=6):
     snap0 = MeasurementSnapshot(
         t=0, sensor_ids=tuple(range(n_train)),
@@ -117,7 +121,7 @@ def test_criterion_3_lambda_one_equivalence(pin_hyper):
         snap0, snap1, grid, hyper, kernel, noise = _random_small_inputs(rng)
         post0 = posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
         state = _state_from(post0, grid)
-        cfg = RecursiveConfig(pipeline=PipelineConfig(noise=noise, kernel=kernel), lam=1.0)
+        cfg = RecursiveConfig(pipeline=PipelineConfig(noise=noise, area_bounds=_AREA_200, kernel=kernel), lam=1.0)
         pin = pin_hyper(hyper)
         stepped = rgp_step(state, snap1, grid, cfg)
         assert pin.calls == 1
@@ -246,7 +250,8 @@ def test_criterion_5_hcrb_dominates_and_is_nearly_achieved():
         truth = power - 10 * alpha * np.log10(d_probe) + v[n:]
         reported = sensors + rng.normal(0, sigma_d, (n, 2))
         snap = MeasurementSnapshot(t=0, sensor_ids=tuple(range(n)), positions=reported, rss=z)
-        hyper, _ = rf.refine_all(snap, CentroidState.empty(), area_bounds=((0, 240), (0, 240)))
+        fix, _ = rf.refine_all(snap, CentroidState.empty(), ((0, 240), (0, 240)))
+        hyper = hyper_at(snap, fix)
         hyper = HyperEstimate(
             mu_p=hyper.mu_p, mu_alpha=hyper.mu_alpha,
             var_p=sigma_p**2, var_alpha=sigma_alpha**2, tx=hyper.tx,
@@ -323,7 +328,7 @@ def test_criterion_7_oracle_equivalence(pin_hyper):
     ]
     post0 = posterior((snaps[0].positions, snaps[0].rss), grid2, hyper2, kernel2, noise2, t=0)
     state = _state_from(post0, grid2)
-    cfg = RecursiveConfig(pipeline=PipelineConfig(noise=noise2, kernel=kernel2), lam=lam)
+    cfg = RecursiveConfig(pipeline=PipelineConfig(noise=noise2, area_bounds=_AREA_200, kernel=kernel2), lam=lam)
     pin = pin_hyper(hyper2)
     for snap in snaps[1:]:
         state = rgp_step(state, snap, grid2, cfg)

@@ -30,6 +30,7 @@ ALLOWED = {
     ("bounds.py", "np.linalg.inv(info)"): "4 x 4 information matrix",
     ("bounds.py", "g @ info_inv"): "(m, 4) times 4 x 4; below OpenBLAS's threading threshold at m = 4096",
     ("empbayes.py", "r @ r"): "vector . vector",
+    ("empbayes.py", "res.fun @ res.fun"): "vector . vector (the fix solve's objective at its solution)",
     ("experiments.py", "diff @ diff"): "vector . vector",
     ("gp.py", "resid @ beta"): "vector . vector (kernel-fit objective: the data-fit term)",
     ("gp.py", "beta @ matvec(expo, beta)"):

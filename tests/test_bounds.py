@@ -1,13 +1,14 @@
 import math
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
 
 from rssfield.bounds import HcrbReport, grid_mean_gradient, hcrb_all
 from rssfield.empbayes import HyperEstimate
 from rssfield.gp import KernelParams, kernel_matrix, posterior, prior_mean
-from rssfield.model import LOG10_E, Grid, NoiseModel, Position, clamped_distances
+from rssfield.model import LOG10_E, Grid, NoiseModel, NumericalError, Position, clamped_distances
 
 
 def random_setup(rng, n_train=12, n_grid=5):
@@ -156,6 +157,17 @@ def test_singular_information_matrix_uses_pseudo_inverse():
     assert rep.singular
     assert rep.added_term >= 0.0
     assert rep.bound >= rep.gp_variance
+
+
+def test_non_finite_bound_raises_numerical_error():
+    rng = np.random.default_rng(3)
+    train, grid, hyper, kernel, _ = random_setup(rng)
+    # the location-error columns scale with rho_u^2 = 1e308
+    with pytest.raises(NumericalError, match="location-error columns"):
+        hcrb_all(train, grid, hyper, kernel, NoiseModel(rho_u=1e154, sigma_w=1.0))
+    # under sigma_w^2 = 1e308 the information matrix is near 1e-308, and its inverse overflows
+    with pytest.raises(NumericalError, match="added term"):
+        hcrb_all(train, grid, hyper, kernel, NoiseModel(rho_u=0.0, sigma_w=1e154))
 
 
 def test_report_invariants():

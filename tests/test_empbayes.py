@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,15 @@ def test_means_rank_deficient_design():
         estimate_means(-60.0 * np.ones(5), q, d)
     with pytest.raises(DegenerateFitError):
         estimate_means([-60.0], [10.0], [10.0])
+
+
+@pytest.mark.parametrize("far", [1e150, 1e200])
+def test_means_whose_weighted_sums_overflow_raise(far):
+    # d^2 of 1e300 is finite, but the normal equations' determinant is not
+    d = np.array([10.0, 50.0, 200.0, far])
+    q = 10 * np.log10(d)
+    with pytest.raises(DegenerateFitError, match=re.escape(f"sensors up to {far:g} m from the fix")):
+        estimate_means(-10.0 - 3.5 * q, q, d)
 
 
 def test_means_constraint_always_satisfied():
@@ -155,6 +165,10 @@ def _objective(pos_xy, rss, p):
     return r @ r
 
 
+# the area _noise_free_snapshot draws its sensors in
+_AREA_200 = ((0.0, 200.0), (0.0, 200.0))
+
+
 def _noise_free_snapshot(rng, n, tx, p=-10.0, alpha=3.5):
     pos = rng.uniform(0, 200, (n, 2))
     d = np.maximum(np.hypot(pos[:, 0] - tx[0], pos[:, 1] - tx[1]), D_MIN)
@@ -165,7 +179,7 @@ def test_refine_recovers_transmitter_and_agrees_with_grid_search():
     rng = np.random.default_rng(3)
     tx = (120.0, 80.0)
     s = _noise_free_snapshot(rng, 20, tx)
-    pos, degenerate = refine_transmitter(s, Position(100.0, 100.0))
+    pos, degenerate = refine_transmitter(s, Position(100.0, 100.0), _AREA_200)
     assert not degenerate
     assert math.hypot(pos.x - tx[0], pos.y - tx[1]) < 0.5
 
@@ -180,7 +194,7 @@ def test_refine_stationary_at_truth():
     rng = np.random.default_rng(4)
     tx = (50.0, 60.0)
     s = _noise_free_snapshot(rng, 15, tx)
-    pos, degenerate = refine_transmitter(s, Position(*tx))
+    pos, degenerate = refine_transmitter(s, Position(*tx), _AREA_200)
     assert not degenerate
     assert math.hypot(pos.x - tx[0], pos.y - tx[1]) < 1e-3
 
@@ -188,7 +202,7 @@ def test_refine_stationary_at_truth():
 @pytest.mark.parametrize("n", [1, 2])
 def test_refine_below_three_sensors_degenerate(n):
     s = snap([[1.0, 2.0], [30.0, 5.0]][:n], [-50.0, -70.0][:n])
-    pos, degenerate = refine_transmitter(s, Position(9.0, 9.0))
+    pos, degenerate = refine_transmitter(s, Position(9.0, 9.0), _AREA_200)
     assert degenerate
     assert (pos.x, pos.y) == (9.0, 9.0)
 
@@ -200,6 +214,10 @@ def _random_problems():
         pos_xy = rng.uniform(0, 100, (8, 2))
         rss = rng.uniform(-90, -40, 8)
         yield pos_xy, rss, Position(*rng.uniform(0, 100, 2))
+
+
+# the area _noisy_problems draws its sensors in
+_NOISY_AREA = ((0.0, 500.0), (0.0, 500.0))
 
 
 def _noisy_problems():
@@ -217,8 +235,26 @@ def _noisy_problems():
 
 def test_refine_never_increases_objective():
     for pos_xy, rss, init in _random_problems():
-        out, _ = refine_transmitter(snap(pos_xy, rss), init)
+        out, _ = refine_transmitter(snap(pos_xy, rss), init, _ORACLE_AREA)
         assert _objective(pos_xy, rss, out) <= _objective(pos_xy, rss, init)
+
+
+def test_refine_guard_reads_the_solvers_residuals_at_its_solution(monkeypatch):
+    # the never-worse guard takes the objective at the solution from the
+    # solver's own residuals instead of evaluating them again
+    results, solve = [], empbayes.least_squares
+
+    def recording(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(empbayes, "least_squares", recording)
+    problems = [(*problem, _ORACLE_AREA) for problem in _random_problems()]
+    problems += [(*problem, _NOISY_AREA) for problem in _noisy_problems()]
+    for pos_xy, rss, init, area in problems:
+        refine_transmitter(snap(pos_xy, rss), init, area)
+        res = results[-1]
+        assert res.fun @ res.fun == empbayes._profiled_objective(res.x, pos_xy, rss)
 
 
 def test_refine_clamps_to_area():
@@ -237,13 +273,14 @@ def _collinear_problem():
     return pos_xy, -10.0 - 35.0 * np.log10(d) + rng.normal(0.0, 2.0, 25)
 
 
-@pytest.mark.parametrize("area", [((0.0, 200.0), (0.0, 200.0)), None], ids=["area", "no_area"])
+@pytest.mark.parametrize("area", [_AREA_200], ids=["area"])
 def test_refine_all_on_collinear_sensors_finds_the_interior_minimum(area):
     # the centroid lies on the sensors' line, where the forward-difference
     # column across the line is near zero: an unbounded first step goes
     # kilometers out, where the means are not identifiable
     pos_xy, rss = _collinear_problem()
-    hyper, _ = refine_all(snap(pos_xy, rss), CentroidState.empty(), area_bounds=area)
+    tx, _ = refine_all(snap(pos_xy, rss), CentroidState.empty(), area)
+    hyper = hyper_at(snap(pos_xy, rss), tx)
     assert _objective(pos_xy, rss, hyper.tx) <= _objective(pos_xy, rss, Position(100.0, 100.0))
     # the sensors cannot tell the two sides of their line apart, so the
     # minimum has a mirror image across it
@@ -273,7 +310,7 @@ _ORACLE_PROBLEMS = [
     pytest.param(*problem, _ORACLE_AREA, id=f"random{i}") for i, problem in enumerate(_random_problems())
 ] + [
     pytest.param(
-        *problem, None, id=f"noisy{i}",
+        *problem, _NOISY_AREA, id=f"noisy{i}",
         marks=[pytest.mark.xfail(
             strict=True,
             reason="the local solve from this start ends in a worse basin of the "
@@ -286,7 +323,7 @@ _ORACLE_PROBLEMS = [
 
 @pytest.mark.parametrize("pos_xy, rss, init, area", _ORACLE_PROBLEMS)
 def test_refine_objective_not_above_nelder_mead_oracle(pos_xy, rss, init, area):
-    out, degenerate = refine_transmitter(snap(pos_xy, rss), init, area_bounds=area)
+    out, degenerate = refine_transmitter(snap(pos_xy, rss), init, area)
     assert not degenerate
     oracle = _objective(pos_xy, rss, _nelder_mead_fix(pos_xy, rss, init, area))
     assert _objective(pos_xy, rss, out) <= oracle * (1 + 1e-9)
@@ -300,7 +337,8 @@ def _noise_free_world(seed=0, n=40, tx=(250.0, 250.0)):
 
 def test_refine_all_noise_free_recovery():
     sc, snap = _noise_free_world(seed=11)
-    hyper, state = refine_all(snap, CentroidState.empty(), area_bounds=sc.area_bounds)
+    tx, state = refine_all(snap, CentroidState.empty(), sc.area_bounds)
+    hyper = hyper_at(snap, tx)
     assert abs(hyper.mu_alpha - 3.5) < 1e-6
     assert abs(hyper.mu_p + 10.0) < 1e-6
     assert math.hypot(hyper.tx.x - 250.0, hyper.tx.y - 250.0) < 0.5
@@ -318,7 +356,7 @@ def test_refine_all_solves_for_the_fix_once(monkeypatch):
 
     monkeypatch.setattr(empbayes, "refine_transmitter", counting)
     sc, snap = _noise_free_world(seed=11)
-    refine_all(snap, CentroidState.empty(), area_bounds=sc.area_bounds)
+    refine_all(snap, CentroidState.empty(), sc.area_bounds)
     assert len(calls) == 1
 
 
@@ -326,14 +364,15 @@ def test_refine_all_single_sensor_degenerate():
     snap = MeasurementSnapshot(
         t=0, sensor_ids=(0,), positions=np.array([[10.0, 10.0]]), rss=np.array([-60.0])
     )
+    tx, _ = refine_all(snap, CentroidState.empty(), _AREA_200)
     with pytest.raises(DegenerateFitError):
-        refine_all(snap, CentroidState.empty())
+        hyper_at(snap, tx)
 
 
 def test_refine_all_empty_snapshot_rejected():
     snap = MeasurementSnapshot(t=0, sensor_ids=(), positions=np.zeros((0, 2)), rss=np.zeros(0))
     with pytest.raises(DegenerateFitError):
-        refine_all(snap, CentroidState.empty())
+        refine_all(snap, CentroidState.empty(), _AREA_200)
 
 
 def test_refine_all_without_a_fix_raises():
@@ -342,14 +381,13 @@ def test_refine_all_without_a_fix_raises():
     weak = snap([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]], [-4000.0] * 3)
     assert not centroid_update(CentroidState.empty(), weak).has_fix
     with pytest.raises(NoFixError):
-        refine_all(weak, CentroidState.empty())
+        refine_all(weak, CentroidState.empty(), _AREA_200)
 
 
 def test_refine_all_estimates_variances_when_covariance_known():
     sc, snap = _noise_free_world(seed=12)
-    hyper, _ = refine_all(
-        snap, CentroidState.empty(), area_bounds=sc.area_bounds, sigma_z_given=np.zeros_like
-    )
+    tx, _ = refine_all(snap, CentroidState.empty(), sc.area_bounds)
+    hyper = hyper_at(snap, tx, np.zeros(snap.n_sensors))
     assert hyper.var_p >= 0.0 and hyper.var_alpha >= 0.0
     # noise-free data with a correct covariance leaves nothing to explain
     assert hyper.var_p < 1e-10 and hyper.var_alpha < 1e-10
@@ -362,9 +400,10 @@ def test_known_transmitter_at_refine_alls_fix_gives_refine_alls_hyper(sigma_v_sq
     sc = rf.benchmark_scenario(seed=13, sigma_v_sq=10.0, nx=4, ny=4, n_sensors=60, area=(300.0, 300.0))
     snap, _ = rf.sample_snapshot(sc, 0)
     noise = rf.NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
+    tx, _ = refine_all(snap, CentroidState.empty(), sc.area_bounds)
     # the known variances as pipeline._hyper builds them from the config
-    known = None if sigma_v_sq is None else (lambda d: sigma_v_sq + noise.variances(d))
-    hyper, _ = refine_all(snap, CentroidState.empty(), area_bounds=sc.area_bounds, sigma_z_given=known)
+    known = None if sigma_v_sq is None else sigma_v_sq + noise.variances(rf.clamped_distances(snap.positions, tx))
+    hyper = hyper_at(snap, tx, known)
     config = PipelineConfig(noise=noise, area_bounds=sc.area_bounds, sigma_v_sq=sigma_v_sq, fixed_tx=hyper.tx)
     known_tx, centroid = pipeline._hyper(snap, config, None)
     assert known_tx == hyper
@@ -374,7 +413,7 @@ def test_known_transmitter_at_refine_alls_fix_gives_refine_alls_hyper(sigma_v_sq
     assert pipeline._hyper(snap, dataclasses.replace(config, fixed_tx=None), None)[0] == hyper
 
 
-@pytest.mark.parametrize("known", [None, np.ones_like], ids=["kernel_path", "empirical_path"])
+@pytest.mark.parametrize("known", [None, np.ones(25)], ids=["kernel_path", "empirical_path"])
 def test_hyper_at_rejects_reports_whose_residual_sum_of_squares_overflows(known):
     # finite reports at a known transmitter: the kernel fit and the variogram
     # square their residuals, so a sum of squares past the float range is degenerate

@@ -584,6 +584,7 @@ def _cfg_with(lines):
     ("fit-static", "d_corr = 0", []),
     ("fit-static", "sigma_w = 1e200", []),  # whose square overflows
     ("fit-recursive", "rho_u = 1e200", []),
+    ("fit-static", "sigma_w = 1e154\nrho_u = 1e154", []),  # whose squares' sum overflows
 ])
 def test_cli_invalid_config_exits_2_before_any_work(tmp_path, capsys, command, line, flags):
     cfg = write_cfg(tmp_path, _cfg_with(line) if line else SMALL_SCENARIO)
@@ -614,6 +615,8 @@ def _hostile_inputs(case, tmp_path):
         pos[:, 1] = 50.0  # a line that misses the transmitter at (100, 100)
     elif case == "on transmitter":
         pos[0] = (100.0, 100.0)
+    elif case.startswith("sensor 1e"):
+        pos[0, 0] = float(case.split()[1])  # "sensor 1e150 m out", with or without ", known tx"
     d = np.maximum(np.hypot(pos[:, 0] - 100, pos[:, 1] - 100), 1.0)
     rows = []
     # no report at t = 1, or none for 10^8 steps
@@ -651,6 +654,10 @@ def _written_fields(out):
 _CASE_CONFIG = {
     "rss 1e160 known tx": "tx_known = true",
     "rss 1e80 known tx, empirical variances": "tx_known = true\nvariance_path = empirical",
+    "sensor 1e150 m out, known tx": "tx_known = true",
+    "sensor 1e200 m out, known tx": "tx_known = true",
+    "sigma_w 1e154": "sigma_w = 1e154",
+    "rho_u 1e154": "rho_u = 1e154",
 }
 
 
@@ -680,11 +687,16 @@ _FIT_COMMANDS = ["fit-static", "bound", "baseline-okd", "fit-recursive"]
     *[("rss 1e160 known tx", command) for command in _FIT_COMMANDS],
     # the empirical variance fit sums the residuals' fourth powers
     *[("rss 1e80 known tx, empirical variances", command) for command in _FIT_COMMANDS],
+    # the squared distances weighting the means overflow their sums
+    *[(f"sensor {far} m out{tx}", command)
+      for far in ("1e150", "1e200") for tx in ("", ", known tx") for command in _FIT_COMMANDS],
 ])
 def test_cli_hostile_data_exits_4_with_one_line(tmp_path, capsys, case, command):
     rc, err, fields = _run_hostile(case, command, tmp_path, capsys)
     assert rc == 4
     assert len(err.splitlines()) == 1 and err.startswith("I/O or data error: ")
+    if case.startswith("sensor 1e"):
+        assert f"sensors up to {float(case.split()[1]):g} m from the fix" in err
     if case == "nan truth":
         assert "truth.csv: row 7" in err
     if case == "long gap":
@@ -723,6 +735,8 @@ def test_fit_recursive_fills_up_to_max_empty_steps_and_rejects_more():
     # the one-snapshot commands fit the first t and never step through the gap
     *[("long gap", command) for command in _FIT_COMMANDS if command != "fit-recursive"],
     *[("six sensors", command) for command in _FIT_COMMANDS if command != "baseline-okd"],
+    # a training diagonal near 1e308 (the bound, whose added term overflows, exits 3)
+    *[("sigma_w 1e154", command) for command in _FIT_COMMANDS if command != "bound"],
 ])
 def test_cli_fittable_hostile_data_exits_0_with_finite_fields(tmp_path, capsys, case, command):
     if command == "fit-recursive" and case == "empty step":
@@ -743,3 +757,14 @@ def test_cli_fittable_hostile_data_exits_0_with_finite_fields(tmp_path, capsys, 
     if command == "fit-recursive" and case == "empty step":
         out = tmp_path / "out"
         assert (out / "field_rgp_t1.csv").read_bytes() == (out / "field_rgp_t0.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["sigma_w 1e154", "rho_u 1e154"])
+def test_cli_bound_that_is_not_finite_exits_3_with_one_line(tmp_path, capsys, case):
+    # valid noise scales whose bound overflows: its location-error columns
+    # scale with rho_u^2, and under sigma_w^2 = 1e308 the information matrix
+    # it inverts for the added term is near 1e-308
+    rc, err, fields = _run_hostile(case, "bound", tmp_path, capsys)
+    assert rc == 3
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
+    assert fields == []

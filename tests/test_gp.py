@@ -160,6 +160,14 @@ def test_chol_with_jitter_escalates_on_rank_deficient_input():
     assert np.array_equal(indefinite, np.diag([1.0, -1.0]))
 
 
+def test_chol_with_jitter_factors_a_diagonal_near_the_float_limit():
+    # the jitter limit is 1e-4 times the diagonal's mean, whose plain sum overflows here
+    mat = np.diag(np.full(4, 1e308))
+    low, jitter = chol_with_jitter(mat, "huge diagonal")
+    assert jitter == 0.0
+    assert_allclose(np.diag(low), np.full(4, 1e154), rtol=1e-15)
+
+
 def _symmetric_cov(m, seed):
     """An exactly symmetric, C-ordered covariance built the way the library builds them."""
     rng = np.random.default_rng(seed)

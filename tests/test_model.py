@@ -147,3 +147,11 @@ def test_noise_model_variances():
     # entries decay to sigma_w^2 as d grows
     far = nm.variances(np.array([1e9]))
     assert_allclose(far, [7.0], atol=1e-9)
+
+
+def test_noise_model_variances_do_not_overflow():
+    # a distance whose square overflows gives the limit sigma_w^2
+    assert NoiseModel(rho_u=200.0, sigma_w=2.0).variances(np.array([1e200]))[0] == 4.0
+    NoiseModel(rho_u=1e154, sigma_w=1.0)  # 1e308 + 1 is finite
+    with pytest.raises(ValueError, match="sigma_w"):
+        NoiseModel(rho_u=1e154, sigma_w=1e154)  # the variance at the distance floor is not

@@ -16,6 +16,10 @@ from rssfield.pipeline import PipelineConfig
 from rssfield.recursive import RecursiveConfig, RecursiveState, init_state, rgp_step
 
 
+# the area make_snapshot and random_inputs draw their sensors and nodes in
+AREA = ((0.0, 200.0), (0.0, 200.0))
+
+
 def make_snapshot(rng, n, t=0, lo=5.0, hi=195.0):
     return MeasurementSnapshot(
         t=t,
@@ -52,7 +56,7 @@ def state_from_posterior(post, grid):
 
 def frozen_config(pin_hyper, hyper, kernel, noise, lam):
     """(config, pin): steps under the fixed kernel and the pinned hyper."""
-    pcfg = PipelineConfig(noise=noise, kernel=kernel)
+    pcfg = PipelineConfig(noise=noise, area_bounds=AREA, kernel=kernel)
     return RecursiveConfig(pipeline=pcfg, lam=lam), pin_hyper(hyper)
 
 
@@ -205,7 +209,7 @@ def test_refit_step_is_convex_blend_of_static_and_carried_posteriors(pin_hyper):
             sigma_alpha_k=kernel.sigma_alpha_k, sigma_p_k=kernel.sigma_p_k,
         )
         cfg = RecursiveConfig(
-            pipeline=PipelineConfig(noise=noise, kernel=new_kernel), lam=lam,
+            pipeline=PipelineConfig(noise=noise, area_bounds=AREA, kernel=new_kernel), lam=lam,
             kernel_refit="every_step",
         )
         pin = pin_hyper(hyper)
@@ -414,9 +418,9 @@ def test_known_transmitter_holds_at_every_step(kernel_refit):
 def test_config_validation():
     noise = NoiseModel(rho_u=0.0, sigma_w=1.0)
     with pytest.raises(ValueError):
-        RecursiveConfig(pipeline=PipelineConfig(noise=noise), lam=0.0)
+        RecursiveConfig(pipeline=PipelineConfig(noise=noise, area_bounds=AREA), lam=0.0)
     with pytest.raises(ValueError):
-        RecursiveConfig(pipeline=PipelineConfig(noise=noise), lam=0.5, kernel_refit="sometimes")
+        RecursiveConfig(pipeline=PipelineConfig(noise=noise, area_bounds=AREA), lam=0.5, kernel_refit="sometimes")
 
 
 @pytest.mark.xfail(
@@ -438,7 +442,8 @@ def test_improvement_win_rate_static_sensors_fixed_hyper(pin_hyper):
                                    area=(300.0, 300.0))
         hyper = HyperEstimate(mu_p=-10.0, mu_alpha=3.5, var_p=0.0, var_alpha=0.0,
                               tx=sc.params.tx_position)
-        cfg = RecursiveConfig(pipeline=PipelineConfig(noise=noise, kernel=kernel), lam=0.5)
+        pcfg = PipelineConfig(noise=noise, area_bounds=sc.area_bounds, kernel=kernel)
+        cfg = RecursiveConfig(pipeline=pcfg, lam=0.5)
         pin = pin_hyper(hyper)
         snap, truth = rf.sample_snapshot(sc, 0)
         post0 = posterior((snap.positions, snap.rss), sc.grid, hyper, kernel, noise, t=0)
