@@ -9,9 +9,10 @@ Each subcommand takes only the flags it reads (_COMMANDS); --seed, --out,
 --measurements the fit commands synthesize their reports, so --truth without
 --measurements is a configuration error.
 
-fit-recursive steps through every t from the first to the last of a
-measurement file, carrying the field over a t without reports; more than
-MAX_EMPTY_STEPS such steps in a row are a data error.
+fit-recursive steps through the snapshots of a measurement file and writes a
+field for every t from the first to the last, carrying the field over a t
+without reports; more than MAX_EMPTY_STEPS such steps in a row are a data
+error.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ def _outdir(cfg) -> Path:
 MAX_EMPTY_STEPS = 1000
 
 
-def _snapshot_at(t, rows=()):
-    """The snapshot of the measurement rows at t (none: an empty snapshot)."""
+def _snapshot_at(t, rows):
+    """The snapshot of the measurement rows at t."""
     return MeasurementSnapshot(
         t=t,
         sensor_ids=tuple(f"{r[1]}#{i}" for i, r in enumerate(rows)),
@@ -96,7 +97,7 @@ def _train_inputs(args, cfg, steps):
         if args.truth:
             grid, truth = ex.read_truth(args.truth)
         else:
-            grid, truth = cfg.grid(), None
+            grid, truth = cfg.scenario().grid, None
         return snaps, grid, truth
     scenario = cfg.scenario()
     snaps, truths = [], []
@@ -107,27 +108,15 @@ def _train_inputs(args, cfg, steps):
     return snaps, scenario.grid, np.array(truths)
 
 
-def _every_step(snaps):
-    """Iterator over snaps with an empty snapshot at each t missing between
-    two of them, built as it is consumed.
-
-    Raises a DataError up front when more than MAX_EMPTY_STEPS steps in a row
-    are missing.
-    """
+def _check_gaps(snaps):
+    """Raise a DataError when more than MAX_EMPTY_STEPS steps in a row have no
+    snapshot."""
     for prev, nxt in zip(snaps, snaps[1:]):
         if nxt.t - prev.t - 1 > MAX_EMPTY_STEPS:
             raise ex.DataError(
                 f"no reports from t={prev.t + 1} to t={nxt.t - 1}: "
                 f"more than {MAX_EMPTY_STEPS} steps in a row are missing"
             )
-
-    def steps():
-        for prev, nxt in zip(snaps, snaps[1:]):
-            yield prev
-            yield from map(_snapshot_at, range(prev.t + 1, nxt.t))
-        yield snaps[-1]
-
-    return steps()
 
 
 def _truth_at(truth, i):
@@ -157,19 +146,20 @@ def cmd_fit_static(args):
     out = _outdir(cfg)
     snaps, grid, truth = _train_inputs(args, cfg, 1)
     snap = snaps[0]
-    result = run_static(snap, grid, cfg.pipeline_config())
-    bounds = None
+    pcfg = cfg.pipeline_config()
+    result = run_static(snap, grid, pcfg)
+    post = result.posterior
+    hcrb = None
     if with_bounds:
-        bounds = hcrb_all(
-            (snap.positions, snap.rss), grid, result.hyper, result.kernel, cfg.noise_model()
-        )
+        reports = hcrb_all((snap.positions, snap.rss), grid, result.hyper, result.kernel, pcfg.noise)
+        hcrb = [r.bound for r in reports]
     path = out / ("field_bound.csv" if with_bounds else "field_static.csv")
-    ex.emit_field(result.posterior, bounds, path, grid)
+    ex.write_field_csv(path, grid, post.mean, np.diag(post.cov), hcrb)
     print(f"wrote {path}")
     hyper = result.hyper
     print(f"t=0 mu_alpha={hyper.mu_alpha:.4f} mu_p={hyper.mu_p:.4f} tx=({hyper.tx.x:.2f},{hyper.tx.y:.2f})")
     if truth is not None:
-        print(f"t=0 mse={ex.compute_mse(result.posterior.mean, _truth_at(truth, 0)):.6g}")
+        print(f"t=0 mse={ex.compute_mse(post.mean, _truth_at(truth, 0)):.6g}")
     return EXIT_OK
 
 
@@ -178,18 +168,23 @@ def cmd_fit_recursive(args):
     out = _outdir(cfg)
     snaps, grid, truth = _train_inputs(args, cfg, cfg.steps)
     rcfg = cfg.recursive_config()
-    steps = _every_step(snaps)
+    _check_gaps(snaps)
     state = init_state(snaps[0], grid, rcfg)
     mses = []
-    for i, snap in enumerate(steps):
+    # a snapshot's posterior stands for every t up to the next snapshot's
+    ends = [s.t for s in snaps[1:]] + [snaps[-1].t + 1]
+    for i, (snap, end) in enumerate(zip(snaps, ends)):
         if i > 0:
             state = rgp_step(state, snap, grid, rcfg)
-        ex.emit_field(state.posterior, None, out / f"field_rgp_t{snap.t}.csv", grid)
-        if truth is not None:
-            mses.append((snap.t, ex.compute_mse(state.posterior.mean, _truth_at(truth, i))))
+        post = state.posterior
+        var = np.diag(post.cov)
+        for t in range(snap.t, end):
+            ex.write_field_csv(out / f"field_rgp_t{t}.csv", grid, post.mean, var)
+            if truth is not None:
+                mses.append((t, ex.compute_mse(post.mean, _truth_at(truth, i))))
     for t, mse in mses:
         print(f"t={t} mse={mse:.6g}")
-    print(f"wrote {i + 1} field file(s) to {out}")
+    print(f"wrote {snaps[-1].t - snaps[0].t + 1} field file(s) to {out}")
     return EXIT_OK
 
 

@@ -109,11 +109,18 @@ def estimate_variances(z, mu_p, mu_alpha, q_hat, known_var) -> tuple:
     Solved exactly: the unconstrained 2x2 solution if feasible, else the best
     of the three boundary candidates. Squared residuals whose own sum of
     squares overflows raise DegenerateFitError: that sum is the objective at
-    (0, 0), and it bounds the objective of every other candidate.
+    (0, 0), and it bounds the objective of every other candidate. Known
+    variances whose sum of squares overflows raise it first, naming them.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     q = np.asarray(q_hat, dtype=float).reshape(-1)
     known = np.asarray(known_var, dtype=float).reshape(-1)
+    with np.errstate(over="ignore"):
+        sum_known_sq = np.sum(np.square(known))
+    if not np.isfinite(sum_known_sq):
+        raise DegenerateFitError(
+            f"known measurement variances up to {np.max(known):g} dB^2 overflow the variance fit's fourth powers"
+        )
     resid = z - (mu_p - q * mu_alpha)
     a = resid**2 - known
     b = q**2

@@ -31,15 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import synth
-from .gp import FieldPosterior
-from .model import (
-    Grid,
-    MeasurementSnapshot,
-    NoiseModel,
-    Position,
-    rho_u_from,
-    uniform_grid,
-)
+from .model import Grid, MeasurementSnapshot, NoiseModel, Position, rho_u_from
 from .pipeline import PipelineConfig, run_static
 from .recursive import RecursiveConfig
 from .synth import Scenario, sample_snapshot
@@ -202,15 +194,6 @@ class ExperimentConfig:
     def effective_rho_u(self) -> float:
         return self.rho_u if self.rho_u is not None else rho_u_from(self.alpha, self.sigma_d)
 
-    def noise_model(self) -> NoiseModel:
-        return NoiseModel(rho_u=self.effective_rho_u(), sigma_w=self.sigma_w)
-
-    def grid(self) -> Grid:
-        return uniform_grid(self.area[0], self.area[1], self.grid_nx, self.grid_ny)
-
-    def tx_position(self) -> Position:
-        return self.tx if self.tx is not None else Position(self.area[0] / 2, self.area[1] / 2)
-
     def dynamics_obj(self):
         if self.dynamics == "static":
             return synth.Static()
@@ -238,7 +221,7 @@ class ExperimentConfig:
             ny=self.grid_ny,
             n_sensors=self.n_sensors,
             dynamics=self.dynamics_obj(),
-            tx=self.tx_position(),
+            tx=self.tx,
         )
 
     def pipeline_config(self) -> PipelineConfig:
@@ -247,10 +230,10 @@ class ExperimentConfig:
         if self.variance_path not in ("kernel", "empirical"):
             raise ConfigError(f"unknown variance_path {self.variance_path!r}")
         return PipelineConfig(
-            noise=self.noise_model(),
+            noise=NoiseModel(rho_u=self.effective_rho_u(), sigma_w=self.sigma_w),
             area_bounds=((0.0, self.area[0]), (0.0, self.area[1])),
             sigma_v_sq=self.sigma_v**2 if self.variance_path == "empirical" else None,
-            fixed_tx=self.tx_position() if self.tx_known else None,
+            fixed_tx=self.scenario().params.tx_position if self.tx_known else None,
         )
 
     def recursive_config(self) -> RecursiveConfig:
@@ -380,19 +363,9 @@ class MetricsRecord:
             raise ValueError("mse must be >= 0")
 
 
-# column names are MetricsRecord attributes; write_metrics reads them by name
+# column names are MetricsRecord attributes; _write_cases reads them by name
 _METRICS_HEADER = ["case", "sigma_v_sq", "replicate", "t", "mse", "mu_alpha", "mu_p", "tx_err_m"]
 _TIMINGS_HEADER = ["case", "sigma_v_sq", "replicate", "t", "runtime_ms"]
-
-
-def write_metrics(records, out_dir, stem: str):
-    """Write deterministic metrics and the (non-deterministic) timings file."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    metrics_path = out / f"{stem}_metrics.csv"
-    for path, header in ((metrics_path, _METRICS_HEADER), (out / f"{stem}_timings.csv", _TIMINGS_HEADER)):
-        _write_rows(path, header, ([getattr(rec, name) for name in header] for rec in records))
-    return metrics_path
 
 
 def _summarize(records):
@@ -404,12 +377,14 @@ def _summarize(records):
     return rows
 
 
-def write_summary(records, out_dir, stem: str):
-    out = Path(out_dir)
+def _write_cases(records, out: Path) -> Path:
+    """Write the sweep's deterministic metrics and summary and its
+    (non-deterministic) timings under out; returns the metrics path."""
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{stem}_summary.csv"
-    _write_rows(path, ("case", "sigma_v_sq", "n", "mean_mse"), _summarize(records))
-    return path
+    for name, header in (("metrics", _METRICS_HEADER), ("timings", _TIMINGS_HEADER)):
+        _write_rows(out / f"cases_{name}.csv", header, ([getattr(rec, h) for h in header] for rec in records))
+    _write_rows(out / "cases_summary.csv", ("case", "sigma_v_sq", "n", "mean_mse"), _summarize(records))
+    return out / "cases_metrics.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +447,7 @@ def run_cases(config: ExperimentConfig, out_dir=None):
                         sigma_v_sq=sv_sq,
                     )
                 )
-    metrics_path = write_metrics(records, out_dir, "cases")
-    write_summary(records, out_dir, "cases")
-    return records, metrics_path
+    return records, _write_cases(records, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +512,6 @@ def write_field_csv(path, grid: Grid, mean, var, hcrb=None):
     table = np.column_stack([grid.xy] + [np.asarray(c, dtype=float).reshape(-1) for c in columns])
     header = _FIELD_HEADER + (_BOUND_HEADER if hcrb is not None else ())
     _write_rows(path, header, ((i, *row) for i, row in enumerate(table)))
-
-
-def emit_field(posterior: FieldPosterior, bounds, path, grid: Grid):
-    """Write one posterior (and optional error bounds) as a field CSV."""
-    if posterior.cov is None:
-        raise ValueError("posterior has no covariance; cannot emit variances")
-    hcrb = [r.bound for r in bounds] if bounds is not None else None
-    write_field_csv(path, grid, posterior.mean, np.diag(posterior.cov), hcrb)
 
 
 def read_field_csv(path):

@@ -148,6 +148,17 @@ def test_variances_whose_fourth_powers_overflow_raise():
         estimate_variances(z, 0.0, 0.0, q, np.zeros(25))
 
 
+def test_known_variances_whose_fourth_powers_overflow_are_named():
+    # ordinary reports; the known variances' own squares overflow their sum
+    rng = np.random.default_rng(3)
+    q = 10 * np.log10(np.linspace(10, 200, 25))
+    z = -10.0 - 3.5 * q + rng.normal(0, 2.0, 25)
+    known = np.full(25, 1e154)
+    known[3] = 2e160
+    with pytest.raises(DegenerateFitError, match=r"known measurement variances up to 2e\+160 dB\^2 overflow"):
+        estimate_variances(z, -10.0, 3.5, q, known)
+
+
 def snap(positions, rss, t=0):
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     return MeasurementSnapshot(

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +13,11 @@ from numpy.testing import assert_allclose
 
 import rssfield as rf
 from rssfield import cli
-from rssfield.empbayes import HyperEstimate
 from rssfield.experiments import (
     ConfigError,
     DataError,
     ExperimentConfig,
     compute_mse,
-    emit_field,
     ingest_real,
     parse_config,
     read_field_csv,
@@ -29,7 +28,6 @@ from rssfield.experiments import (
     write_measurements,
     write_truth,
 )
-from rssfield.gp import FieldPosterior, KernelParams
 from rssfield.model import Position, uniform_grid
 
 
@@ -80,7 +78,7 @@ sigma_v_sq_sweep = 4, 9
     assert isinstance(cfg.dynamics_obj(), rf.Moving)
     # defaults follow the reference setup
     default = parse_config("")
-    assert default.grid().n_nodes == 1088
+    assert default.scenario().grid.n_nodes == 1088
     assert default.n_sensors == 218
     assert_allclose(default.effective_rho_u(), 200.0, atol=0.1)
 
@@ -146,31 +144,23 @@ def test_field_csv_round_trip(tmp_path):
     assert_allclose(var2, var, atol=1e-12)
 
 
-def test_emit_field_includes_bounds_column_iff_supplied(tmp_path):
+def test_write_field_csv_includes_bounds_column_iff_supplied(tmp_path):
     grid = uniform_grid(50, 50, 2, 2)
-    hyper = HyperEstimate(mu_p=-10, mu_alpha=2.5, var_p=0.0, var_alpha=0.0, tx=Position(25, 25))
-    kernel = KernelParams.from_decay(1.0, 40.0)
-    post = FieldPosterior(t=0, mean=np.full(4, -60.0), cov=np.eye(4), hyper=hyper, kernel=kernel)
+    mean, var = np.full(4, -60.0), np.ones(4)
     p1 = tmp_path / "plain.csv"
-    emit_field(post, None, p1, grid)
+    write_field_csv(p1, grid, mean, var)
     assert "hcrb_db2" not in p1.read_text().splitlines()[0]
-    reports = [rf.HcrbReport(node_index=i, gp_variance=1.0, added_term=0.5, bound=1.5) for i in range(4)]
     p2 = tmp_path / "with_bounds.csv"
-    emit_field(post, reports, p2, grid)
-    _, _, var, hcrb = read_field_csv(p2)
-    assert_allclose(var, 1.0)
+    write_field_csv(p2, grid, mean, var, [1.5] * 4)
+    _, _, var2, hcrb = read_field_csv(p2)
+    assert_allclose(var2, 1.0)
     assert_allclose(hcrb, 1.5)
 
 
-def test_emit_field_reference_grid_row_count(tmp_path):
+def test_write_field_csv_reference_grid_row_count(tmp_path):
     grid = uniform_grid(500, 500, 32, 34)
-    hyper = HyperEstimate(mu_p=-10, mu_alpha=3.5, var_p=0.0, var_alpha=0.0, tx=Position(250, 250))
-    kernel = KernelParams.from_decay(1.0, 50.0)
-    post = FieldPosterior(
-        t=0, mean=np.full(1088, -70.0), cov=np.eye(1088), hyper=hyper, kernel=kernel
-    )
     path = tmp_path / "field.csv"
-    emit_field(post, None, path, grid)
+    write_field_csv(path, grid, np.full(1088, -70.0), np.ones(1088))
     lines = path.read_text().splitlines()
     assert len(lines) == 1089  # header + one row per node
 
@@ -658,6 +648,7 @@ _CASE_CONFIG = {
     "sensor 1e200 m out, known tx": "tx_known = true",
     "sigma_w 1e154": "sigma_w = 1e154",
     "rho_u 1e154": "rho_u = 1e154",
+    "rho_u 1e154, empirical variances": "rho_u = 1e154\nvariance_path = empirical",
 }
 
 
@@ -687,6 +678,8 @@ _FIT_COMMANDS = ["fit-static", "bound", "baseline-okd", "fit-recursive"]
     *[("rss 1e160 known tx", command) for command in _FIT_COMMANDS],
     # the empirical variance fit sums the residuals' fourth powers
     *[("rss 1e80 known tx, empirical variances", command) for command in _FIT_COMMANDS],
+    # ordinary reports, but the known variances' own fourth powers overflow
+    *[("rho_u 1e154, empirical variances", command) for command in _FIT_COMMANDS],
     # the squared distances weighting the means overflow their sums
     *[(f"sensor {far} m out{tx}", command)
       for far in ("1e150", "1e200") for tx in ("", ", known tx") for command in _FIT_COMMANDS],
@@ -701,6 +694,8 @@ def test_cli_hostile_data_exits_4_with_one_line(tmp_path, capsys, case, command)
         assert "truth.csv: row 7" in err
     if case == "long gap":
         assert "no reports from t=1 to t=99999999" in err
+    if case == "rho_u 1e154, empirical variances":
+        assert "known measurement variances up to" in err
     assert fields == []
 
 
@@ -720,14 +715,24 @@ def test_cli_overflowing_synthetic_reports_exit_4_with_one_line(tmp_path, capsys
     assert _written_fields(out) == []
 
 
-def test_fit_recursive_fills_up_to_max_empty_steps_and_rejects_more():
-    snaps = [cli._snapshot_at(0), cli._snapshot_at(cli.MAX_EMPTY_STEPS + 1)]
-    steps = list(cli._every_step(snaps))
-    assert [s.t for s in steps] == list(range(cli.MAX_EMPTY_STEPS + 2))
-    assert steps[0] is snaps[0] and steps[-1] is snaps[-1]
-    assert all(s.n_sensors == 0 for s in steps[1:-1])
-    with pytest.raises(DataError, match=f"more than {cli.MAX_EMPTY_STEPS} steps in a row"):
-        cli._every_step([snaps[0], cli._snapshot_at(cli.MAX_EMPTY_STEPS + 2)])
+def test_fit_recursive_fills_up_to_max_empty_steps_and_rejects_more(tmp_path, capsys):
+    meas, truth = _hostile_inputs("empty step", tmp_path)
+    cfg = write_cfg(tmp_path, SMALL_SCENARIO)
+    rows = read_measurements(meas)
+
+    def run(gap):
+        """(exit code, field files written) with no report from t = 1 to t = gap."""
+        write_measurements(meas, [(0 if t == 0 else gap + 1, *rest) for t, *rest in rows])
+        out = tmp_path / f"gap{gap}"
+        rc = cli.main(["fit-recursive", "--config", cfg, "--out", str(out), "--measurements", meas, "--truth", truth])
+        return rc, list(out.glob("field_*.csv"))
+
+    rc, fields = run(cli.MAX_EMPTY_STEPS)
+    assert rc == 0 and len(fields) == cli.MAX_EMPTY_STEPS + 2
+    assert f"wrote {cli.MAX_EMPTY_STEPS + 2} field file(s)" in capsys.readouterr().out
+    rc, fields = run(cli.MAX_EMPTY_STEPS + 1)
+    assert rc == 4 and fields == []
+    assert f"more than {cli.MAX_EMPTY_STEPS} steps in a row" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case, command", [
@@ -739,10 +744,10 @@ def test_fit_recursive_fills_up_to_max_empty_steps_and_rejects_more():
     *[("sigma_w 1e154", command) for command in _FIT_COMMANDS if command != "bound"],
 ])
 def test_cli_fittable_hostile_data_exits_0_with_finite_fields(tmp_path, capsys, case, command):
-    if command == "fit-recursive" and case == "empty step":
-        with pytest.warns(RuntimeWarning, match="empty snapshot at t=1: carrying the field forward"):
-            rc, _, fields = _run_hostile(case, command, tmp_path, capsys)
-    else:
+    # no warning of any kind, raised as an error, stops a fit; fit-recursive
+    # steps only through snapshots with reports, so not even at an empty step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc, _, fields = _run_hostile(case, command, tmp_path, capsys)
     assert rc == 0
     want = {
