@@ -396,13 +396,17 @@ def _replicate_seed(base_seed: int, replicate: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_single_case(scenario, truth, snapshot, positions, rho_u, config: ExperimentConfig):
-    """Static fit with the given sensor positions and location-error scale."""
+def run_single_case(scenario, truth, snapshot, positions, rho_u, config: ExperimentConfig,
+                    fix: Optional[Position] = None):
+    """Static fit with the given sensor positions and location-error scale,
+    at the given transmitter fix if one is passed."""
     snap = MeasurementSnapshot(
         t=snapshot.t, sensor_ids=snapshot.sensor_ids, positions=positions, rss=snapshot.rss
     )
     pcfg = config.pipeline_config()
     pcfg.noise = NoiseModel(rho_u=rho_u, sigma_w=config.sigma_w)
+    if fix is not None:
+        pcfg.fixed_tx = fix
     if pcfg.sigma_v_sq is not None:
         pcfg.sigma_v_sq = scenario.params.sigma_v**2  # the swept shadowing
     result = run_static(snap, scenario.grid, pcfg, compute_cov=False)
@@ -416,7 +420,8 @@ def run_cases(config: ExperimentConfig, out_dir=None):
     """Location-error comparison: true positions with exact model (case 1),
     reported positions with the error modeled (case 2) and ignored (case 3),
     swept over the shadowing variance. Cases share draws within a replicate,
-    so the comparison is paired."""
+    so the comparison is paired. Cases 2 and 3 feed the fix the same reports,
+    and rho_u does not enter it, so case 3 takes case 2's fix."""
     out_dir = Path(out_dir if out_dir is not None else config.out_dir)
     rho_model = config.effective_rho_u()
     records = []
@@ -425,6 +430,7 @@ def run_cases(config: ExperimentConfig, out_dir=None):
         for sv_sq in config.sigma_v_sq_sweep:
             scenario = config.scenario(seed=seed, sigma_v_sq=sv_sq)
             snapshot, truth = sample_snapshot(scenario, 0)
+            reported_fix = None
             for case, positions, rho_u in (
                 ("case1", truth.sensor_true_positions, 0.0),
                 ("case2", snapshot.positions, rho_model),
@@ -432,8 +438,11 @@ def run_cases(config: ExperimentConfig, out_dir=None):
             ):
                 t0 = time.perf_counter()
                 mse, hyper, tx_err = run_single_case(
-                    scenario, truth, snapshot, positions, rho_u, config
+                    scenario, truth, snapshot, positions, rho_u, config,
+                    reported_fix if case == "case3" else None,
                 )
+                if case == "case2":
+                    reported_fix = hyper.tx
                 records.append(
                     MetricsRecord(
                         t=0,

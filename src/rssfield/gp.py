@@ -45,10 +45,8 @@ matrix and goes to BLAS and LAPACK without a copy.
   which would lose the update instead of failing.
 - Finiteness is scanned one block of rows at a time.
 
-The one factorization kept C-ordered is synth's sensor conditional: its
-matrix comes out of a product and is only nearly symmetric, so it is
-factored from the triangle it always was. README's performance notes keep
-the measured memory and times of this path.
+README's performance notes keep the measured memory and times of this
+path.
 
 Kernel fit: ``fit_kernel`` builds one NLML objective per fit
 (``_nlml_objective``) and hands it to every L-BFGS-B start. The objective

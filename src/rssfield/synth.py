@@ -1,20 +1,25 @@
 """Synthetic ground-truth fields and noisy crowdsourced measurements.
 
 The generator realizes one spatially correlated shadowing field per scenario
-seed: the grid component is drawn once and sensor shadowing is drawn from its
-exact conditional given the grid, so the joint law over sensors and nodes is
-the exponential-covariance Gaussian. Every stochastic draw is keyed off a
-seed tree (scenario seed x purpose x time step), so replicates and steps are
-bit-reproducible and order-independent on a fixed BLAS build and thread
-count. The sensor conditional's threaded matrix product is split differently
-at different thread counts, so reference-size snapshots hash differently at
-OPENBLAS_NUM_THREADS=1 and =2; the library sets no thread count.
+seed. With L L^T = K_gg the grid's correlation, the grid component is
+sigma_v L xi_g, drawn once per seed, and sensor shadowing is drawn from its
+exact conditional given the grid: sigma_v (V^T xi_g + L_c xi_s), where
+V = L^-1 K_gs takes one triangular solve and L_c L_c^T = K_ss - V^T V. So the
+joint law over nodes and sensors is the exponential-covariance Gaussian.
+Every stochastic draw is keyed off a seed tree (scenario seed x purpose x
+time step), so replicates and steps are bit-reproducible and
+order-independent on a fixed BLAS build and thread count. OpenBLAS's potrf
+and syrk split their work differently at different thread counts, so
+reference-size snapshots hash differently at OPENBLAS_NUM_THREADS=1 and =2;
+the library sets no thread count.
 
-The generator caches one world's draws, not the M x M grid correlation
-factor L that made them (keys and reasons at the caches below). L is
-factored in place in the correlation buffer, and a world whose roster does
-not move (Static, Intermittent, PowerSchedule) releases it when sampled at
-t >= 1; a case sweep and a Moving world keep it.
+The generator caches one world's unit draws (M grid floats, N sensor
+floats), not the M x M grid factor L that made them (keys and reasons at the
+caches below). L is factored in place in the correlation buffer, and a world
+whose roster does not move (Static, Intermittent, PowerSchedule) releases it
+when sampled at t >= 1; a case sweep and a Moving world keep it. V is solved
+in the buffer of K_gs and L_c is factored in the buffer of K_ss; neither
+outlives the draw of its roster.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cholesky, solve_triangular
 
-from .gp import _check_in_place, matvec
+from .gp import _check_in_place, matvec, subtract_gram
 from .model import (
     Grid,
     MeasurementSnapshot,
@@ -159,8 +164,10 @@ def _correlation(a_xy, b_xy, d_corr: float) -> np.ndarray:
 # the old entry before its replacement is built.
 # - _grid_draw: the unit grid draw u_g = L xi_g (M floats), keyed on
 #   (grid, d_corr, seed); the grid shadowing is sigma_v u_g.
-# - _conditional: the sensor conditional (W, L_c), keyed on
-#   (grid, roster, d_corr).
+# - _sensor_draw: the unit sensor draw u_s (N floats, see _unit_sensor_draw),
+#   keyed on (grid, roster, d_corr, seed, step); the step is t for a Moving
+#   world and 0 otherwise. The sensor shadowing is sigma_v u_s, so a sweep
+#   over sigma_v^2 factors each roster's conditional once.
 # - _grid_factor: the grid correlation's Cholesky factor L (M x M), keyed on
 #   (grid, d_corr). Only the two entries above read it, so a world whose
 #   roster does not move drops it when sampled at t >= 1: from then on that
@@ -169,7 +176,7 @@ def _correlation(a_xy, b_xy, d_corr: float) -> np.ndarray:
 #   conditional every step and keep it too.
 _grid_factor: dict = {}
 _grid_draw: dict = {}
-_conditional: dict = {}
+_sensor_draw: dict = {}
 
 
 def _grid_corr_chol(grid: Grid, d_corr: float) -> np.ndarray:
@@ -186,36 +193,55 @@ def _grid_corr_chol(grid: Grid, d_corr: float) -> np.ndarray:
     return _grid_factor[key]
 
 
+def _grid_normals(grid: Grid, seed: int) -> np.ndarray:
+    """xi_g: the seed's standard normal vector behind its grid shadowing."""
+    return _rng(seed, _K_GRID_FIELD).standard_normal(grid.n_nodes)
+
+
 def _unit_grid_draw(grid: Grid, d_corr: float, seed: int) -> np.ndarray:
     """u_g = L xi_g: the grid shadowing of the seed's world per unit sigma_v."""
     key = (grid.xy.tobytes(), float(d_corr), seed)
     if key not in _grid_draw:
         _grid_draw.clear()
-        xi = _rng(seed, _K_GRID_FIELD).standard_normal(grid.n_nodes)
-        _grid_draw[key] = matvec(_grid_corr_chol(grid, d_corr), xi)
+        _grid_draw[key] = matvec(_grid_corr_chol(grid, d_corr), _grid_normals(grid, seed))
     return _grid_draw[key]
 
 
-def _sensor_conditional(grid: Grid, sensor_xy: np.ndarray, d_corr: float):
-    """W and chol factor of the sensor-correlation conditional on the grid.
+def _sensor_factors(grid: Grid, sensor_xy: np.ndarray, d_corr: float) -> tuple:
+    """(V, L_c) of the sensor correlation given the grid's, with L L^T = K_gg.
 
-    v_S | v_g ~ N(W^T v_g, sigma_v^2 * L L^T) on the correlation scale.
+    V = L^-1 K_gs (M x N) and L_c L_c^T = K_ss - V^T V, the conditional
+    correlation, so the joint correlation of [grid; sensors] is
+    [[L L^T, L V], [V^T L^T, V^T V + L_c L_c^T]]. V is solved in the buffer
+    of K_gs and L_c is factored in the buffer of K_ss.
     """
-    key = (grid.xy.tobytes(), sensor_xy.tobytes(), float(d_corr))
-    if key not in _conditional:
-        _conditional.clear()
-        low_gg = _grid_corr_chol(grid, d_corr)
-        corr_gs = _correlation(grid.xy, sensor_xy, d_corr)
-        w = cho_solve((low_gg, True), corr_gs)  # (M, N), F-ordered
-        cond = _correlation(sensor_xy, sensor_xy, d_corr)
-        # numpy's BLAS on purpose: scipy's OpenBLAS splits this threaded product
-        # differently, which would change every snapshot's bits; runs once per roster
-        cond -= corr_gs.T @ w
-        cond[np.diag_indices_from(cond)] += _SHADOW_JITTER
-        # cond is C-ordered on purpose: the product above leaves it only nearly
-        # symmetric, and the factor must read its lower triangle as before
-        _conditional[key] = (w, cholesky(cond, lower=True))
-    return _conditional[key]
+    low = _grid_corr_chol(grid, d_corr)
+    k_gs = _correlation(sensor_xy, grid.xy, d_corr).T  # (M, N), F-ordered
+    v = solve_triangular(low, k_gs, lower=True, overwrite_b=True)
+    _check_in_place(v, k_gs, "trtrs")
+    cond = _correlation(sensor_xy, sensor_xy, d_corr)
+    subtract_gram(cond, v)
+    cond[np.diag_indices_from(cond)] += _SHADOW_JITTER
+    # cond is exactly symmetric, so it is factored in place like the grid's
+    low_cond = cholesky(cond.T, lower=True, overwrite_a=True)
+    _check_in_place(low_cond, cond, "potrf")
+    return v, low_cond
+
+
+def _unit_sensor_draw(grid: Grid, sensor_xy: np.ndarray, d_corr: float, seed: int, step: int) -> np.ndarray:
+    """u_s = V^T xi_g + L_c xi_s: the sensor shadowing per unit sigma_v, drawn
+    from its exact conditional given the grid's u_g = L xi_g.
+
+    The conditional mean K_sg K_gg^-1 u_g is V^T xi_g, so one triangular solve
+    (GPML Algorithm 2.1's V = L^-1 k) stands in for a full solve with K_gg.
+    """
+    key = (grid.xy.tobytes(), sensor_xy.tobytes(), float(d_corr), seed, step)
+    if key not in _sensor_draw:
+        _sensor_draw.clear()
+        v, low_cond = _sensor_factors(grid, sensor_xy, d_corr)
+        xi_s = _rng(seed, _K_SENSOR_FIELD, step).standard_normal(sensor_xy.shape[0])
+        _sensor_draw[key] = matvec(v.T, _grid_normals(grid, seed)) + matvec(low_cond, xi_s)
+    return _sensor_draw[key]
 
 
 def base_positions(scenario: Scenario) -> np.ndarray:
@@ -273,15 +299,13 @@ def _shadowing_at(scenario: Scenario, t: int, sensor_xy: np.ndarray):
     if p.sigma_v == 0.0:
         return np.zeros(scenario.grid.n_nodes), np.zeros(sensor_xy.shape[0])
     moving = isinstance(scenario.dynamics, Moving)
-    v_g = p.sigma_v * _unit_grid_draw(scenario.grid, p.d_corr, scenario.seed)
-    v_s = np.zeros(0)
+    u_g = _unit_grid_draw(scenario.grid, p.d_corr, scenario.seed)
+    u_s = np.zeros(0)
     if sensor_xy.shape[0] > 0:
-        w, low_cond = _sensor_conditional(scenario.grid, sensor_xy, p.d_corr)
-        xi = _rng(scenario.seed, _K_SENSOR_FIELD, t if moving else 0).standard_normal(sensor_xy.shape[0])
-        v_s = matvec(w.T, v_g) + p.sigma_v * matvec(low_cond, xi)
+        u_s = _unit_sensor_draw(scenario.grid, sensor_xy, p.d_corr, scenario.seed, t if moving else 0)
     if t >= 1 and not moving:
         _grid_factor.clear()  # this world reads only its cached draws from now on
-    return v_g, v_s
+    return p.sigma_v * u_g, p.sigma_v * u_s
 
 
 def sample_snapshot(scenario: Scenario, t: int = 0) -> tuple:

@@ -39,9 +39,6 @@ ALLOWED = {
         "vector . vector (kernel-fit objective: beta^T (E o D) beta; the product is scipy's matvec)",
     ("localize.py", "w @ snapshot.positions"):
         "vector times the (N, 2) positions; below OpenBLAS's threading threshold",
-    ("synth.py", "corr_gs.T @ w"):
-        "once per sensor roster (cached); scipy's OpenBLAS splits this threaded product "
-        "differently from numpy's, so routing it would change every snapshot's bits",
 }
 
 
@@ -58,9 +55,10 @@ FACTORIZATIONS = {
     ("synth.py", "cholesky(corr.T, lower=True, overwrite_a=True)"):
         "grid correlation, exactly symmetric: its F-ordered view is the same matrix, factored "
         "in place in the correlation buffer",
-    ("synth.py", "cholesky(cond, lower=True)"):
-        "sensor conditional: cond comes out of a product and is only nearly symmetric, so it must "
-        "stay C-ordered to be factored from the same triangle; runs once per sensor roster",
+    ("synth.py", "cholesky(cond.T, lower=True, overwrite_a=True)"):
+        "sensor conditional K_ss - V^T V: subtract_gram leaves it exactly symmetric, so its "
+        "F-ordered view is the same matrix, factored in place in its buffer; runs once per "
+        "sensor roster",
 }
 
 

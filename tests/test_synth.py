@@ -182,7 +182,7 @@ def test_moving_sensors_share_the_static_grid_field():
     assert not np.allclose(t0.sensor_true_positions, t3.sensor_true_positions)
 
 
-_CACHES = ("_grid_factor", "_grid_draw", "_conditional")
+_CACHES = ("_grid_factor", "_grid_draw", "_sensor_draw")
 
 
 def _empty_caches(monkeypatch):
@@ -210,7 +210,7 @@ def test_synth_keeps_one_worlds_factors(monkeypatch):
     for seed in range(4):
         sample_snapshot(small_scenario(seed), 0)
     assert built == [9, 12, 12, 12, 12]
-    assert len(synth._grid_factor) == len(synth._grid_draw) == len(synth._conditional) == 1
+    assert len(synth._grid_factor) == len(synth._grid_draw) == len(synth._sensor_draw) == 1
 
     # a fixed-roster world releases the grid factor at t >= 1 and reads only its
     # draws from then on; a later new world rebuilds the factor
@@ -232,6 +232,38 @@ def test_synth_keeps_one_worlds_factors(monkeypatch):
         sample_snapshot(world, t)
     assert built == [9, 12, 12, 12, 12]
     assert len(synth._grid_factor) == 1
+
+
+@pytest.mark.parametrize("dynamics", [Static(), Moving(5.0)], ids=["static", "moving"])
+def test_sensor_factors_rebuild_the_joint_correlation(monkeypatch, dynamics):
+    # dense oracle: with L L^T the grid's correlation, V = L^-1 K_gs and L_c the
+    # conditional's factor, [[L L^T, L V], [V^T L^T, V^T V + L_c L_c^T]] is the
+    # correlation of [grid; sensors] with the jitter on its diagonal
+    _empty_caches(monkeypatch)
+    sc = small_scenario(2, dynamics=dynamics)
+    d_corr = sc.params.d_corr
+    for t in (0, 2):
+        xy = advance_dynamics(sc, t).true_positions
+        low = synth._grid_corr_chol(sc.grid, d_corr)
+        v, low_c = synth._sensor_factors(sc.grid, xy, d_corr)
+        assert v.shape == (9, 12) and low_c.shape == (12, 12)
+        joint = np.block([[low @ low.T, low @ v], [v.T @ low.T, v.T @ v + low_c @ low_c.T]])
+        pts = np.vstack([sc.grid.xy, xy])
+        target = _correlation(pts, pts, d_corr) + synth._SHADOW_JITTER * np.eye(len(pts))
+        assert_allclose(joint, target, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("dynamics", [Static(), Moving(5.0)], ids=["static", "moving"])
+def test_sensor_shadowing_is_sigma_v_times_one_unit_draw_per_roster(monkeypatch, dynamics):
+    # a sweep over sigma_v^2 scales one unit draw, as the grid's does, and
+    # factors each roster's conditional once
+    built = _counting_cholesky(monkeypatch)
+    for t in (0, 1):
+        for sigma_v in (1.0, math.sqrt(10), 4.0):
+            _, truth = sample_snapshot(small_scenario(3, sigma_v=sigma_v, dynamics=dynamics), t)
+            (u_s,) = synth._sensor_draw.values()
+            assert_array_equal(truth.sensor_shadowing, sigma_v * u_s)
+    assert built == ([9, 12, 12] if isinstance(dynamics, Moving) else [9, 12])
 
 
 def _assert_same_snapshot(a, b):
@@ -281,5 +313,9 @@ def test_first_snapshot_factors_in_place_and_t1_holds_no_grid_matrix(monkeypatch
     # the grid factor is the correlation buffer itself: a copy would double it
     assert peak < 1.3 * one_matrix, f"first snapshot peak {peak / one_matrix:.2f} grid matrices"
     assert held_t0 > one_matrix  # the factor stays for the next world's draws
+    # besides L, synth keeps the unit draws and their keys, O(M + N) floats:
+    # no M x N array outlives the draw
+    beside_factor = held_t0 - one_matrix
+    assert beside_factor < 16 * 8 * (sc.grid.n_nodes + sc.n_sensors), f"{beside_factor / 1e3:.0f} kB beside L"
     assert held_t1 < 0.1 * one_matrix, f"synth holds {held_t1 / 1e6:.1f} MB after t = 1"
     assert synth._grid_factor == {}
