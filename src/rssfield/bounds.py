@@ -38,15 +38,13 @@ def grid_mean_gradient(node_xy, tx, mu_alpha: float) -> np.ndarray:
     """Derivative of the node prior mean w.r.t. (mu_p, mu_alpha, tx_x, tx_y).
 
     The transmitter columns are -10 mu_alpha log10(e) (x0 - x_i) / d_i^2,
-    with d the clamped node-to-transmitter distances. One node (shape (2,))
-    gives shape (4,); an (m, 2) array of nodes gives one row per node.
+    with d the clamped node-to-transmitter distances. An (m, 2) array of
+    nodes gives shape (m, 4), one row per node.
     """
-    nodes = np.asarray(node_xy, dtype=float)
-    xy = nodes.reshape(-1, 2)
+    xy = np.asarray(node_xy, dtype=float).reshape(-1, 2)
     d = clamped_distances(xy, tx)
     d_tx = -10.0 * mu_alpha * LOG10_E * (tx.as_array() - xy) / d[:, None] ** 2
-    grad = np.column_stack([np.ones(xy.shape[0]), -log_distance_feature(d), d_tx])
-    return grad[0] if nodes.ndim == 1 else grad
+    return np.column_stack([np.ones(xy.shape[0]), -log_distance_feature(d), d_tx])
 
 
 def hcrb_all(

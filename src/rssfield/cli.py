@@ -27,11 +27,11 @@ from . import experiments as ex
 from .baseline import okd_predict
 from .bounds import hcrb_all
 from .empbayes import DegenerateFitError
-from .localize import NoFixError
+from .localize import CentroidState, NoFixError
 from .model import MeasurementSnapshot, NumericalError
 from .pipeline import _hyper, run_static
 from .recursive import init_state, rgp_step
-from .synth import sample_snapshot
+from .synth import advance_dynamics, sample_snapshot
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,7 +79,6 @@ def _snapshot_at(t, rows):
     """The snapshot of the measurement rows at t."""
     return MeasurementSnapshot(
         t=t,
-        sensor_ids=tuple(f"{r[1]}#{i}" for i, r in enumerate(rows)),
         positions=np.array([(r[2], r[3]) for r in rows]).reshape(-1, 2),
         rss=np.array([r[4] for r in rows]),
     )
@@ -132,7 +131,8 @@ def cmd_synth(args):
     rows = []
     for t in range(cfg.steps):
         snap, truth = sample_snapshot(scenario, t)
-        for sid, (x, y), rss in zip(snap.sensor_ids, snap.positions, snap.rss):
+        ids = advance_dynamics(scenario, t).active_ids
+        for sid, (x, y), rss in zip(ids, snap.positions, snap.rss):
             rows.append((t, str(sid), x, y, rss))
         ex.write_truth(out / f"truth_t{t}.csv", scenario.grid, truth.grid_field)
     ex.write_measurements(out / "measurements.csv", rows)
@@ -194,7 +194,7 @@ def cmd_baseline_okd(args):
     snaps, grid, truth = _train_inputs(args, cfg, 1)
     snap = snaps[0]
     # kriging detrends by the fitted means and needs no kernel
-    hyper, _ = _hyper(snap, cfg.pipeline_config(), None)
+    hyper, _ = _hyper(snap, cfg.pipeline_config(), CentroidState())
     pred, var = okd_predict((snap.positions, snap.rss), grid, hyper, return_variance=True)
     path = out / "field_okd.csv"
     ex.write_field_csv(path, grid, pred, var)

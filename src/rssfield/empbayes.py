@@ -12,6 +12,7 @@ projection) and one bounded least-squares solve moves the fix alone.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,9 +228,10 @@ def refine_all(snapshot: MeasurementSnapshot, centroid_state: CentroidState, are
     """The transmitter fix of one snapshot: centroid, then the profiled fix
     in the box ``area_bounds``.
 
-    Returns (fix, new CentroidState); the fix is folded back into the
-    centroid state so the recursion carries the best available estimate
-    forward. The means and variances at the fix come from ``hyper_at``.
+    Returns (fix, new CentroidState); the new state's estimate is the fix,
+    under the updated weight, so the recursion carries the best available
+    estimate forward. The means and variances at the fix come from
+    ``hyper_at``.
     """
     if snapshot.n_sensors == 0:
         raise DegenerateFitError("snapshot is empty")
@@ -237,4 +239,4 @@ def refine_all(snapshot: MeasurementSnapshot, centroid_state: CentroidState, are
     if not state.has_fix:
         raise NoFixError("centroid has no fix: no report has carried positive linear power yet")
     tx, _ = refine_transmitter(snapshot, state.estimate, area_bounds)
-    return tx, state.with_estimate(tx)
+    return tx, dataclasses.replace(state, estimate=tx)

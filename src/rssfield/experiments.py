@@ -400,9 +400,7 @@ def run_single_case(scenario, truth, snapshot, positions, rho_u, config: Experim
                     fix: Optional[Position] = None):
     """Static fit with the given sensor positions and location-error scale,
     at the given transmitter fix if one is passed."""
-    snap = MeasurementSnapshot(
-        t=snapshot.t, sensor_ids=snapshot.sensor_ids, positions=positions, rss=snapshot.rss
-    )
+    snap = MeasurementSnapshot(t=snapshot.t, positions=positions, rss=snapshot.rss)
     pcfg = config.pipeline_config()
     pcfg.noise = NoiseModel(rho_u=rho_u, sigma_w=config.sigma_w)
     if fix is not None:

@@ -407,6 +407,7 @@ def _nlml_inputs(train, hyper, noise: NoiseModel) -> tuple:
 
 
 def _starts(resid, dists):
+    """The four L-BFGS-B starts, each inside the bounds of ``fit_kernel``."""
     vk0 = float(np.clip(np.var(resid), 1e-3, 9e3)) if resid.size > 1 else 1.0
     off = dists[np.triu_indices_from(dists, k=1)]
     s0 = float(np.clip(np.median(off) if off.size else 50.0, 2.0, 1900.0))
@@ -436,12 +437,7 @@ def fit_kernel(train, hyper: HyperEstimate, noise: NoiseModel) -> KernelParams:
     best = None
     for idx, start in enumerate(_starts(resid, dists)):
         res = minimize(
-            objective,
-            np.clip(start, [b[0] for b in bounds], [b[1] for b in bounds]),
-            method="L-BFGS-B",
-            jac=True,
-            bounds=bounds,
-            options={"maxiter": _LBFGS_MAXITER},
+            objective, start, method="L-BFGS-B", jac=True, bounds=bounds, options={"maxiter": _LBFGS_MAXITER}
         )
         key = (float(res.fun), idx)
         if best is None or key < best[0]:

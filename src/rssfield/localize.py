@@ -1,8 +1,12 @@
 """Transmitter localization from RSS reports.
 
 A running weighted centroid (weights are the reported powers in linear
-units) accumulates every snapshot ever seen. It is the starting fix that
-``empbayes.refine_transmitter`` sharpens jointly with the path-loss means.
+units) accumulates every snapshot ever seen. It carries only a fix and the
+weight behind it: the fix stands for all earlier reports, so a new
+snapshot's reports are averaged with it at that weight. It is the starting
+fix that ``empbayes.refine_transmitter`` sharpens jointly with the path-loss
+means, and ``empbayes.refine_all`` carries the sharpened fix forward in its
+place.
 """
 
 from __future__ import annotations
@@ -24,59 +28,40 @@ class NoFixError(RuntimeError):
 
 @dataclass(frozen=True)
 class CentroidState:
-    """Accumulator of the recursive weighted centroid."""
+    """The recursive weighted centroid's carried memory: the current fix and
+    the linear-power weight behind it. ``CentroidState()`` has seen nothing."""
 
-    weighted_sum: np.ndarray  # (2,) sum of w_i * x_i over all data seen
-    total_weight: float  # linear-power units
-    estimate: Optional[Position]  # None until any weight has been seen
+    estimate: Optional[Position] = None
+    total_weight: float = 0.0  # linear-power units
 
     def __post_init__(self):
-        ws = np.asarray(self.weighted_sum, dtype=float).reshape(2)
-        ws.setflags(write=False)
-        object.__setattr__(self, "weighted_sum", ws)
         if self.total_weight < 0:
             raise ValueError("total_weight must be >= 0")
-
-    @classmethod
-    def empty(cls) -> "CentroidState":
-        return cls(weighted_sum=np.zeros(2), total_weight=0.0, estimate=None)
 
     @property
     def has_fix(self) -> bool:
         return self.estimate is not None
-
-    def with_estimate(self, position: Position) -> "CentroidState":
-        """Replace the running estimate (e.g. by a refined fix), keeping the
-        accumulated weight so later updates treat it as the carried memory."""
-        return CentroidState(
-            weighted_sum=position.as_array() * self.total_weight,
-            total_weight=self.total_weight,
-            estimate=position,
-        )
 
 
 def centroid_update(state: CentroidState, snapshot: MeasurementSnapshot) -> CentroidState:
     """Fold one snapshot into the running weighted centroid.
 
     Weights are w_i = 10^(z_i / 10); the previous estimate enters with the
-    accumulated weight, so the recursion keeps all past information. Reports
-    so strong that a weight or the weighted sum overflows leave no finite
-    centroid and raise NoFixError.
+    accumulated weight W, so the new estimate is
+    (estimate * W + sum w_i x_i) / (W + sum w_i) and the recursion keeps all
+    past information. Reports so strong that a weight or the weighted sum
+    overflows leave no finite centroid and raise NoFixError.
     """
     if snapshot.n_sensors == 0:
         return state
+    carried = state.estimate.as_array() if state.has_fix else np.zeros(2)
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.power(10.0, snapshot.rss / 10.0)
-        weighted_sum = state.weighted_sum + w @ snapshot.positions
+        weighted_sum = carried * state.total_weight + w @ snapshot.positions
         total = state.total_weight + float(np.sum(w))
     if not (np.isfinite(weighted_sum).all() and np.isfinite(total)):
         raise NoFixError(f"reported powers up to {np.max(snapshot.rss):g} dBm overflow the centroid weights")
     if total <= 0.0:
-        return CentroidState(weighted_sum=weighted_sum, total_weight=total, estimate=None)
+        return CentroidState(total_weight=total)
     est = weighted_sum / total
-    return CentroidState(
-        weighted_sum=weighted_sum,
-        total_weight=total,
-        estimate=Position(float(est[0]), float(est[1])),
-    )
-
+    return CentroidState(Position(float(est[0]), float(est[1])), total)

@@ -88,10 +88,11 @@ def uniform_grid(width: float, height: float, nx: int, ny: int) -> Grid:
 
 @dataclass(frozen=True)
 class MeasurementSnapshot:
-    """One time step of crowdsourced reports: estimated positions plus RSS."""
+    """One time step of crowdsourced reports, each an estimated position and
+    an RSS value. A report carries no sensor identity: no estimator reads
+    one, and two reports from one sensor are two reports."""
 
     t: int
-    sensor_ids: tuple
     positions: np.ndarray  # (N, 2) reported (estimated) locations, meters
     rss: np.ndarray  # (N,) dBm
 
@@ -100,16 +101,12 @@ class MeasurementSnapshot:
             raise ValueError("time index must be >= 0")
         pos = _readonly(self.positions).reshape(-1, 2)
         rss = _readonly(self.rss).reshape(-1)
-        ids = tuple(self.sensor_ids)
-        if pos.shape[0] != rss.shape[0] or pos.shape[0] != len(ids):
-            raise ValueError("sensor_ids, positions and rss lengths disagree")
-        if len(set(ids)) != len(ids):
-            raise ValueError("sensor ids must be unique within a snapshot")
+        if pos.shape[0] != rss.shape[0]:
+            raise ValueError("positions and rss lengths disagree")
         if rss.size and not np.all(np.isfinite(rss)):
             raise ValueError("rss values must be finite")
         if pos.size and not np.all(np.isfinite(pos)):
             raise ValueError("sensor positions must be finite")
-        object.__setattr__(self, "sensor_ids", ids)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "rss", rss)
 
@@ -188,15 +185,14 @@ def clamped_distances(points: np.ndarray, origin: Position) -> np.ndarray:
 def log_distance_feature(d_hat):
     """10*log10(d_hat); the regressor multiplying the path-loss exponent.
 
-    Raises ValueError for any nonpositive distance: that signals a sensor
-    colocated with the estimated transmitter, and the caller must clamp at
-    D_MIN first.
+    Keeps the shape of d_hat (a float gives a numpy float). Raises ValueError
+    for any nonpositive distance: that signals a sensor colocated with the
+    estimated transmitter, and the caller must clamp at D_MIN first.
     """
     d = np.asarray(d_hat, dtype=float)
     if np.any(d <= 0):
         raise ValueError("log-distance feature requires d_hat > 0 (apply the D_MIN floor)")
-    out = 10.0 * np.log10(d)
-    return float(out) if np.isscalar(d_hat) else out
+    return 10.0 * np.log10(d)
 
 
 def rho_u_from(alpha: float, sigma_d: float) -> float:

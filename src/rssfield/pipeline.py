@@ -53,7 +53,7 @@ def run_static(
     kernel scales by marginal likelihood unless a kernel is given, then the
     GP posterior at the grid.
     """
-    hyper, centroid = _hyper(snapshot, config, None)
+    hyper, centroid = _hyper(snapshot, config, CentroidState())
     kernel = _kernel(snapshot, hyper, config)
     post = posterior(
         (snapshot.positions, snapshot.rss), grid, hyper, kernel, config.noise,
@@ -62,7 +62,7 @@ def run_static(
     return StaticResult(posterior=post, hyper=hyper, kernel=kernel, centroid=centroid)
 
 
-def _hyper(snapshot: MeasurementSnapshot, config: PipelineConfig, centroid: Optional[CentroidState]) -> tuple:
+def _hyper(snapshot: MeasurementSnapshot, config: PipelineConfig, centroid: CentroidState) -> tuple:
     """(hyper, centroid): ``hyper_at`` the known transmitter when one is
     configured (the centroid then passes through), else at ``refine_all``'s
     fix in the area.
@@ -71,7 +71,6 @@ def _hyper(snapshot: MeasurementSnapshot, config: PipelineConfig, centroid: Opti
     measurement variances sigma_v^2 + sigma_w^2 + rho_u^2 / d^2 at the
     distances to the fix, under the config's noise model as it is now.
     """
-    centroid = centroid if centroid is not None else CentroidState.empty()
     tx = config.fixed_tx
     if tx is None:
         tx, centroid = refine_all(snapshot, centroid, config.area_bounds)

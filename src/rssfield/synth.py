@@ -31,7 +31,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from .gp import _check_in_place, matvec, subtract_gram
+from .gp import _all_finite, _check_in_place, matvec, subtract_gram
 from .model import (
     Grid,
     MeasurementSnapshot,
@@ -179,15 +179,23 @@ _grid_draw: dict = {}
 _sensor_draw: dict = {}
 
 
+def _check_finite(*mats: np.ndarray) -> None:
+    """scipy's check_finite, one block of rows at a time: scipy's own scan
+    allocates a boolean array as large as each input (M x M for the grid)."""
+    if not all(_all_finite(m) for m in mats):
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def _grid_corr_chol(grid: Grid, d_corr: float) -> np.ndarray:
     key = (grid.xy.tobytes(), float(d_corr))
     if key not in _grid_factor:
         _grid_factor.clear()
         corr = _correlation(grid.xy, grid.xy, d_corr)
         corr[np.diag_indices_from(corr)] += _SHADOW_JITTER
+        _check_finite(corr)
         # corr is exactly symmetric, so its F-ordered view is the same matrix:
         # it reaches LAPACK without a transposing copy and is factored in place
-        low = cholesky(corr.T, lower=True, overwrite_a=True)
+        low = cholesky(corr.T, lower=True, overwrite_a=True, check_finite=False)
         _check_in_place(low, corr, "potrf")
         _grid_factor[key] = low
     return _grid_factor[key]
@@ -217,7 +225,8 @@ def _sensor_factors(grid: Grid, sensor_xy: np.ndarray, d_corr: float) -> tuple:
     """
     low = _grid_corr_chol(grid, d_corr)
     k_gs = _correlation(sensor_xy, grid.xy, d_corr).T  # (M, N), F-ordered
-    v = solve_triangular(low, k_gs, lower=True, overwrite_b=True)
+    _check_finite(low, k_gs)
+    v = solve_triangular(low, k_gs, lower=True, overwrite_b=True, check_finite=False)
     _check_in_place(v, k_gs, "trtrs")
     cond = _correlation(sensor_xy, sensor_xy, d_corr)
     subtract_gram(cond, v)
@@ -338,12 +347,7 @@ def sample_snapshot(scenario: Scenario, t: int = 0) -> tuple:
     pos_err = _rng(scenario.seed, _K_POS_ERR, t).normal(0.0, p.sigma_d, size=(n_roster, 2))[active]
     reported_xy = true_xy + pos_err
 
-    snapshot = MeasurementSnapshot(
-        t=t,
-        sensor_ids=tuple(int(i) for i in active),
-        positions=reported_xy,
-        rss=rss,
-    )
+    snapshot = MeasurementSnapshot(t=t, positions=reported_xy, rss=rss)
     truth = GroundTruth(
         grid_field=grid_field,
         sensor_true_positions=true_xy,

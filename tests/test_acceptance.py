@@ -85,12 +85,10 @@ _AREA_200 = ((0.0, 200.0), (0.0, 200.0))
 
 def _random_small_inputs(rng, n_train=8, n_grid=6):
     snap0 = MeasurementSnapshot(
-        t=0, sensor_ids=tuple(range(n_train)),
-        positions=rng.uniform(5, 195, (n_train, 2)), rss=rng.uniform(-90, -40, n_train),
+        t=0, positions=rng.uniform(5, 195, (n_train, 2)), rss=rng.uniform(-90, -40, n_train),
     )
     snap1 = MeasurementSnapshot(
-        t=1, sensor_ids=tuple(range(n_train)),
-        positions=rng.uniform(5, 195, (n_train, 2)), rss=rng.uniform(-90, -40, n_train),
+        t=1, positions=rng.uniform(5, 195, (n_train, 2)), rss=rng.uniform(-90, -40, n_train),
     )
     grid = Grid(rng.uniform(0, 200, (n_grid, 2)))
     hyper = HyperEstimate(
@@ -108,7 +106,7 @@ def _random_small_inputs(rng, n_train=8, n_grid=6):
 
 def _state_from(post, grid):
     return RecursiveState(
-        posterior=post, centroid=CentroidState.empty(),
+        posterior=post, centroid=CentroidState(),
         grid_prior_cov=kernel_matrix(grid.xy, grid.xy, post.kernel, post.hyper.tx),
         cov_tx=post.hyper.tx,
     )
@@ -249,8 +247,8 @@ def test_criterion_5_hcrb_dominates_and_is_nearly_achieved():
         z = power - 10 * alpha * np.log10(d_true) + v[:n] + rng.normal(0, sigma_w, n)
         truth = power - 10 * alpha * np.log10(d_probe) + v[n:]
         reported = sensors + rng.normal(0, sigma_d, (n, 2))
-        snap = MeasurementSnapshot(t=0, sensor_ids=tuple(range(n)), positions=reported, rss=z)
-        fix, _ = rf.refine_all(snap, CentroidState.empty(), ((0, 240), (0, 240)))
+        snap = MeasurementSnapshot(t=0, positions=reported, rss=z)
+        fix, _ = rf.refine_all(snap, CentroidState(), ((0, 240), (0, 240)))
         hyper = hyper_at(snap, fix)
         hyper = HyperEstimate(
             mu_p=hyper.mu_p, mu_alpha=hyper.mu_alpha,
@@ -322,7 +320,7 @@ def test_criterion_7_oracle_equivalence(pin_hyper):
     rng = np.random.default_rng(71)
     snaps = [
         MeasurementSnapshot(
-            t=t, sensor_ids=(0, 1), positions=rng.uniform(5, 195, (2, 2)), rss=rng.uniform(-90, -40, 2)
+            t=t, positions=rng.uniform(5, 195, (2, 2)), rss=rng.uniform(-90, -40, 2)
         )
         for t in range(3)
     ]

@@ -52,9 +52,10 @@ FACTORIZATIONS = {
         "triangle (condition's training covariance, read only by potrs and trtrs), and the "
         "kernel-fit objective factors the C it rebuilt in its own buffer, with clean=1 so that "
         "after potri the flat buffer holds only C^-1's triangle for the trace ddots",
-    ("synth.py", "cholesky(corr.T, lower=True, overwrite_a=True)"):
+    ("synth.py", "cholesky(corr.T, lower=True, overwrite_a=True, check_finite=False)"):
         "grid correlation, exactly symmetric: its F-ordered view is the same matrix, factored "
-        "in place in the correlation buffer",
+        "in place in the correlation buffer; synth._check_finite scans it one block of rows "
+        "at a time instead of scipy's M x M boolean scan",
     ("synth.py", "cholesky(cond.T, lower=True, overwrite_a=True)"):
         "sensor conditional K_ss - V^T V: subtract_gram leaves it exactly symmetric, so its "
         "F-ordered view is the same matrix, factored in place in its buffer; runs once per "

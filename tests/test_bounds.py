@@ -59,7 +59,7 @@ def cho_solve_oracle(train, grid, hyper, kernel, noise):
     a2 = -2 * noise.rho_u**2 * (tx.y - xy[:, 1]) / d_hat**4
     added = []
     for j, node in enumerate(grid.xy):
-        g = grid_mean_gradient(node, tx, hyper.mu_alpha) - cinv_jac.T @ k_xg[:, j]
+        g = grid_mean_gradient(node.reshape(1, 2), tx, hyper.mu_alpha)[0] - cinv_jac.T @ k_xg[:, j]
         g[2] += (u * a1) @ cinv_k[:, j]
         g[3] += (u * a2) @ cinv_k[:, j]
         added.append(g @ info_inv @ g)
@@ -81,7 +81,7 @@ def test_leading_bracket_structure():
     # first component is 1, second is -10 log10(d) by construction
     tx = Position(40.0, 60.0)
     node = np.array([100.0, 140.0])
-    g = grid_mean_gradient(node, tx, mu_alpha=3.2)
+    (g,) = grid_mean_gradient(node.reshape(1, 2), tx, mu_alpha=3.2)
     d = math.hypot(100.0 - 40.0, 140.0 - 60.0)
     assert g[0] == 1.0
     assert_allclose(g[1], -10 * math.log10(d), rtol=1e-12)

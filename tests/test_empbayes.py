@@ -162,7 +162,7 @@ def test_known_variances_whose_fourth_powers_overflow_are_named():
 def snap(positions, rss, t=0):
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     return MeasurementSnapshot(
-        t=t, sensor_ids=tuple(range(len(positions))), positions=positions, rss=np.asarray(rss, dtype=float)
+        t=t, positions=positions, rss=np.asarray(rss, dtype=float)
     )
 
 
@@ -290,7 +290,7 @@ def test_refine_all_on_collinear_sensors_finds_the_interior_minimum(area):
     # column across the line is near zero: an unbounded first step goes
     # kilometers out, where the means are not identifiable
     pos_xy, rss = _collinear_problem()
-    tx, _ = refine_all(snap(pos_xy, rss), CentroidState.empty(), area)
+    tx, _ = refine_all(snap(pos_xy, rss), CentroidState(), area)
     hyper = hyper_at(snap(pos_xy, rss), tx)
     assert _objective(pos_xy, rss, hyper.tx) <= _objective(pos_xy, rss, Position(100.0, 100.0))
     # the sensors cannot tell the two sides of their line apart, so the
@@ -348,7 +348,7 @@ def _noise_free_world(seed=0, n=40, tx=(250.0, 250.0)):
 
 def test_refine_all_noise_free_recovery():
     sc, snap = _noise_free_world(seed=11)
-    tx, state = refine_all(snap, CentroidState.empty(), sc.area_bounds)
+    tx, state = refine_all(snap, CentroidState(), sc.area_bounds)
     hyper = hyper_at(snap, tx)
     assert abs(hyper.mu_alpha - 3.5) < 1e-6
     assert abs(hyper.mu_p + 10.0) < 1e-6
@@ -356,6 +356,18 @@ def test_refine_all_noise_free_recovery():
     assert hyper.var_p == hyper.var_alpha == KERNEL_PATH_VAR
     # the refined fix is carried in the centroid state
     assert state.estimate == hyper.tx
+
+
+def test_refine_all_carries_the_fix_under_the_updated_weight():
+    # from a carried fix and weight, the new state holds the refined fix and
+    # the weight centroid_update accumulated; the weight is not reset
+    sc, snap = _noise_free_world(seed=11)
+    carried = CentroidState(Position(100.0, 400.0), 3.5e-6)
+    updated = centroid_update(carried, snap)
+    tx, state = refine_all(snap, carried, sc.area_bounds)
+    assert state == CentroidState(tx, updated.total_weight)
+    assert state.total_weight > carried.total_weight
+    assert tx != updated.estimate
 
 
 def test_refine_all_solves_for_the_fix_once(monkeypatch):
@@ -367,37 +379,37 @@ def test_refine_all_solves_for_the_fix_once(monkeypatch):
 
     monkeypatch.setattr(empbayes, "refine_transmitter", counting)
     sc, snap = _noise_free_world(seed=11)
-    refine_all(snap, CentroidState.empty(), sc.area_bounds)
+    refine_all(snap, CentroidState(), sc.area_bounds)
     assert len(calls) == 1
 
 
 def test_refine_all_single_sensor_degenerate():
     snap = MeasurementSnapshot(
-        t=0, sensor_ids=(0,), positions=np.array([[10.0, 10.0]]), rss=np.array([-60.0])
+        t=0, positions=np.array([[10.0, 10.0]]), rss=np.array([-60.0])
     )
-    tx, _ = refine_all(snap, CentroidState.empty(), _AREA_200)
+    tx, _ = refine_all(snap, CentroidState(), _AREA_200)
     with pytest.raises(DegenerateFitError):
         hyper_at(snap, tx)
 
 
 def test_refine_all_empty_snapshot_rejected():
-    snap = MeasurementSnapshot(t=0, sensor_ids=(), positions=np.zeros((0, 2)), rss=np.zeros(0))
+    snap = MeasurementSnapshot(t=0, positions=np.zeros((0, 2)), rss=np.zeros(0))
     with pytest.raises(DegenerateFitError):
-        refine_all(snap, CentroidState.empty(), _AREA_200)
+        refine_all(snap, CentroidState(), _AREA_200)
 
 
 def test_refine_all_without_a_fix_raises():
     # reports too weak to carry linear power (10^(z/10) underflows to 0)
     # leave the centroid without a fix
     weak = snap([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]], [-4000.0] * 3)
-    assert not centroid_update(CentroidState.empty(), weak).has_fix
+    assert not centroid_update(CentroidState(), weak).has_fix
     with pytest.raises(NoFixError):
-        refine_all(weak, CentroidState.empty(), _AREA_200)
+        refine_all(weak, CentroidState(), _AREA_200)
 
 
 def test_refine_all_estimates_variances_when_covariance_known():
     sc, snap = _noise_free_world(seed=12)
-    tx, _ = refine_all(snap, CentroidState.empty(), sc.area_bounds)
+    tx, _ = refine_all(snap, CentroidState(), sc.area_bounds)
     hyper = hyper_at(snap, tx, np.zeros(snap.n_sensors))
     assert hyper.var_p >= 0.0 and hyper.var_alpha >= 0.0
     # noise-free data with a correct covariance leaves nothing to explain
@@ -411,17 +423,17 @@ def test_known_transmitter_at_refine_alls_fix_gives_refine_alls_hyper(sigma_v_sq
     sc = rf.benchmark_scenario(seed=13, sigma_v_sq=10.0, nx=4, ny=4, n_sensors=60, area=(300.0, 300.0))
     snap, _ = rf.sample_snapshot(sc, 0)
     noise = rf.NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
-    tx, _ = refine_all(snap, CentroidState.empty(), sc.area_bounds)
+    tx, _ = refine_all(snap, CentroidState(), sc.area_bounds)
     # the known variances as pipeline._hyper builds them from the config
     known = None if sigma_v_sq is None else sigma_v_sq + noise.variances(rf.clamped_distances(snap.positions, tx))
     hyper = hyper_at(snap, tx, known)
     config = PipelineConfig(noise=noise, area_bounds=sc.area_bounds, sigma_v_sq=sigma_v_sq, fixed_tx=hyper.tx)
-    known_tx, centroid = pipeline._hyper(snap, config, None)
+    known_tx, centroid = pipeline._hyper(snap, config, CentroidState())
     assert known_tx == hyper
     assert (sigma_v_sq is None) == (hyper.var_p == hyper.var_alpha == KERNEL_PATH_VAR)
     assert not centroid.has_fix  # a known transmitter leaves the centroid alone
     # without the fix configured, _hyper is refine_all with the same variances
-    assert pipeline._hyper(snap, dataclasses.replace(config, fixed_tx=None), None)[0] == hyper
+    assert pipeline._hyper(snap, dataclasses.replace(config, fixed_tx=None), CentroidState())[0] == hyper
 
 
 @pytest.mark.parametrize("known", [None, np.ones(25)], ids=["kernel_path", "empirical_path"])

@@ -621,6 +621,8 @@ def _hostile_inputs(case, tmp_path):
         elif case == "rss 1e80 known tx, empirical variances":
             rss[:] = np.where(np.arange(len(d)) % 2 == 0, 1e80, -1e80)  # finite, but their fourth powers overflow
         rows += [(t, str(i), x, y, r) for i, ((x, y), r) in enumerate(zip(pos, rss))]
+    if case == "repeated id":
+        rows[1] = (0, rows[0][1], *rows[1][2:])  # two rows of sensor "0" at t = 0
     meas, truth = tmp_path / "meas.csv", tmp_path / "truth.csv"
     write_measurements(meas, rows)
     field = np.full(grid.n_nodes, -60.0)
@@ -762,6 +764,33 @@ def test_cli_fittable_hostile_data_exits_0_with_finite_fields(tmp_path, capsys, 
     if command == "fit-recursive" and case == "empty step":
         out = tmp_path / "out"
         assert (out / "field_rgp_t1.csv").read_bytes() == (out / "field_rgp_t0.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", _FIT_COMMANDS)
+def test_cli_repeated_sensor_id_fits_as_unique_ids_do(tmp_path, capsys, command):
+    # a fit carries sensor_id through files but never reads it: two rows that
+    # share an id at one t are two reports
+    fields = {}
+    for case in ("repeated id", "unique ids"):
+        work = tmp_path / case.replace(" ", "_")
+        work.mkdir()
+        rc, _, names = _run_hostile(case, command, work, capsys)
+        assert rc == 0
+        fields[case] = {name: (work / "out" / name).read_bytes() for name in names}
+    assert fields["repeated id"] and fields["repeated id"] == fields["unique ids"]
+
+
+def test_synth_sensor_id_column_lists_the_active_roster(tmp_path):
+    cfg = write_cfg(tmp_path, _cfg_with("dynamics = intermittent"))
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", cfg, "--out", str(out), "--steps", "3"]) == 0
+    ids = {}
+    for t, sid, *_ in read_measurements(out / "measurements.csv"):
+        ids.setdefault(t, []).append(sid)
+    scenario = parse_config(Path(cfg).read_text()).scenario()
+    want = {t: [str(i) for i in rf.advance_dynamics(scenario, t).active_ids] for t in range(3)}
+    assert ids == want
+    assert len(ids[1]) < len(ids[0])  # the intermittent world dropped sensors at t = 1
 
 
 @pytest.mark.parametrize("case", ["sigma_w 1e154", "rho_u 1e154"])

@@ -62,7 +62,6 @@ class Transform:
             order = np.random.default_rng(snap.t).permutation(order)
         return MeasurementSnapshot(
             t=snap.t,
-            sensor_ids=tuple(snap.sensor_ids[i] for i in order),
             positions=self.xy(snap.positions[order]),
             rss=snap.rss[order] + self.db,
         )

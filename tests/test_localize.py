@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from rssfield.localize import CentroidState, NoFixError, centroid_update
 from rssfield.model import D_MIN, MeasurementSnapshot, Position, clamped_distances
@@ -9,12 +9,12 @@ from rssfield.model import D_MIN, MeasurementSnapshot, Position, clamped_distanc
 def snap(positions, rss, t=0):
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     return MeasurementSnapshot(
-        t=t, sensor_ids=tuple(range(len(positions))), positions=positions, rss=np.asarray(rss, dtype=float)
+        t=t, positions=positions, rss=np.asarray(rss, dtype=float)
     )
 
 
 def test_centroid_single_sensor():
-    state = centroid_update(CentroidState.empty(), snap([[3.0, 4.0]], [-55.0]))
+    state = centroid_update(CentroidState(), snap([[3.0, 4.0]], [-55.0]))
     assert_allclose([state.estimate.x, state.estimate.y], [3.0, 4.0])
 
 
@@ -22,25 +22,40 @@ def test_centroid_raises_no_fix_error_when_the_weights_overflow():
     # 10^(z/10) overflows above about 3083 dBm; numpy's overflow warning would
     # be an error here, so the update must not emit one either
     with pytest.raises(NoFixError, match="overflow"):
-        centroid_update(CentroidState.empty(), snap([[3.0, 4.0], [5.0, 6.0]], [-55.0, 4000.0]))
+        centroid_update(CentroidState(), snap([[3.0, 4.0], [5.0, 6.0]], [-55.0, 4000.0]))
     # finite weights whose weighted sum overflows
     with pytest.raises(NoFixError, match="overflow"):
-        centroid_update(CentroidState.empty(), snap([[1e300, 0.0], [1e300, 1.0]], [3000.0, 3000.0]))
+        centroid_update(CentroidState(), snap([[1e300, 0.0], [1e300, 1.0]], [3000.0, 3000.0]))
     # finite weights whose running total overflows
-    state = centroid_update(CentroidState.empty(), snap([[0.5, 0.5]], [3080.0]))
+    state = centroid_update(CentroidState(), snap([[0.5, 0.5]], [3080.0]))
     with pytest.raises(NoFixError, match="overflow"):
         centroid_update(state, snap([[0.5, 0.5]], [3080.0], t=1))
 
 
+@pytest.mark.parametrize("weight", [0.0, 1e-7, 2.5])
+def test_centroid_update_is_the_weighted_mean_of_the_fix_and_the_reports(weight):
+    # the carried fix enters as one more point, weighted by the carried weight W:
+    # (fix * W + sum w_i x_i) / (W + sum w_i), bit for bit
+    rng = np.random.default_rng(3)
+    pos = rng.uniform(0, 200, (7, 2))
+    rss = rng.uniform(-80, -40, 7)
+    fix = Position(120.0, 35.0)
+    state = centroid_update(CentroidState(fix, weight), snap(pos, rss, t=1))
+    w = np.power(10.0, rss / 10.0)
+    total = weight + float(np.sum(w))
+    assert_array_equal(state.estimate.as_array(), (fix.as_array() * weight + w @ pos) / total)
+    assert state.total_weight == total
+
+
 def test_centroid_symmetry():
-    state = centroid_update(CentroidState.empty(), snap([[0.0, 0.0], [2.0, 0.0]], [-40.0, -40.0]))
+    state = centroid_update(CentroidState(), snap([[0.0, 0.0], [2.0, 0.0]], [-40.0, -40.0]))
     assert_allclose([state.estimate.x, state.estimate.y], [1.0, 0.0], atol=1e-12)
 
 
 def test_centroid_two_snapshot_recursion_hand_unrolled():
     # z = 0 dBm gives weight 1 per sensor; two sequential single-sensor
     # snapshots at (0,0) then (4,0) average to (2,0)
-    s1 = centroid_update(CentroidState.empty(), snap([[0.0, 0.0]], [0.0]))
+    s1 = centroid_update(CentroidState(), snap([[0.0, 0.0]], [0.0]))
     s2 = centroid_update(s1, snap([[4.0, 0.0]], [0.0], t=1))
     assert_allclose([s2.estimate.x, s2.estimate.y], [2.0, 0.0], atol=1e-12)
     assert_allclose(s2.total_weight, 2.0)
@@ -50,15 +65,15 @@ def test_centroid_permutation_invariance():
     rng = np.random.default_rng(0)
     pos = rng.uniform(0, 100, (6, 2))
     rss = rng.uniform(-90, -40, 6)
-    a = centroid_update(CentroidState.empty(), snap(pos, rss))
+    a = centroid_update(CentroidState(), snap(pos, rss))
     perm = rng.permutation(6)
-    b = centroid_update(CentroidState.empty(), snap(pos[perm], rss[perm]))
+    b = centroid_update(CentroidState(), snap(pos[perm], rss[perm]))
     assert_allclose([a.estimate.x, a.estimate.y], [b.estimate.x, b.estimate.y], rtol=1e-12)
 
 
 def test_centroid_stays_in_convex_hull():
     rng = np.random.default_rng(1)
-    state = CentroidState.empty()
+    state = CentroidState()
     all_pos = []
     for t in range(5):
         pos = rng.uniform(-50, 50, (4, 2))
@@ -75,12 +90,12 @@ def test_centroid_stays_in_convex_hull():
 
 
 def test_centroid_empty_snapshot_no_fix():
-    state = centroid_update(CentroidState.empty(), snap(np.zeros((0, 2)), []))
+    state = centroid_update(CentroidState(), snap(np.zeros((0, 2)), []))
     assert not state.has_fix
 
 
 def test_distances_to_fix_values_and_clamp():
-    state = centroid_update(CentroidState.empty(), snap([[0.0, 0.0]], [0.0]))
+    state = centroid_update(CentroidState(), snap([[0.0, 0.0]], [0.0]))
     d = clamped_distances([[3.0, 4.0], [0.0, 0.0]], state.estimate)
     assert_allclose(d, [5.0, D_MIN])
 

@@ -120,10 +120,10 @@ def test_uniform_grid_layout():
 
 def test_snapshot_validation():
     with pytest.raises(ValueError):
-        MeasurementSnapshot(t=0, sensor_ids=(1, 1), positions=np.zeros((2, 2)), rss=np.zeros(2))
+        MeasurementSnapshot(t=0, positions=np.zeros((2, 2)), rss=np.zeros(3))
     with pytest.raises(ValueError):
-        MeasurementSnapshot(t=0, sensor_ids=(1,), positions=np.zeros((1, 2)), rss=np.array([np.inf]))
-    snap = MeasurementSnapshot(t=3, sensor_ids=(1, 2), positions=np.zeros((2, 2)), rss=np.array([-70.0, -60.0]))
+        MeasurementSnapshot(t=0, positions=np.zeros((1, 2)), rss=np.array([np.inf]))
+    snap = MeasurementSnapshot(t=3, positions=np.zeros((2, 2)), rss=np.array([-70.0, -60.0]))
     assert snap.n_sensors == 2
     assert not snap.rss.flags.writeable
 

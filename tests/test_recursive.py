@@ -23,7 +23,6 @@ AREA = ((0.0, 200.0), (0.0, 200.0))
 def make_snapshot(rng, n, t=0, lo=5.0, hi=195.0):
     return MeasurementSnapshot(
         t=t,
-        sensor_ids=tuple(range(n)),
         positions=rng.uniform(lo, hi, (n, 2)),
         rss=rng.uniform(-90, -40, n),
     )
@@ -48,7 +47,7 @@ def random_inputs(rng, n_train=8, n_grid=6):
 def state_from_posterior(post, grid):
     return RecursiveState(
         posterior=post,
-        centroid=CentroidState.empty(),
+        centroid=CentroidState(),
         grid_prior_cov=kernel_matrix(grid.xy, grid.xy, post.kernel, post.hyper.tx),
         cov_tx=post.hyper.tx,
     )
@@ -231,7 +230,7 @@ def test_init_then_identical_snapshot_at_lambda_one(pin_hyper):
     state = init_state(snap0, sc.grid, rcfg)
     pin = pin_hyper(state.posterior.hyper)
     snap0b = MeasurementSnapshot(
-        t=1, sensor_ids=snap0.sensor_ids, positions=snap0.positions, rss=snap0.rss
+        t=1, positions=snap0.positions, rss=snap0.rss
     )
     stepped = rgp_step(state, snap0b, sc.grid, rcfg)
     assert pin.calls == 1
@@ -246,7 +245,7 @@ def test_init_state_requires_data_and_gives_pd_covariance():
     state = init_state(snap0, sc.grid, rcfg)
     chol_with_jitter(np.array(state.posterior.cov), "check")  # must not raise
 
-    lone = MeasurementSnapshot(t=0, sensor_ids=(0,), positions=np.array([[10.0, 10.0]]), rss=np.array([-60.0]))
+    lone = MeasurementSnapshot(t=0, positions=np.array([[10.0, 10.0]]), rss=np.array([-60.0]))
     with pytest.raises(rf.DegenerateFitError):
         init_state(lone, sc.grid, rcfg)
 
@@ -293,7 +292,7 @@ def test_empty_snapshot_carries_state_with_warning(pin_hyper):
     snap0, grid, hyper, kernel, noise = random_inputs(rng)
     post0 = posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
     state = state_from_posterior(post0, grid)
-    empty = MeasurementSnapshot(t=1, sensor_ids=(), positions=np.zeros((0, 2)), rss=np.zeros(0))
+    empty = MeasurementSnapshot(t=1, positions=np.zeros((0, 2)), rss=np.zeros(0))
     cfg, pin = frozen_config(pin_hyper, hyper, kernel, noise, 0.5)
     with pytest.warns(RuntimeWarning, match="empty snapshot"):
         stepped = rgp_step(state, empty, grid, cfg)
@@ -342,7 +341,7 @@ def intermittent_run(kernel_refit, steps=5, empty_at=3, seed=8, fixed_tx=None, r
     for t in range(1, steps + 1):
         prev = replace(states[-1], grid_prior_cov=None) if rebuild else states[-1]
         if t == empty_at:
-            empty = MeasurementSnapshot(t=t, sensor_ids=(), positions=np.zeros((0, 2)), rss=np.zeros(0))
+            empty = MeasurementSnapshot(t=t, positions=np.zeros((0, 2)), rss=np.zeros(0))
             with pytest.warns(RuntimeWarning, match="empty snapshot"):
                 states.append(rgp_step(prev, empty, sc.grid, rcfg))
         else:
