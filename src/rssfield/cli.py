@@ -79,32 +79,32 @@ def _snapshot_at(t, rows):
     """The snapshot of the measurement rows at t."""
     return MeasurementSnapshot(
         t=t,
-        positions=np.array([(r[2], r[3]) for r in rows]).reshape(-1, 2),
+        positions=np.array([(r[2], r[3]) for r in rows]),
         rss=np.array([r[4] for r in rows]),
     )
 
 
 def _train_inputs(args, cfg, steps):
-    """(snapshots in order of t, grid, truth-or-None) from files or the
-    synthetic world; a measurement file gives one snapshot per t it has rows at,
-    the synthetic world one per t < steps."""
+    """(snapshots in order of t, grid, one truth per snapshot or None) from
+    files or the synthetic world. A measurement file gives one snapshot per t
+    it has rows at and a truth file the same field for each; the synthetic
+    world gives one snapshot per t < steps."""
     if args.measurements:
         by_t = {}
         for row in ex.read_measurements(args.measurements):
             by_t.setdefault(row[0], []).append(row)
         snaps = [_snapshot_at(t, by_t[t]) for t in sorted(by_t)]
-        if args.truth:
-            grid, truth = ex.read_truth(args.truth)
-        else:
-            grid, truth = cfg.scenario().grid, None
-        return snaps, grid, truth
+        if not args.truth:
+            return snaps, cfg.scenario().grid, None
+        grid, truth = ex.read_truth(args.truth)
+        return snaps, grid, [truth] * len(snaps)
     scenario = cfg.scenario()
     snaps, truths = [], []
     for t in range(steps):
         sn, tr = sample_snapshot(scenario, t)
         snaps.append(sn)
         truths.append(tr.grid_field)
-    return snaps, scenario.grid, np.array(truths)
+    return snaps, scenario.grid, truths
 
 
 def _check_gaps(snaps):
@@ -116,12 +116,6 @@ def _check_gaps(snaps):
                 f"no reports from t={prev.t + 1} to t={nxt.t - 1}: "
                 f"more than {MAX_EMPTY_STEPS} steps in a row are missing"
             )
-
-
-def _truth_at(truth, i):
-    """Truth for the i-th snapshot: a row of the synthetic (T, M) truths, or
-    the single field read from a truth file."""
-    return truth[i] if truth.ndim == 2 else truth
 
 
 def cmd_synth(args):
@@ -144,7 +138,7 @@ def cmd_fit_static(args):
     with_bounds = args.command == "bound"
     cfg = _load(args)
     out = _outdir(cfg)
-    snaps, grid, truth = _train_inputs(args, cfg, 1)
+    snaps, grid, truths = _train_inputs(args, cfg, 1)
     snap = snaps[0]
     pcfg = cfg.pipeline_config()
     result = run_static(snap, grid, pcfg)
@@ -158,15 +152,15 @@ def cmd_fit_static(args):
     print(f"wrote {path}")
     hyper = result.hyper
     print(f"t=0 mu_alpha={hyper.mu_alpha:.4f} mu_p={hyper.mu_p:.4f} tx=({hyper.tx.x:.2f},{hyper.tx.y:.2f})")
-    if truth is not None:
-        print(f"t=0 mse={ex.compute_mse(post.mean, _truth_at(truth, 0)):.6g}")
+    if truths is not None:
+        print(f"t=0 mse={ex.compute_mse(post.mean, truths[0]):.6g}")
     return EXIT_OK
 
 
 def cmd_fit_recursive(args):
     cfg = _load(args)
     out = _outdir(cfg)
-    snaps, grid, truth = _train_inputs(args, cfg, cfg.steps)
+    snaps, grid, truths = _train_inputs(args, cfg, cfg.steps)
     rcfg = cfg.recursive_config()
     _check_gaps(snaps)
     state = init_state(snaps[0], grid, rcfg)
@@ -180,8 +174,8 @@ def cmd_fit_recursive(args):
         var = np.diag(post.cov)
         for t in range(snap.t, end):
             ex.write_field_csv(out / f"field_rgp_t{t}.csv", grid, post.mean, var)
-            if truth is not None:
-                mses.append((t, ex.compute_mse(post.mean, _truth_at(truth, i))))
+            if truths is not None:
+                mses.append((t, ex.compute_mse(post.mean, truths[i])))
     for t, mse in mses:
         print(f"t={t} mse={mse:.6g}")
     print(f"wrote {snaps[-1].t - snaps[0].t + 1} field file(s) to {out}")
@@ -191,7 +185,7 @@ def cmd_fit_recursive(args):
 def cmd_baseline_okd(args):
     cfg = _load(args)
     out = _outdir(cfg)
-    snaps, grid, truth = _train_inputs(args, cfg, 1)
+    snaps, grid, truths = _train_inputs(args, cfg, 1)
     snap = snaps[0]
     # kriging detrends by the fitted means and needs no kernel
     hyper, _ = _hyper(snap, cfg.pipeline_config(), CentroidState())
@@ -199,8 +193,8 @@ def cmd_baseline_okd(args):
     path = out / "field_okd.csv"
     ex.write_field_csv(path, grid, pred, var)
     print(f"wrote {path}")
-    if truth is not None:
-        print(f"t=0 mse={ex.compute_mse(pred, _truth_at(truth, 0)):.6g}")
+    if truths is not None:
+        print(f"t=0 mse={ex.compute_mse(pred, truths[0]):.6g}")
     return EXIT_OK
 
 

@@ -233,8 +233,6 @@ def refine_all(snapshot: MeasurementSnapshot, centroid_state: CentroidState, are
     estimate forward. The means and variances at the fix come from
     ``hyper_at``.
     """
-    if snapshot.n_sensors == 0:
-        raise DegenerateFitError("snapshot is empty")
     state = centroid_update(centroid_state, snapshot)
     if not state.has_fix:
         raise NoFixError("centroid has no fix: no report has carried positive linear power yet")

@@ -174,7 +174,7 @@ class ExperimentConfig:
     sigma_v_sq_sweep: tuple = (4.0, 10.0, 16.0)
 
     def __post_init__(self):
-        for name in ("n_sensors", "steps", "replicates"):
+        for name in ("steps", "replicates"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if not self.sigma_v_sq_sweep or not all(v >= 0 for v in self.sigma_v_sq_sweep):

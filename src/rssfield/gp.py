@@ -316,7 +316,8 @@ def kernel_diag(xy, params: KernelParams, tx: Position) -> np.ndarray:
 def condition(xy, targets_xy, rhs, kernel: KernelParams, kernel_tx: Position, noise_var) -> tuple:
     """Condition the GP on reports at xy: (L, K_gX, (K_X + S)^-1 rhs).
 
-    L is the lower Cholesky factor of the training covariance K_X + S with
+    Zero reports raise ValueError: there is nothing to condition on. L is
+    the lower Cholesky factor of the training covariance K_X + S with
     S = diag(noise_var), escalating jitter if needed. It is factored in the
     buffer K_X + S was built in, whose strict upper triangle it keeps, so it
     is read only by potrs and lower=True triangular solves. K_gX is the
@@ -324,6 +325,8 @@ def condition(xy, targets_xy, rhs, kernel: KernelParams, kernel_tx: Position, no
     kernel_tx). Callers that need W = L^-1 K_Xg take one triangular solve
     into K_gX's buffer. (Rasmussen & Williams, GPML 2006, Algorithm 2.1.)
     """
+    if np.size(xy) == 0:
+        raise ValueError("cannot condition on zero reports")
     c = kernel_matrix(xy, xy, kernel, kernel_tx)
     c[np.diag_indices_from(c)] += noise_var
     low, _ = chol_with_jitter(c, "training covariance")
@@ -407,10 +410,10 @@ def _nlml_inputs(train, hyper, noise: NoiseModel) -> tuple:
 
 
 def _starts(resid, dists):
-    """The four L-BFGS-B starts, each inside the bounds of ``fit_kernel``."""
-    vk0 = float(np.clip(np.var(resid), 1e-3, 9e3)) if resid.size > 1 else 1.0
-    off = dists[np.triu_indices_from(dists, k=1)]
-    s0 = float(np.clip(np.median(off) if off.size else 50.0, 2.0, 1900.0))
+    """The four L-BFGS-B starts, each inside the bounds of ``fit_kernel``,
+    from at least the 3 reports it needs."""
+    vk0 = float(np.clip(np.var(resid), 1e-3, 9e3))
+    s0 = float(np.clip(np.median(dists[np.triu_indices_from(dists, k=1)]), 2.0, 1900.0))
     raw = [(vk0, s0), (10.0, 50.0), (1.0, 500.0), (vk0, 2.0)]
     return [np.log(np.asarray(r)) for r in raw]
 
@@ -466,7 +469,7 @@ def posterior(
     With L the lower Cholesky factor of K_X + S (never an explicit inverse):
     mean = m_g + K_gX (K_X + S)^-1 (z - m_X) through two triangular solves,
     and cov = K_g - W^T W with W = L^-1 K_Xg, which is exactly symmetric.
-    With no training data the prior is returned. K_g is built after the
+    Zero reports raise ValueError (see ``condition``). K_g is built after the
     training covariance is factored, so that factorization never runs beside
     an M x M array, and the returned covariance is assembled and verified
     positive definite (after the jitter ladder) in K_g's buffer, the only
@@ -475,18 +478,9 @@ def posterior(
     xy, z = train
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     z = np.asarray(z, dtype=float).reshape(-1)
-    m_grid = prior_mean(grid.xy, hyper)
-
-    if xy.shape[0] == 0:
-        cov = None
-        if compute_cov:
-            cov = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
-            chol_with_jitter(cov, "grid prior covariance", check_only=True)
-        return FieldPosterior(t=t, mean=m_grid, cov=cov, hyper=hyper, kernel=kernel)
-
     noise_var = noise.variances(clamped_distances(xy, hyper.tx))
     low, k_gx, beta = condition(xy, grid.xy, z - prior_mean(xy, hyper), kernel, hyper.tx, noise_var)
-    mean = m_grid + matvec(k_gx, beta)
+    mean = prior_mean(grid.xy, hyper) + matvec(k_gx, beta)
 
     cov = None
     if compute_cov:

@@ -52,8 +52,6 @@ def centroid_update(state: CentroidState, snapshot: MeasurementSnapshot) -> Cent
     past information. Reports so strong that a weight or the weighted sum
     overflows leave no finite centroid and raise NoFixError.
     """
-    if snapshot.n_sensors == 0:
-        return state
     carried = state.estimate.as_array() if state.has_fix else np.zeros(2)
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.power(10.0, snapshot.rss / 10.0)

@@ -88,9 +88,9 @@ def uniform_grid(width: float, height: float, nx: int, ny: int) -> Grid:
 
 @dataclass(frozen=True)
 class MeasurementSnapshot:
-    """One time step of crowdsourced reports, each an estimated position and
-    an RSS value. A report carries no sensor identity: no estimator reads
-    one, and two reports from one sensor are two reports."""
+    """One time step of crowdsourced reports, at least one, each an estimated
+    position and an RSS value. A report carries no sensor identity: no
+    estimator reads one, and two reports from one sensor are two reports."""
 
     t: int
     positions: np.ndarray  # (N, 2) reported (estimated) locations, meters
@@ -103,9 +103,11 @@ class MeasurementSnapshot:
         rss = _readonly(self.rss).reshape(-1)
         if pos.shape[0] != rss.shape[0]:
             raise ValueError("positions and rss lengths disagree")
-        if rss.size and not np.all(np.isfinite(rss)):
+        if rss.size == 0:
+            raise ValueError("a snapshot needs at least one report")
+        if not np.all(np.isfinite(rss)):
             raise ValueError("rss values must be finite")
-        if pos.size and not np.all(np.isfinite(pos)):
+        if not np.all(np.isfinite(pos)):
             raise ValueError("sensor positions must be finite")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "rss", rss)

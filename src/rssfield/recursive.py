@@ -4,7 +4,8 @@ Each step blends the data-dependent part of the current static posterior
 (weight lambda) with the carried deviation of the previous posterior from its
 own prior (weight 1 - lambda), on top of the current prior mean and
 covariance. lambda = 1 reproduces the static estimator exactly; lambda -> 0
-freezes the field.
+freezes the field. A time step without reports has no snapshot and takes no
+step: the carried state stands for it as it is.
 
 The covariance is blended against the current grid prior K_g:
 cov = K_g - (1 - lambda)(K_g - C_prev) - lambda W^T W
@@ -17,8 +18,7 @@ step.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -86,9 +86,8 @@ class RecursiveState:
 def init_state(snapshot0: MeasurementSnapshot, grid: Grid, config: RecursiveConfig) -> RecursiveState:
     """Seed the state with ``run_static`` on the first snapshot.
 
-    The state carries no grid prior: the first step that conditions on
-    reports builds K_g, and keeps it for later steps unless every step
-    refits the kernel.
+    The state carries no grid prior: the first step builds K_g, and keeps
+    it for later steps unless every step refits the kernel.
     """
     static = run_static(snapshot0, grid, config.pipeline)
     return RecursiveState(
@@ -119,20 +118,9 @@ def rgp_step(
     the result is too, and it is assembled and checked in the one M x M
     buffer it is returned in. At lambda = 1 it is bit-identical to
     ``posterior``'s at any number of reports.
-
-    An empty snapshot carries the state forward unchanged (the step behaves
-    as lambda = 0) with a warning.
     """
     if state.posterior.cov is None:
         raise ValueError("recursive state requires a posterior covariance")
-    if snapshot.n_sensors == 0:
-        warnings.warn(
-            f"empty snapshot at t={snapshot.t}: carrying the field forward",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        carried = replace(state.posterior, t=snapshot.t)
-        return replace(state, posterior=carried)
 
     pconf = config.pipeline
     hyper, centroid = _hyper(snapshot, pconf, state.centroid)

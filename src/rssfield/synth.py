@@ -114,8 +114,8 @@ class Scenario:
     dynamics: Dynamics = Static()
 
     def __post_init__(self):
-        if self.n_sensors < 0:
-            raise ValueError("n_sensors must be >= 0")
+        if self.n_sensors < 1:
+            raise ValueError("n_sensors must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         w, h = self.area
@@ -231,8 +231,9 @@ def _sensor_factors(grid: Grid, sensor_xy: np.ndarray, d_corr: float) -> tuple:
     cond = _correlation(sensor_xy, sensor_xy, d_corr)
     subtract_gram(cond, v)
     cond[np.diag_indices_from(cond)] += _SHADOW_JITTER
+    _check_finite(cond)
     # cond is exactly symmetric, so it is factored in place like the grid's
-    low_cond = cholesky(cond.T, lower=True, overwrite_a=True)
+    low_cond = cholesky(cond.T, lower=True, overwrite_a=True, check_finite=False)
     _check_in_place(low_cond, cond, "potrf")
     return v, low_cond
 
@@ -288,7 +289,7 @@ def advance_dynamics(scenario: Scenario, t: int) -> StepWorld:
                 pos = pos + step
         return StepWorld(ids, pos, power)
 
-    if isinstance(dyn, Intermittent) and t >= 1 and n > 0:
+    if isinstance(dyn, Intermittent) and t >= 1:
         n_report = math.ceil((1.0 - dyn.drop_fraction) * n)
         keep = _rng(scenario.seed, _K_DROP, t).choice(n, size=n_report, replace=False)
         keep = np.sort(keep)
@@ -309,9 +310,7 @@ def _shadowing_at(scenario: Scenario, t: int, sensor_xy: np.ndarray):
         return np.zeros(scenario.grid.n_nodes), np.zeros(sensor_xy.shape[0])
     moving = isinstance(scenario.dynamics, Moving)
     u_g = _unit_grid_draw(scenario.grid, p.d_corr, scenario.seed)
-    u_s = np.zeros(0)
-    if sensor_xy.shape[0] > 0:
-        u_s = _unit_sensor_draw(scenario.grid, sensor_xy, p.d_corr, scenario.seed, t if moving else 0)
+    u_s = _unit_sensor_draw(scenario.grid, sensor_xy, p.d_corr, scenario.seed, t if moving else 0)
     if t >= 1 and not moving:
         _grid_factor.clear()  # this world reads only its cached draws from now on
     return p.sigma_v * u_g, p.sigma_v * u_s

@@ -392,12 +392,6 @@ def test_refine_all_single_sensor_degenerate():
         hyper_at(snap, tx)
 
 
-def test_refine_all_empty_snapshot_rejected():
-    snap = MeasurementSnapshot(t=0, positions=np.zeros((0, 2)), rss=np.zeros(0))
-    with pytest.raises(DegenerateFitError):
-        refine_all(snap, CentroidState(), _AREA_200)
-
-
 def test_refine_all_without_a_fix_raises():
     # reports too weak to carry linear power (10^(z/10) underflows to 0)
     # leave the centroid without a fix

@@ -120,6 +120,21 @@ def test_readme_config_example_parses_to_defaults():
     assert parse_config(blocks[0]) == ExperimentConfig()
 
 
+def test_readme_nlml_timing_command_runs():
+    # the "Performance notes" timeit command, run once in-process: its -s setup
+    # builds one reference-size snapshot's objective and its statement
+    # evaluates the NLML once
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    fenced = re.findall(r"^```\w*\n(.*?)^```$", readme, flags=re.S | re.M)
+    blocks = [b for b in fenced if "-m timeit" in b]
+    assert len(blocks) == 1
+    setup, statement = re.search(r"-s '(.*?)' '(.*?)'", blocks[0], flags=re.S).groups()
+    scope = {}
+    exec(setup, scope)
+    nlml, grad = eval(statement, scope)
+    assert math.isfinite(nlml) and np.all(np.isfinite(grad))
+
+
 def test_power_schedule_config_round_trip():
     cfg = parse_config("""
 [scenario]

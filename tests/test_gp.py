@@ -441,12 +441,20 @@ def test_posterior_cov_matches_dense_formula_and_is_exactly_symmetric():
         assert_allclose(post.cov, dense, rtol=0, atol=1e-10 * np.max(np.abs(dense)))
 
 
-def test_posterior_no_training_data_returns_prior():
+@pytest.mark.parametrize("entry", ["condition", "posterior", "hcrb_all"])
+def test_zero_reports_raise_value_error(entry):
+    # every caller that takes raw arrays meets the check in condition, before
+    # any factorization (NumericalError and f2py's copy check are RuntimeErrors)
     rng = np.random.default_rng(3)
     (_, _), grid, hyper, kernel, noise = _random_case(rng)
-    post = posterior((np.zeros((0, 2)), np.zeros(0)), grid, hyper, kernel, noise)
-    assert_allclose(post.mean, prior_mean(grid.xy, hyper), rtol=1e-12)
-    assert_allclose(post.cov, kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx), atol=1e-12)
+    xy, z = np.zeros((0, 2)), np.zeros(0)
+    calls = {
+        "condition": lambda: gp.condition(xy, grid.xy, z, kernel, hyper.tx, z),
+        "posterior": lambda: posterior((xy, z), grid, hyper, kernel, noise),
+        "hcrb_all": lambda: rf.hcrb_all((xy, z), grid, hyper, kernel, noise),
+    }
+    with pytest.raises(ValueError, match="zero reports"):
+        calls[entry]()
 
 
 def test_posterior_noiseless_interpolation_at_coincident_node():

@@ -89,11 +89,6 @@ def test_centroid_stays_in_convex_hull():
         assert est @ u <= np.max(pts @ u) + 1e-9
 
 
-def test_centroid_empty_snapshot_no_fix():
-    state = centroid_update(CentroidState(), snap(np.zeros((0, 2)), []))
-    assert not state.has_fix
-
-
 def test_distances_to_fix_values_and_clamp():
     state = centroid_update(CentroidState(), snap([[0.0, 0.0]], [0.0]))
     d = clamped_distances([[3.0, 4.0], [0.0, 0.0]], state.estimate)

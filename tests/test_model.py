@@ -123,6 +123,9 @@ def test_snapshot_validation():
         MeasurementSnapshot(t=0, positions=np.zeros((2, 2)), rss=np.zeros(3))
     with pytest.raises(ValueError):
         MeasurementSnapshot(t=0, positions=np.zeros((1, 2)), rss=np.array([np.inf]))
+    # a time step without reports is no snapshot: the recursion takes no step
+    with pytest.raises(ValueError, match="at least one report"):
+        MeasurementSnapshot(t=0, positions=np.zeros((0, 2)), rss=np.zeros(0))
     snap = MeasurementSnapshot(t=3, positions=np.zeros((2, 2)), rss=np.array([-70.0, -60.0]))
     assert snap.n_sensors == 2
     assert not snap.rss.flags.writeable

@@ -287,21 +287,6 @@ def test_init_state_is_run_static_and_the_first_step_builds_the_grid_prior(monke
     assert all(s.grid_prior_cov is states[1].grid_prior_cov for s in states[1:])
 
 
-def test_empty_snapshot_carries_state_with_warning(pin_hyper):
-    rng = np.random.default_rng(6)
-    snap0, grid, hyper, kernel, noise = random_inputs(rng)
-    post0 = posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
-    state = state_from_posterior(post0, grid)
-    empty = MeasurementSnapshot(t=1, positions=np.zeros((0, 2)), rss=np.zeros(0))
-    cfg, pin = frozen_config(pin_hyper, hyper, kernel, noise, 0.5)
-    with pytest.warns(RuntimeWarning, match="empty snapshot"):
-        stepped = rgp_step(state, empty, grid, cfg)
-    assert pin.calls == 0  # an empty step re-estimates nothing
-    assert stepped.posterior.t == 1
-    assert_allclose(stepped.posterior.mean, post0.mean)
-    assert_allclose(stepped.posterior.cov, post0.cov)
-
-
 def test_covariance_stays_pd_along_a_noisy_run():
     sc = rf.benchmark_scenario(
         seed=7, sigma_v_sq=10.0, nx=6, ny=6, n_sensors=40, area=(300.0, 300.0),
@@ -322,10 +307,10 @@ def test_covariance_stays_pd_along_a_noisy_run():
 
 
 def intermittent_run(kernel_refit, steps=5, empty_at=3, seed=8, fixed_tx=None, rebuild=False):
-    """States of an Intermittent run with an empty snapshot at t = empty_at;
-    the transmitter sits at the area center, (150, 150). With rebuild, each
-    step starts from its state without the carried grid prior, so it builds
-    K_g itself."""
+    """States of an Intermittent run that takes no step at t = empty_at, as
+    for a time step without reports; the transmitter sits at the area center,
+    (150, 150). With rebuild, each step starts from its state without the
+    carried grid prior, so it builds K_g itself."""
     sc = rf.benchmark_scenario(
         seed=seed, sigma_v_sq=10.0, nx=6, ny=5, n_sensors=30, area=(300.0, 300.0),
         dynamics=rf.Intermittent(0.3),
@@ -339,31 +324,25 @@ def intermittent_run(kernel_refit, steps=5, empty_at=3, seed=8, fixed_tx=None, r
     snap0, _ = rf.sample_snapshot(sc, 0)
     states = [init_state(snap0, sc.grid, rcfg)]
     for t in range(1, steps + 1):
-        prev = replace(states[-1], grid_prior_cov=None) if rebuild else states[-1]
         if t == empty_at:
-            empty = MeasurementSnapshot(t=t, positions=np.zeros((0, 2)), rss=np.zeros(0))
-            with pytest.warns(RuntimeWarning, match="empty snapshot"):
-                states.append(rgp_step(prev, empty, sc.grid, rcfg))
-        else:
-            snap, _ = rf.sample_snapshot(sc, t)
-            states.append(rgp_step(prev, snap, sc.grid, rcfg))
+            continue
+        prev = replace(states[-1], grid_prior_cov=None) if rebuild else states[-1]
+        snap, _ = rf.sample_snapshot(sc, t)
+        states.append(rgp_step(prev, snap, sc.grid, rcfg))
     return sc.grid, states
 
 
-def assert_same_states(states, rebuilt, empty_at=3):
-    """The states of a run and of its rebuild=True replay are bit-identical;
-    the grid prior is compared on the steps that conditioned on reports (the
-    empty step carries the state it was given)."""
+def assert_same_states(states, rebuilt):
+    """The states of a run and of its rebuild=True replay are bit-identical."""
     assert len(states) == len(rebuilt)
     for a, b in zip(states, rebuilt):
         assert a.posterior.t == b.posterior.t
         assert_array_equal(a.posterior.mean, b.posterior.mean)
         assert_array_equal(a.posterior.cov, b.posterior.cov)
         assert (a.posterior.hyper, a.posterior.kernel, a.cov_tx) == (b.posterior.hyper, b.posterior.kernel, b.cov_tx)
-        if a.posterior.t != empty_at:
-            assert (a.grid_prior_cov is None) == (b.grid_prior_cov is None)
-            if a.grid_prior_cov is not None:
-                assert_array_equal(a.grid_prior_cov, b.grid_prior_cov)
+        assert (a.grid_prior_cov is None) == (b.grid_prior_cov is None)
+        if a.grid_prior_cov is not None:
+            assert_array_equal(a.grid_prior_cov, b.grid_prior_cov)
 
 
 def test_grid_prior_reuse_gives_identical_states():
@@ -375,7 +354,6 @@ def test_grid_prior_reuse_gives_identical_states():
 
     # stepping from each state without its grid prior builds K_g anew
     _, rebuilt = intermittent_run("freeze_after_init", rebuild=True)
-    assert rebuilt[3].grid_prior_cov is None  # the empty step carried the stripped state
     assert_same_states(reused, rebuilt)
 
 
@@ -395,8 +373,7 @@ def test_every_step_refit_recomputes_grid_prior(monkeypatch):
         # no state keeps a grid prior that its next step, refitting, would not read
         assert all(s.grid_prior_cov is None for s in states)
         for prev, cur in zip(states, states[1:]):
-            if cur.posterior.t != 3:  # the empty step carries the state
-                assert (cur.posterior.kernel, cur.cov_tx) != (prev.posterior.kernel, prev.cov_tx)
+            assert (cur.posterior.kernel, cur.cov_tx) != (prev.posterior.kernel, prev.cov_tx)
     assert checks == [("recursive grid covariance", 0.0)] * (10 * 4)
 
     # every step builds its grid prior from scratch, as the always-rebuild path does
@@ -409,7 +386,7 @@ def test_every_step_refit_recomputes_grid_prior(monkeypatch):
 def test_known_transmitter_holds_at_every_step(kernel_refit):
     known = Position(150.0, 150.0)
     _, states = intermittent_run(kernel_refit, seed=3, fixed_tx=known)
-    assert len(states) == 6
+    assert len(states) == 5
     for state in states:
         assert (state.posterior.hyper.tx, state.cov_tx) == (known, known)
 

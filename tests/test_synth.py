@@ -36,6 +36,12 @@ def small_scenario(seed=0, *, sigma_v=math.sqrt(10), sigma_w=math.sqrt(7), sigma
     )
 
 
+def test_scenario_needs_a_sensor():
+    # every snapshot holds a report: Intermittent keeps ceil((1 - f) n) >= 1 of n >= 1
+    with pytest.raises(ValueError, match="n_sensors must be >= 1"):
+        small_scenario(0, n_sensors=0)
+
+
 def test_shadowing_covariance_matches_entrywise_oracle():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 300, (5, 2))
@@ -295,17 +301,19 @@ def test_warm_caches_draw_what_fresh_caches_draw(monkeypatch):
         _assert_same_snapshot(drawn, sample_snapshot(sc, t))
 
 
-@pytest.mark.parametrize("shape", [(9, 9), (12, 9)], ids=["grid", "grid-sensor"])
+@pytest.mark.parametrize("shape", [(9, 9), (12, 9), (12, 12)], ids=["grid", "grid-sensor", "sensor"])
 def test_non_finite_correlation_raises_before_lapack(monkeypatch, shape):
-    # synth scans the grid correlation and K_gs itself, one block of rows at a
-    # time, and tells LAPACK not to: a NaN still raises scipy's ValueError
+    # synth scans the grid correlation, K_gs and the sensor conditional itself,
+    # one block of rows at a time, and tells LAPACK not to: a NaN still raises
+    # scipy's ValueError
     _empty_caches(monkeypatch)
     real = synth._correlation
 
     def poisoned(a_xy, b_xy, d_corr):
         corr = real(a_xy, b_xy, d_corr)
         if corr.shape == shape:
-            corr[-1, 0] = np.nan
+            # upper triangle: subtract_gram mirrors K_ss's upper triangle onto its lower
+            corr[0, -1] = np.nan
         return corr
 
     calls = []
@@ -318,8 +326,10 @@ def test_non_finite_correlation_raises_before_lapack(monkeypatch, shape):
     with pytest.raises(ValueError, match="infs or NaNs"):
         sample_snapshot(small_scenario(3), 0)
     # the poisoned matrix never reached LAPACK: the grid's is scanned before
-    # its factorization, K_gs before the solve against L
-    assert calls == ([] if shape == (9, 9) else ["cholesky"])
+    # its factorization, K_gs before the solve against L and the conditional
+    # before its factorization
+    expected = {(9, 9): [], (12, 9): ["cholesky"], (12, 12): ["cholesky", "solve_triangular"]}
+    assert calls == expected[shape]
 
 
 def test_first_snapshot_factors_in_place_and_t1_holds_no_grid_matrix(monkeypatch):
