@@ -28,7 +28,7 @@ def main():
     order = np.argsort(d_tx)
     for i in list(order[:5]) + list(order[-3:]):
         r = reports[i]
-        print(f"{r.node_index:4d}   {d_tx[i]:7.1f}   {r.gp_variance:6.2f}  {r.added_term:6.3f}  {r.bound:6.2f}")
+        print(f"{i:4d}   {d_tx[i]:7.1f}   {r.gp_variance:6.2f}  {r.added_term:6.3f}  {r.bound:6.2f}")
 
     added = np.array([r.added_term for r in reports])
     near = added[d_tx < np.median(d_tx)].mean()

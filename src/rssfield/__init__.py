@@ -21,8 +21,6 @@ from .synth import (
     PowerSchedule,
     Scenario,
     Static,
-    StepWorld,
-    advance_dynamics,
     benchmark_scenario,
     sample_snapshot,
 )

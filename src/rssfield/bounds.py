@@ -27,7 +27,6 @@ _SINGULAR_RCOND = 1e-10
 class HcrbReport:
     """Error bound at one grid node, split into its two parts (dB^2)."""
 
-    node_index: int
     gp_variance: float
     added_term: float
     bound: float
@@ -54,7 +53,8 @@ def hcrb_all(
     kernel: KernelParams,
     noise: NoiseModel,
 ) -> list:
-    """HcrbReport for every grid node from one factorization C = K_X + S = L L^T.
+    """HcrbReport for every grid node, in the grid's order, from one
+    factorization C = K_X + S = L L^T.
 
     Every C^-1 product is a pair of triangular solves, A^T C^-1 B =
     (L^-1 A)^T (L^-1 B), with W = L^-1 K_Xg shared by the GP variance
@@ -103,13 +103,7 @@ def hcrb_all(
         raise NumericalError("the bound's added term g^T M^-1 g is not finite")
     var = np.maximum(gp_var, 0.0)
     return [
-        HcrbReport(
-            node_index=int(i),
-            gp_variance=float(v_i),
-            added_term=float(a_i),
-            bound=float(v_i + a_i),
-            singular=singular,
-        )
-        for i, (v_i, a_i) in enumerate(zip(var, added))
+        HcrbReport(gp_variance=float(v_i), added_term=float(a_i), bound=float(v_i + a_i), singular=singular)
+        for v_i, a_i in zip(var, added)
     ]
 

@@ -31,7 +31,7 @@ from .localize import CentroidState, NoFixError
 from .model import MeasurementSnapshot, NumericalError
 from .pipeline import _hyper, run_static
 from .recursive import init_state, rgp_step
-from .synth import advance_dynamics, sample_snapshot
+from .synth import sample_snapshot
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,8 +125,7 @@ def cmd_synth(args):
     rows = []
     for t in range(cfg.steps):
         snap, truth = sample_snapshot(scenario, t)
-        ids = advance_dynamics(scenario, t).active_ids
-        for sid, (x, y), rss in zip(ids, snap.positions, snap.rss):
+        for sid, (x, y), rss in zip(truth.sensor_ids, snap.positions, snap.rss):
             rows.append((t, str(sid), x, y, rss))
         ex.write_truth(out / f"truth_t{t}.csv", scenario.grid, truth.grid_field)
     ex.write_measurements(out / "measurements.csv", rows)

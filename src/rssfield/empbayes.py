@@ -199,10 +199,11 @@ def refine_transmitter(snapshot: MeasurementSnapshot, init: Position, area_bound
 
     Minimizes the unweighted sum of squares of ``_profiled_residuals`` over
     x0 by a bounded trust-region solve (``least_squares`` "dogbox",
-    forward-difference Jacobian), started at ``init``. Returns (position,
-    degenerate): with fewer than 3 sensors the fix is not identifiable and
-    ``init`` is returned with the degenerate flag set. The result never has
-    a larger objective than ``init``.
+    forward-difference Jacobian), started at ``init`` clipped into the box
+    ``area_bounds``. Returns (position, degenerate): with fewer than 3
+    sensors the fix is not identifiable and the clipped start is returned
+    with the degenerate flag set. The result never has a larger objective
+    than the clipped start.
 
     The fix is searched in the box ``area_bounds``. The box keeps the means
     identifiable: far from the sensors the log-distance feature is nearly
@@ -210,18 +211,17 @@ def refine_transmitter(snapshot: MeasurementSnapshot, init: Position, area_bound
     sensors (all of them on one line, say) an unbounded first step goes
     kilometers out.
     """
-    if snapshot.n_sensors < 3:
-        return init, True
-    xy, z = snapshot.positions, snapshot.rss
-    x_init = init.as_array()
     lo, hi = np.transpose(np.asarray(area_bounds, dtype=float))
+    x0 = np.clip(init.as_array(), lo, hi)
+    if snapshot.n_sensors < 3:
+        return Position(float(x0[0]), float(x0[1])), True
+    xy, z = snapshot.positions, snapshot.rss
     res = least_squares(
-        _profiled_residuals, np.clip(x_init, lo, hi), args=(xy, z), method="dogbox", bounds=(lo, hi),
+        _profiled_residuals, x0, args=(xy, z), method="dogbox", bounds=(lo, hi),
         ftol=_FIX_TOL, xtol=_FIX_TOL, gtol=_FIX_TOL,
     )
-    if res.fun @ res.fun > _profiled_objective(x_init, xy, z):
-        return init, False
-    return Position(float(res.x[0]), float(res.x[1])), False
+    x = x0 if res.fun @ res.fun > _profiled_objective(x0, xy, z) else res.x
+    return Position(float(x[0]), float(x[1])), False
 
 
 def refine_all(snapshot: MeasurementSnapshot, centroid_state: CentroidState, area_bounds) -> tuple:

@@ -133,17 +133,20 @@ class GroundTruth:
     """The latent world behind one snapshot."""
 
     grid_field: np.ndarray  # (M,) true RSS at the grid nodes, dBm
+    sensor_ids: np.ndarray  # (N,) int, the reporting sensors' indices in the roster
     sensor_true_positions: np.ndarray  # (N, 2)
     sensor_shadowing: np.ndarray  # (N,) dB
 
 
 @dataclass(frozen=True)
-class StepWorld:
-    """Effective sensor roster and transmit power at one time step."""
+class _Step:
+    """The world at one time step: the roster, which of it reports, the power
+    and the roster step its sensor shadowing is conditioned on."""
 
-    active_ids: tuple
-    true_positions: np.ndarray  # (n_active, 2)
+    roster_xy: np.ndarray  # (n_sensors, 2) true positions
+    reporting: np.ndarray  # (n_report,) int indices into the roster, ascending
     power: float  # dBm
+    shadow_step: int  # t for a moving roster, 0 otherwise
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -261,57 +264,49 @@ def base_positions(scenario: Scenario) -> np.ndarray:
     return rng.uniform([0.0, 0.0], [w, h], size=(scenario.n_sensors, 2))
 
 
-def advance_dynamics(scenario: Scenario, t: int) -> StepWorld:
-    """Effective sensor set, true positions and transmit power at step t.
+def _advance(scenario: Scenario, t: int) -> _Step:
+    """The roster, its reporting sensors and the transmit power at step t.
 
     Moving sensors follow a random walk, so positions at t are reconstructed
     by accumulating the per-step displacements 1..t from the seed tree.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    base = base_positions(scenario)
-    n = base.shape[0]
-    ids = tuple(range(n))
+    roster = base_positions(scenario)
+    n = roster.shape[0]
+    reporting = np.arange(n)
     power = scenario.params.power
     dyn = scenario.dynamics
 
+    if isinstance(dyn, Moving):
+        if dyn.step_std > 0:
+            for s in range(1, t + 1):
+                roster = roster + _rng(scenario.seed, _K_MOVE, s).normal(0.0, dyn.step_std, size=(n, 2))
+        return _Step(roster, reporting, power, t)
     if isinstance(dyn, PowerSchedule):
         for ts, p in dyn.schedule:
             if ts <= t:
                 power = p
-        return StepWorld(ids, base, power)
-
-    if isinstance(dyn, Moving):
-        pos = base
-        if dyn.step_std > 0:
-            for s in range(1, t + 1):
-                step = _rng(scenario.seed, _K_MOVE, s).normal(0.0, dyn.step_std, size=(n, 2))
-                pos = pos + step
-        return StepWorld(ids, pos, power)
-
     if isinstance(dyn, Intermittent) and t >= 1:
         n_report = math.ceil((1.0 - dyn.drop_fraction) * n)
-        keep = _rng(scenario.seed, _K_DROP, t).choice(n, size=n_report, replace=False)
-        keep = np.sort(keep)
-        return StepWorld(tuple(int(i) for i in keep), base[keep], power)
-
-    return StepWorld(ids, base, power)
+        reporting = np.sort(_rng(scenario.seed, _K_DROP, t).choice(n, size=n_report, replace=False))
+    return _Step(roster, reporting, power, 0)
 
 
-def _shadowing_at(scenario: Scenario, t: int, sensor_xy: np.ndarray):
-    """(v_grid, v_sensors) sharing one correlated field.
+def _shadowing_at(scenario: Scenario, t: int, step: _Step):
+    """(v_grid, v_roster) sharing one correlated field.
 
-    The grid component is fixed per scenario seed. Sensor shadowing is drawn
-    conditionally on it: once (at the base roster) when sensors do not move,
-    per step at the current positions when they do.
+    The grid component is fixed per scenario seed. The roster's shadowing is
+    drawn conditionally on it at the step's conditioning step: once (at the
+    base roster) when sensors do not move, per step at the current positions
+    when they do.
     """
     p = scenario.params
     if p.sigma_v == 0.0:
-        return np.zeros(scenario.grid.n_nodes), np.zeros(sensor_xy.shape[0])
-    moving = isinstance(scenario.dynamics, Moving)
+        return np.zeros(scenario.grid.n_nodes), np.zeros(scenario.n_sensors)
     u_g = _unit_grid_draw(scenario.grid, p.d_corr, scenario.seed)
-    u_s = _unit_sensor_draw(scenario.grid, sensor_xy, p.d_corr, scenario.seed, t if moving else 0)
-    if t >= 1 and not moving:
+    u_s = _unit_sensor_draw(scenario.grid, step.roster_xy, p.d_corr, scenario.seed, step.shadow_step)
+    if t >= 1 and step.shadow_step == 0:
         _grid_factor.clear()  # this world reads only its cached draws from now on
     return p.sigma_v * u_g, p.sigma_v * u_s
 
@@ -319,36 +314,33 @@ def _shadowing_at(scenario: Scenario, t: int, sensor_xy: np.ndarray):
 def sample_snapshot(scenario: Scenario, t: int = 0) -> tuple:
     """Draw the measurement snapshot and matching ground truth for step t.
 
-    Reported sensor positions are the true positions plus an isotropic
-    Gaussian perturbation with per-axis std sigma_d, which makes the reported
+    The truth names the reporting sensors by their roster indices. Reported
+    sensor positions are the true positions plus an isotropic Gaussian
+    perturbation with per-axis std sigma_d, which makes the reported
     transmitter-distance error std approach sigma_d at distances >> sigma_d.
     """
     p = scenario.params
-    world = advance_dynamics(scenario, t)
-
-    # moving sensors need conditional shadowing for the full roster at their
-    # current positions; static rosters reuse the t=0 draw (active subset below)
-    roster_xy = world.true_positions if isinstance(scenario.dynamics, Moving) else base_positions(scenario)
-    active = np.asarray(world.active_ids, dtype=int)
-
-    v_g, v_roster = _shadowing_at(scenario, t, roster_xy)
+    step = _advance(scenario, t)
+    ids = step.reporting
+    v_g, v_roster = _shadowing_at(scenario, t, step)
 
     d_grid = clamped_distances(scenario.grid.xy, p.tx_position)
-    grid_field = world.power - 10.0 * p.alpha * np.log10(d_grid) + v_g
+    grid_field = step.power - 10.0 * p.alpha * np.log10(d_grid) + v_g
 
-    true_xy = roster_xy[active]
-    v_s = v_roster[active]
-    n_roster = roster_xy.shape[0]
-    w_noise = _rng(scenario.seed, _K_NOISE, t).normal(0.0, p.sigma_w, size=n_roster)[active]
+    true_xy = step.roster_xy[ids]
+    v_s = v_roster[ids]
+    n_roster = scenario.n_sensors
+    w_noise = _rng(scenario.seed, _K_NOISE, t).normal(0.0, p.sigma_w, size=n_roster)[ids]
     d_true = clamped_distances(true_xy, p.tx_position)
-    rss = world.power - 10.0 * p.alpha * np.log10(d_true) + v_s + w_noise
+    rss = step.power - 10.0 * p.alpha * np.log10(d_true) + v_s + w_noise
 
-    pos_err = _rng(scenario.seed, _K_POS_ERR, t).normal(0.0, p.sigma_d, size=(n_roster, 2))[active]
+    pos_err = _rng(scenario.seed, _K_POS_ERR, t).normal(0.0, p.sigma_d, size=(n_roster, 2))[ids]
     reported_xy = true_xy + pos_err
 
     snapshot = MeasurementSnapshot(t=t, positions=reported_xy, rss=rss)
     truth = GroundTruth(
         grid_field=grid_field,
+        sensor_ids=ids,
         sensor_true_positions=true_xy,
         sensor_shadowing=v_s,
     )

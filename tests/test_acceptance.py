@@ -214,8 +214,8 @@ def test_criterion_5_hcrb_dominates_and_is_nearly_achieved():
         snap0, _, grid, hyper, kernel, noise = _random_small_inputs(rng, n_train=10, n_grid=4)
         train = (snap0.positions, snap0.rss)
         post = posterior(train, grid, hyper, kernel, noise)
-        for rep in rf.hcrb_all(train, grid, hyper, kernel, noise):
-            dominated = dominated and rep.bound >= post.cov[rep.node_index, rep.node_index] - 1e-10
+        for i, rep in enumerate(rf.hcrb_all(train, grid, hyper, kernel, noise)):
+            dominated = dominated and rep.bound >= post.cov[i, i] - 1e-10
 
     # (b) Monte-Carlo MSE of the full static estimator at a probed node over
     # 500 replays (fixed geometry, redrawn exponent/power/shadowing/noise)

@@ -104,11 +104,11 @@ def test_batch_equals_per_node_loop():
     rng = np.random.default_rng(2)
     train, grid, hyper, kernel, noise = random_setup(rng, n_grid=4)
     batch = hcrb_all(train, grid, hyper, kernel, noise)
-    for i in range(grid.n_nodes):
-        assert batch[i].node_index == i
+    assert len(batch) == grid.n_nodes
+    for i, rep in enumerate(batch):
         single = hcrb_all(train, Grid(grid.xy[i:i + 1]), hyper, kernel, noise)[0]
-        assert_allclose(single.bound, batch[i].bound, atol=1e-10)
-        assert_allclose(single.added_term, batch[i].added_term, atol=1e-10)
+        assert_allclose(single.bound, rep.bound, atol=1e-10)
+        assert_allclose(single.added_term, rep.added_term, atol=1e-10)
 
 
 def test_single_node_grid():
@@ -116,7 +116,7 @@ def test_single_node_grid():
     train, grid, hyper, kernel, noise = random_setup(rng, n_grid=5)
     grid1 = Grid(np.array([[150.0, 150.0]]))
     all_reports = hcrb_all(train, grid1, hyper, kernel, noise)
-    assert len(all_reports) == 1 and all_reports[0].node_index == 0
+    assert len(all_reports) == 1
     # the same node inside a larger grid gets the same bound
     grid6 = Grid(np.vstack([grid.xy[:2], grid1.xy, grid.xy[2:]]))
     assert_allclose(hcrb_all(train, grid6, hyper, kernel, noise)[2].bound, all_reports[0].bound, rtol=1e-12)
@@ -171,5 +171,5 @@ def test_non_finite_bound_raises_numerical_error():
 
 
 def test_report_invariants():
-    rep = HcrbReport(node_index=0, gp_variance=2.0, added_term=0.5, bound=2.5)
+    rep = HcrbReport(gp_variance=2.0, added_term=0.5, bound=2.5)
     assert rep.bound >= rep.gp_variance

@@ -216,6 +216,10 @@ def test_refine_below_three_sensors_degenerate(n):
     pos, degenerate = refine_transmitter(s, Position(9.0, 9.0), _AREA_200)
     assert degenerate
     assert (pos.x, pos.y) == (9.0, 9.0)
+    # a start outside the area comes back clipped into it
+    pos, degenerate = refine_transmitter(s, Position(1104.5, -3.0), _AREA_200)
+    assert degenerate
+    assert (pos.x, pos.y) == (200.0, 0.0)
 
 
 def _random_problems():
@@ -274,6 +278,20 @@ def test_refine_clamps_to_area():
     bounds = ((0.0, 100.0), (0.0, 100.0))
     pos, _ = refine_transmitter(s, Position(50.0, 50.0), area_bounds=bounds)
     assert 0.0 <= pos.x <= 100.0 and 0.0 <= pos.y <= 100.0
+
+
+def test_refine_from_outside_the_area_is_never_worse_than_the_clipped_start():
+    # the reports come from sensors east of a 500 m area and the start sits
+    # among them: the objective there is lower than anywhere in the area, so
+    # a guard against the unclipped start returned that start as the fix
+    rng = np.random.default_rng(0)
+    pos_xy = np.column_stack([rng.uniform(550, 750, 60), rng.uniform(0, 500, 60)])
+    d = np.maximum(np.hypot(pos_xy[:, 0] - 640.0, pos_xy[:, 1] - 240.0), D_MIN)
+    rss = -10.0 - 35.0 * np.log10(d) + rng.normal(0.0, 3.0, 60)
+    out, degenerate = refine_transmitter(snap(pos_xy, rss), Position(640.0, 240.0), _NOISY_AREA)
+    assert not degenerate
+    assert 0.0 <= out.x <= 500.0 and 0.0 <= out.y <= 500.0
+    assert _objective(pos_xy, rss, out) <= _objective(pos_xy, rss, Position(500.0, 240.0))
 
 
 def _collinear_problem():

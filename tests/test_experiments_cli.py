@@ -803,7 +803,7 @@ def test_synth_sensor_id_column_lists_the_active_roster(tmp_path):
     for t, sid, *_ in read_measurements(out / "measurements.csv"):
         ids.setdefault(t, []).append(sid)
     scenario = parse_config(Path(cfg).read_text()).scenario()
-    want = {t: [str(i) for i in rf.advance_dynamics(scenario, t).active_ids] for t in range(3)}
+    want = {t: [str(i) for i in rf.sample_snapshot(scenario, t)[1].sensor_ids] for t in range(3)}
     assert ids == want
     assert len(ids[1]) < len(ids[0])  # the intermittent world dropped sensors at t = 1
 

@@ -14,7 +14,6 @@ from rssfield.synth import (
     PowerSchedule,
     Scenario,
     Static,
-    advance_dynamics,
     _correlation,
     sample_snapshot,
 )
@@ -136,38 +135,53 @@ def test_reported_distance_error_std_matches_location_scale():
         assert_allclose(np.std(feat_err), rho_u / d, rtol=0.10)
 
 
-def test_advance_dynamics_intermittent_count():
+def test_intermittent_truth_names_the_reporting_sensors():
     sc = rf.benchmark_scenario(seed=0, dynamics=Intermittent(0.2))
-    world = advance_dynamics(sc, 1)
-    assert len(world.active_ids) == 175  # ceil(0.8 * 218)
     snap, truth = sample_snapshot(sc, 1)
-    assert snap.n_sensors == 175
-    assert truth.sensor_true_positions.shape == (175, 2)
+    assert snap.n_sensors == len(truth.sensor_ids) == 175  # ceil(0.8 * 218)
+    assert np.all(np.diff(truth.sensor_ids) > 0)
+    assert_array_equal(truth.sensor_true_positions, synth.base_positions(sc)[truth.sensor_ids])
     # t = 0 keeps the full roster
-    assert advance_dynamics(sc, 0).true_positions.shape == (218, 2)
+    _, truth0 = sample_snapshot(sc, 0)
+    assert_array_equal(truth0.sensor_ids, np.arange(218))
 
 
-def test_advance_dynamics_zero_step_keeps_positions():
+def test_sample_snapshot_places_the_roster_once(monkeypatch):
+    calls, real = [], synth.base_positions
+
+    def counting(scenario):
+        calls.append(scenario.seed)
+        return real(scenario)
+
+    monkeypatch.setattr(synth, "base_positions", counting)
+    for dynamics in (Static(), Intermittent(0.5), Moving(5.0), PowerSchedule(((1, -4.0),))):
+        calls.clear()
+        sample_snapshot(small_scenario(1, dynamics=dynamics), 2)
+        assert calls == [1]
+
+
+def test_moving_step_zero_std_keeps_positions():
     sc = small_scenario(2, dynamics=Moving(step_std=0.0))
-    w0 = advance_dynamics(sc, 0)
-    w5 = advance_dynamics(sc, 5)
-    assert_allclose(w0.true_positions, w5.true_positions)
+    assert_allclose(synth._advance(sc, 0).roster_xy, synth._advance(sc, 5).roster_xy)
 
 
-def test_advance_dynamics_moving_is_a_random_walk():
+def test_moving_roster_is_a_random_walk():
     sc = small_scenario(2, dynamics=Moving(step_std=4.0))
-    w1 = advance_dynamics(sc, 1)
-    w2 = advance_dynamics(sc, 2)
-    w2_again = advance_dynamics(sc, 2)
-    assert_allclose(w2.true_positions, w2_again.true_positions)  # reproducible
-    step = w2.true_positions - w1.true_positions
+    w1 = synth._advance(sc, 1)
+    w2 = synth._advance(sc, 2)
+    assert_allclose(w2.roster_xy, synth._advance(sc, 2).roster_xy)  # reproducible
+    step = w2.roster_xy - w1.roster_xy
     assert np.all(np.abs(step) > 0)
+    # the whole roster reports, and its shadowing is conditioned at the current step
+    assert_array_equal(w2.reporting, np.arange(12))
+    assert (w1.shadow_step, w2.shadow_step) == (1, 2)
 
 
-def test_advance_dynamics_power_schedule():
+def test_power_schedule_step_power():
     sc = small_scenario(0, dynamics=PowerSchedule(((0, -10.0), (5, -5.0))))
-    assert advance_dynamics(sc, 7).power == -5.0
-    assert advance_dynamics(sc, 4).power == -10.0
+    assert synth._advance(sc, 7).power == -5.0
+    assert synth._advance(sc, 4).power == -10.0
+    assert synth._advance(sc, 7).shadow_step == 0
     with pytest.raises(ValueError):
         PowerSchedule(((5, -5.0), (5, -6.0)))
 
@@ -249,7 +263,7 @@ def test_sensor_factors_rebuild_the_joint_correlation(monkeypatch, dynamics):
     sc = small_scenario(2, dynamics=dynamics)
     d_corr = sc.params.d_corr
     for t in (0, 2):
-        xy = advance_dynamics(sc, t).true_positions
+        xy = synth._advance(sc, t).roster_xy
         low = synth._grid_corr_chol(sc.grid, d_corr)
         v, low_c = synth._sensor_factors(sc.grid, xy, d_corr)
         assert v.shape == (9, 12) and low_c.shape == (12, 12)
