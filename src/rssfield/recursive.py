@@ -26,6 +26,7 @@ from scipy.linalg import solve_triangular
 
 from .gp import (
     FieldPosterior,
+    _blocks,
     chol_with_jitter,
     condition,
     kernel_matrix,
@@ -146,10 +147,18 @@ def rgp_step(
     lam = config.lam
     mean = m_grid + (1.0 - lam) * mu_prior + lam * mu_post
     # cov = K_g - (1 - lam) (K_g - C_prev) - lam W^T W, in one buffer; at
-    # lam = 1 the first two steps leave K_g, and the last is posterior's own call
-    cov = k_grid - state.posterior.cov
-    cov *= 1.0 - lam
-    np.subtract(k_grid, cov, out=cov)
+    # lam = 1 the blend leaves K_g, and the last term is posterior's own call.
+    # The blend takes its three passes over one block of rows at a time,
+    # which stays in cache. Restricted to the triangle subtract_gram reads,
+    # the blocks are strided, and numpy's passes over them took longer than
+    # over the whole matrix (2.3 against 2.1 ms at 1088 nodes; these blocks:
+    # 1.9 ms)
+    cov = np.empty(k_grid.shape)
+    for rows in _blocks(*cov.shape):
+        blk = cov[rows]
+        np.subtract(k_grid[rows], state.posterior.cov[rows], out=blk)
+        blk *= 1.0 - lam
+        np.subtract(k_grid[rows], blk, out=blk)
     subtract_gram(cov, w, lam)
     chol_with_jitter(cov, "recursive grid covariance", check_only=True)
 

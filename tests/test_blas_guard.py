@@ -30,7 +30,15 @@ ALLOWED = {
     ("bounds.py", "np.linalg.inv(info)"): "4 x 4 information matrix",
     ("bounds.py", "g @ info_inv"): "(m, 4) times 4 x 4; below OpenBLAS's threading threshold at m = 4096",
     ("empbayes.py", "r @ r"): "vector . vector",
-    ("empbayes.py", "res.fun @ res.fun"): "vector . vector (the fix solve's objective at its solution)",
+    ("empbayes.py", "lin @ np.column_stack([e, free])"):
+        "(5, N) times (N, 3): the fix solve's derivative sums; below OpenBLAS's threading threshold",
+    ("empbayes.py", "(coef[:, None, :] * e.T) @ e"):
+        "three (2, N) times (N, 2): the fix solve's derivative sums; below OpenBLAS's threading threshold",
+    ("empbayes.py", "jac.T @ np.column_stack([jac, r])"):
+        "(2, N) times (N, 3): the fix solve's Gauss-Newton term and gradient; below OpenBLAS's threading threshold",
+    ("empbayes.py", "np.linalg.eigh(hess[np.ix_(free, free)])"): "the fix solve's Hessian, at most 2 x 2",
+    ("empbayes.py", "vecs.T @ grad[free]"): "at most 2 x 2 times a 2-vector (the fix solve's Newton step)",
+    ("empbayes.py", "vecs @ along"): "at most 2 x 2 times a 2-vector (the fix solve's Newton step)",
     ("experiments.py", "diff @ diff"): "vector . vector",
     ("gp.py", "resid @ beta"): "vector . vector (kernel-fit objective: the data-fit term)",
     ("gp.py", "beta @ matvec(expo, beta)"):

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import minimize
 
 import rssfield as rf
@@ -254,22 +254,42 @@ def test_refine_never_increases_objective():
         assert _objective(pos_xy, rss, out) <= _objective(pos_xy, rss, init)
 
 
-def test_refine_guard_reads_the_solvers_residuals_at_its_solution(monkeypatch):
-    # the never-worse guard takes the objective at the solution from the
-    # solver's own residuals instead of evaluating them again
-    results, solve = [], empbayes.least_squares
+def test_refine_guard_reads_the_solvers_objective_at_its_end_point(monkeypatch):
+    # the never-worse guard compares the objectives the solve itself took at
+    # the clipped start and at its end point, without evaluating them again;
+    # both are the objective of _profiled_residuals there
+    calls, derivatives = [], empbayes._profiled_derivatives
 
-    def recording(*args, **kwargs):
-        results.append(solve(*args, **kwargs))
-        return results[-1]
+    def recording(x0, xy, z):
+        calls.append((np.array(x0), derivatives(x0, xy, z)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(empbayes, "least_squares", recording)
+    monkeypatch.setattr(empbayes, "_profiled_derivatives", recording)
     problems = [(*problem, _ORACLE_AREA) for problem in _random_problems()]
     problems += [(*problem, _NOISY_AREA) for problem in _noisy_problems()]
     for pos_xy, rss, init, area in problems:
-        refine_transmitter(snap(pos_xy, rss), init, area)
-        res = results[-1]
-        assert res.fun @ res.fun == empbayes._profiled_objective(res.x, pos_xy, rss)
+        calls.clear()
+        out, _ = refine_transmitter(snap(pos_xy, rss), init, area)
+        (start, (f_start, *_)) = calls[0]
+        assert_array_equal(start, np.clip(init.as_array(), *np.transpose(area)))
+        f_end = [f for x, (f, *_) in calls if np.array_equal(x, out.as_array())][-1]
+        assert f_end <= f_start
+        assert f_end == empbayes._profiled_objective(out.as_array(), pos_xy, rss)
+        assert f_start == empbayes._profiled_objective(start, pos_xy, rss)
+
+
+def test_refine_guard_returns_the_clipped_start_where_the_solve_ends_worse(monkeypatch):
+    # a solve that ends at a corner far from the transmitter, with a larger
+    # objective than its start, returns the start instead
+    pos_xy, rss, init = next(_noisy_problems())
+    corner = np.array([0.0, 0.0])
+    end = empbayes._profiled_derivatives(corner, pos_xy, rss)
+    assert end[0] > _objective(pos_xy, rss, init)
+    steps = iter([(corner, end)])
+    monkeypatch.setattr(empbayes, "_step", lambda *args: next(steps, None))
+    out, degenerate = refine_transmitter(snap(pos_xy, rss), init, _NOISY_AREA)
+    assert not degenerate
+    assert out == init
 
 
 def test_refine_clamps_to_area():
@@ -356,6 +376,73 @@ def test_refine_objective_not_above_nelder_mead_oracle(pos_xy, rss, init, area):
     assert not degenerate
     oracle = _objective(pos_xy, rss, _nelder_mead_fix(pos_xy, rss, init, area))
     assert _objective(pos_xy, rss, out) <= oracle * (1 + 1e-9)
+
+
+def _complex_profiled_residuals(x0, pos_xy, rss):
+    """``_profiled_residuals`` at a complex fix x0. np.hypot and np.maximum
+    take no complex input, so the distance is a square root and the clamp
+    at D_MIN reads its real part; the means solve estimate_means' centered
+    normal equations, floor included."""
+    e = x0 - pos_xy
+    d = np.sqrt(e[:, 0] ** 2 + e[:, 1] ** 2)
+    d = np.where(d.real > D_MIN, d, D_MIN)
+    q = 10 * np.log10(d)
+    w = d * d
+    q_bar, z_bar = (w @ q) / np.sum(w), (w @ rss) / np.sum(w)
+    mu_alpha = -(w * (q - q_bar)) @ (rss - z_bar) / ((w * (q - q_bar)) @ (q - q_bar))
+    if mu_alpha.real < empbayes.ALPHA_MIN:
+        mu_alpha = empbayes.ALPHA_MIN
+    return rss - (z_bar + mu_alpha * q_bar) + mu_alpha * q
+
+
+def _complex_step_gradient(x0, pos_xy, rss, h=1e-30):
+    """The gradient of the profiled objective by complex step (Squire &
+    Trapp, SIAM Review 1998): exact to rounding, with no difference taken."""
+    grad = np.empty(2)
+    for k in range(2):
+        shifted = x0 + 1j * h * np.eye(2)[k]
+        r = _complex_profiled_residuals(shifted, pos_xy, rss)
+        grad[k] = (r @ r).imag / h
+    return grad
+
+
+def _derivative_cases():
+    """200 sensors with 3 dB noise and an exponent above the floor of 2 or
+    below it, at a fix 29 m off the transmitter or 0.5 m from a sensor,
+    whose report is then clamped at D_MIN."""
+    rng = np.random.default_rng(11)
+    pos_xy = rng.uniform(0, 500, (200, 2))
+    tx = np.array([230.0, 310.0])
+    d = np.maximum(np.hypot(*(pos_xy - tx).T), D_MIN)
+    noise = rng.normal(0.0, 3.0, 200)
+    for alpha, branch in [(3.5, "free"), (1.2, "floor")]:
+        rss = -10.0 - 10.0 * alpha * np.log10(d) + noise
+        for x0, where in [(tx + [23.0, -17.0], "off"), (pos_xy[7] + [0.3, -0.4], "clamped")]:
+            yield pytest.param(x0, pos_xy, rss, branch, where, id=f"{branch}-{where}")
+
+
+@pytest.mark.parametrize("x0, pos_xy, rss, branch, where", _derivative_cases())
+def test_profiled_derivatives_match_the_complex_step_oracle(x0, pos_xy, rss, branch, where):
+    d = rf.clamped_distances(pos_xy, Position(*x0))
+    _, mu_alpha = estimate_means(rss, rf.log_distance_feature(d), d)
+    assert (mu_alpha == empbayes.ALPHA_MIN) == (branch == "floor")
+    assert (d.min() == D_MIN) == (where == "clamped")
+    # the complex copy is the same function
+    r = _complex_profiled_residuals(x0.astype(complex), pos_xy, rss)
+    assert_allclose(r.real, empbayes._profiled_residuals(x0, pos_xy, rss), rtol=0, atol=1e-11)
+
+    f, grad, hess = empbayes._profiled_derivatives(x0, pos_xy, rss)
+    assert f == empbayes._profiled_objective(x0, pos_xy, rss)
+    oracle = _complex_step_gradient(x0, pos_xy, rss)
+    assert np.linalg.norm(grad - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    # the Hessian against a central difference of the exact gradient, whose
+    # truncation error is O(h^2)
+    h = 1e-3
+    columns = [
+        (_complex_step_gradient(x0 + h * step, pos_xy, rss) - _complex_step_gradient(x0 - h * step, pos_xy, rss)) / (2 * h)
+        for step in np.eye(2)
+    ]
+    assert_allclose(hess, np.column_stack(columns), rtol=0, atol=1e-6 * np.abs(hess).max())
 
 
 def _noise_free_world(seed=0, n=40, tx=(250.0, 250.0)):

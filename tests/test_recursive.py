@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import solve_triangular
 
 import rssfield as rf
 from rssfield import gp, recursive
@@ -90,6 +91,30 @@ def test_lambda_one_matches_static_posterior_beyond_one_accumulation_block(pin_h
     ref = posterior((snap1.positions, snap1.rss), grid, hyper, kernel, noise, t=1)
     assert_array_equal(stepped.posterior.mean, ref.mean)
     assert_array_equal(stepped.posterior.cov, ref.cov)
+
+
+def test_blend_in_blocks_of_rows_gives_the_whole_matrix_blends_covariance(pin_hyper):
+    # the step forms K_g - (1 - lam)(K_g - C_prev) a block of rows at a time,
+    # over several blocks of the 600-node grid; its covariance is the one the
+    # blend of the whole matrix in one pass gives
+    rng = np.random.default_rng(13)
+    snap0, grid, hyper, kernel, noise = random_inputs(rng, n_train=50, n_grid=600)
+    snap1 = make_snapshot(rng, 50, t=1)
+    post0 = posterior((snap0.positions, snap0.rss), grid, hyper, kernel, noise, t=0)
+    state = state_from_posterior(post0, grid)
+    lam = 0.3
+    cfg, pin = frozen_config(pin_hyper, hyper, kernel, noise, lam)
+    stepped = rgp_step(state, snap1, grid, cfg)
+    assert pin.calls == 1
+    xy = snap1.positions
+    noise_var = noise.variances(rf.clamped_distances(xy, hyper.tx))
+    resid = snap1.rss - gp.prior_mean(xy, hyper)
+    low, k_gx, _ = gp.condition(xy, grid.xy, resid, kernel, hyper.tx, noise_var)
+    w = solve_triangular(low, k_gx.T, lower=True)
+    k_grid = state.grid_prior_cov
+    expected = k_grid - (1 - lam) * (k_grid - post0.cov)
+    gp.subtract_gram(expected, w, lam)
+    assert_array_equal(stepped.posterior.cov, expected)
 
 
 def _traced_peak(fn):
