@@ -17,7 +17,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.optimize import least_squares
 
 from .empbayes import DegenerateFitError, HyperEstimate
-from .gp import _blocks, matvec, prior_mean
+from .gp import matvec, prior_mean, row_blocks
 from .model import Grid, distance_matrix
 
 _DUP_EPS = 1e-9
@@ -121,16 +121,18 @@ def fit_variogram(residuals, positions) -> VariogramModel:
 
 
 def _merge_coincident(xy, resid, dists):
-    """(xy, resid, dists) with each group of coincident positions (closer than
-    _DUP_EPS) replaced by its first position and its mean residual.
+    """(xy, resid, dists) with each group of coincident positions replaced by
+    its first position and its mean residual, so that no two kept positions
+    are closer than _DUP_EPS and no two rows of the kriging system are equal.
 
-    Coincident positions make equal rows in the kriging system. Input without
-    them is returned as is.
+    Input without coincident positions is returned as is.
     """
     close = dists < _DUP_EPS
     if np.count_nonzero(close) == xy.shape[0]:
         return xy, resid, dists
     label = np.argmax(close, axis=1)  # first position each one coincides with
+    while np.any(label[label] != label):  # a chain of them ends at its first position
+        label = label[label]
     keep, group = np.unique(label, return_inverse=True)
     mean = np.bincount(group, weights=resid) / np.bincount(group)
     xy = xy[keep]
@@ -152,11 +154,11 @@ def okd_predict(
     their mean residual, kriges the residuals with the bordered
     (unbiasedness-constrained) system B shared across all nodes, and re-adds
     the trend. B is symmetric, so the prediction at the nodes is
-    rhs^T B^-1 [resid; 0]: one LU factorization and a single right-hand side;
-    only the variance solves for the weights of every node. A system that is
-    still exactly singular falls back to the pseudo-inverse with a warning.
-    Without the variance, the covariance to the nodes is built and used one
-    block of nodes at a time and never held whole. The prediction is
+    [c; 1]^T B^-1 [resid; 0]: one LU factorization and a single right-hand side.
+    A system that is still exactly singular falls back to the pseudo-inverse
+    with a warning. Each block of nodes builds its covariance c to the reports,
+    takes its prediction and, for the variance c0 - w^T c - nu, solves for its
+    weights w and multipliers nu and reduces them at once. The prediction is
     bit-identical to one product over all nodes wherever OpenBLAS splits that
     product between its threads at a multiple of 4 rows, as for M = 16, 64,
     1008, 1088 and 4096 at 1 to 4 threads; at another split, such as M = 2025
@@ -183,7 +185,6 @@ def okd_predict(
     # LAPACK getrf/getrs is numpy's solve, run in scipy's BLAS pool (see the
     # rssfield.gp docstring); info > 0 is the exactly singular case
     lu, piv, info = dgetrf(bordered)
-    inv = None
     if info > 0:
         warnings.warn("singular kriging system; using pseudo-inverse", RuntimeWarning, stacklevel=2)
         inv = np.linalg.pinv(bordered)
@@ -193,26 +194,17 @@ def okd_predict(
 
     # the (N, M) covariance to the nodes, one C-ordered (N, b) block at a time:
     # matvec(blk.T, .) runs the dgemv kernel of one product over all nodes
-    pred = np.empty(grid.n_nodes)
-    cov_to_nodes = np.empty((n, grid.n_nodes)) if return_variance else None
-    for nodes in _blocks(grid.n_nodes, n):
+    c0 = variogram.sill + variogram.nugget
+    pred, var = np.empty(grid.n_nodes), np.empty(grid.n_nodes)
+    for nodes in row_blocks(grid.n_nodes, n):
         blk = variogram.covariance(distance_matrix(xy, grid.xy[nodes]))
         pred[nodes] = matvec(blk.T, sol0[:n])
         if return_variance:
-            cov_to_nodes[:, nodes] = blk
+            rhs = np.ones((n + 1, blk.shape[1]), order="F")
+            rhs[:n] = blk
+            # [w; nu] = B^-1 [blk; 1], the pseudo-inverse's product inv @ rhs on the fallback
+            sol = dgemm(1.0, inv.T, rhs, trans_a=1) if info > 0 else dgetrs(lu, piv, rhs, overwrite_b=True)[0]
+            var[nodes] = c0 - np.sum(sol[:n] * blk, axis=0) - sol[n]
     pred += sol0[n]
     pred += prior_mean(grid.xy, hyper)
-    if not return_variance:
-        return pred
-
-    rhs = np.ones((n + 1, grid.n_nodes), order="F")
-    rhs[:n] = cov_to_nodes
-    if inv is None:
-        sol, _ = dgetrs(lu, piv, rhs, overwrite_b=True)
-    else:
-        sol = dgemm(1.0, inv.T, rhs, trans_a=1)  # inv @ rhs
-    weights = sol[:n, :]  # (N, M)
-    nu = sol[n, :]  # (M,) Lagrange multipliers
-    c0 = variogram.sill + variogram.nugget
-    var = c0 - np.sum(weights * cov_to_nodes, axis=0) - nu
-    return pred, np.maximum(var, 0.0)
+    return (pred, np.maximum(var, 0.0)) if return_variance else pred

@@ -29,7 +29,7 @@ from .bounds import hcrb_all
 from .empbayes import DegenerateFitError
 from .localize import CentroidState, NoFixError
 from .model import MeasurementSnapshot, NumericalError
-from .pipeline import _hyper, run_static
+from .pipeline import hyper_for, run_static
 from .recursive import init_state, rgp_step
 from .synth import sample_snapshot
 
@@ -187,7 +187,7 @@ def cmd_baseline_okd(args):
     snaps, grid, truths = _train_inputs(args, cfg, 1)
     snap = snaps[0]
     # kriging detrends by the fitted means and needs no kernel
-    hyper, _ = _hyper(snap, cfg.pipeline_config(), CentroidState())
+    hyper, _ = hyper_for(snap, cfg.pipeline_config(), CentroidState())
     pred, var = okd_predict((snap.positions, snap.rss), grid, hyper, return_variance=True)
     path = out / "field_okd.csv"
     ex.write_field_csv(path, grid, pred, var)

@@ -133,7 +133,7 @@ class FieldPosterior:
             object.__setattr__(self, "cov", cov)
 
 
-def _blocks(n: int, width: int):
+def row_blocks(n: int, width: int):
     """Slices covering range(n) in blocks of about _BLOCK_BYTES of float64 rows
     of the given width.
 
@@ -148,13 +148,13 @@ def _blocks(n: int, width: int):
         start = stop
 
 
-def _all_finite(mat: np.ndarray) -> bool:
+def all_finite(mat: np.ndarray) -> bool:
     """np.isfinite(mat).all() over one block of rows at a time."""
     rows = mat.T if mat.flags.f_contiguous and not mat.flags.c_contiguous else mat
-    return all(np.isfinite(rows[blk]).all() for blk in _blocks(rows.shape[0], rows.shape[1]))
+    return all(np.isfinite(rows[blk]).all() for blk in row_blocks(rows.shape[0], rows.shape[1]))
 
 
-def _check_in_place(out: np.ndarray, buf: np.ndarray, routine: str) -> None:
+def check_in_place(out: np.ndarray, buf: np.ndarray, routine: str) -> None:
     """Raise unless the f2py wrapper returned buf's own memory."""
     if not np.may_share_memory(out, buf):
         raise RuntimeError(f"{routine} wrote into a copy of its argument, not the argument itself")
@@ -165,7 +165,7 @@ def _potrf(f: np.ndarray, clean: int = 0) -> int:
     means f is not positive definite. The strict upper triangle is not touched,
     unless clean zeroes it."""
     out, info = dpotrf(f, lower=1, clean=clean, overwrite_a=1)
-    _check_in_place(out, f, "potrf")
+    check_in_place(out, f, "potrf")
     if info < 0:
         raise ValueError(f"potrf rejected its argument {-info}")
     return info
@@ -239,7 +239,7 @@ def chol_with_jitter(mat: np.ndarray, what: str = "covariance", *, check_only: b
     f = mat.T if mat.flags.c_contiguous else mat
     if not (f.flags.f_contiguous and f.flags.writeable):
         raise ValueError("chol_with_jitter needs a writeable, C- or F-contiguous mat")
-    if not _all_finite(mat):
+    if not all_finite(mat):
         raise NumericalError(f"{what} has non-finite entries")
     diag = f.diagonal().copy()
     jitter = _jitter_ladder(f, diag, what)
@@ -278,7 +278,7 @@ def subtract_gram(c: np.ndarray, w: np.ndarray, alpha: float = 1.0) -> None:
     if not f.flags.f_contiguous:
         raise ValueError("subtract_gram needs a C- or F-contiguous c")
     out = dsyrk(-alpha, w, beta=1.0, c=f, trans=1, lower=1, overwrite_c=1)
-    _check_in_place(out, f, "syrk")
+    check_in_place(out, f, "syrk")
     _mirror(f.T, from_upper=True)
 
 
@@ -295,7 +295,7 @@ def kernel_matrix(a_xy, b_xy, params: KernelParams, tx: Position) -> np.ndarray:
     qa = log_distance_feature(clamped_distances(a, tx))
     qb = log_distance_feature(clamped_distances(b, tx))
     out = np.empty((a.shape[0], b.shape[0]))
-    for rows in _blocks(a.shape[0], b.shape[0]):
+    for rows in row_blocks(a.shape[0], b.shape[0]):
         blk = out[rows]
         np.divide(distance_matrix(a[rows], b), -params.decay_scale, out=blk)
         np.exp(blk, out=blk)
@@ -374,7 +374,7 @@ def _nlml_objective(dists, noise_diag, resid, qouter, frozen):
         np.add(c, va_q, out=c)
         np.add(c, vp, out=c)
         c[diag] += noise_diag
-        if not _all_finite(c):
+        if not all_finite(c):
             raise NumericalError("kernel-fit covariance has non-finite entries")
         if _potrf(low, clean=1):
             return 1e25, np.zeros(2)
@@ -384,7 +384,7 @@ def _nlml_objective(dists, noise_diag, resid, qouter, frozen):
 
         # potri leaves C^-1 in the lower triangle of low; the other is zero
         out, info = dpotri(low, lower=1, overwrite_c=1)
-        _check_in_place(out, low, "potri")
+        check_in_place(out, low, "potri")
         if info:
             return 1e25, np.zeros(2)
         np.multiply(expo, dists, out=expo_d)

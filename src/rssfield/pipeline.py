@@ -49,12 +49,12 @@ def run_static(
     """Fit the field posterior from a single snapshot.
 
     Hyper-parameters first (centroid and profiled fix by ``refine_all``,
-    means and variances by ``hyper_at``, see ``_hyper``), then the two spatial
+    means and variances by ``hyper_at``, see ``hyper_for``), then the two spatial
     kernel scales by marginal likelihood unless a kernel is given, then the
     GP posterior at the grid.
     """
-    hyper, centroid = _hyper(snapshot, config, CentroidState())
-    kernel = _kernel(snapshot, hyper, config)
+    hyper, centroid = hyper_for(snapshot, config, CentroidState())
+    kernel = kernel_for(snapshot, hyper, config)
     post = posterior(
         (snapshot.positions, snapshot.rss), grid, hyper, kernel, config.noise,
         t=snapshot.t, compute_cov=compute_cov,
@@ -62,7 +62,7 @@ def run_static(
     return StaticResult(posterior=post, hyper=hyper, kernel=kernel, centroid=centroid)
 
 
-def _hyper(snapshot: MeasurementSnapshot, config: PipelineConfig, centroid: CentroidState) -> tuple:
+def hyper_for(snapshot: MeasurementSnapshot, config: PipelineConfig, centroid: CentroidState) -> tuple:
     """(hyper, centroid): ``hyper_at`` the known transmitter when one is
     configured (the centroid then passes through), else at ``refine_all``'s
     fix in the area.
@@ -80,7 +80,7 @@ def _hyper(snapshot: MeasurementSnapshot, config: PipelineConfig, centroid: Cent
     return hyper_at(snapshot, tx, known), centroid
 
 
-def _kernel(snapshot: MeasurementSnapshot, hyper: HyperEstimate, config: PipelineConfig) -> KernelParams:
+def kernel_for(snapshot: MeasurementSnapshot, hyper: HyperEstimate, config: PipelineConfig) -> KernelParams:
     """The configured kernel, else the marginal-likelihood fit under hyper."""
     if config.kernel is not None:
         return config.kernel

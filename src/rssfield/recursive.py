@@ -26,17 +26,17 @@ from scipy.linalg import solve_triangular
 
 from .gp import (
     FieldPosterior,
-    _blocks,
     chol_with_jitter,
     condition,
     kernel_matrix,
     matvec,
     prior_mean,
+    row_blocks,
     subtract_gram,
 )
 from .localize import CentroidState
 from .model import Grid, MeasurementSnapshot, Position, clamped_distances
-from .pipeline import PipelineConfig, _hyper, _kernel, run_static
+from .pipeline import PipelineConfig, hyper_for, kernel_for, run_static
 
 # unused here; the benchmark tracer wraps these names on this module, so they
 # stay importable from it
@@ -105,10 +105,10 @@ def rgp_step(
     """Advance the recursion by one snapshot.
 
     Hyper-parameters are re-estimated from every snapshot on the static fit's
-    own path (``pipeline._hyper``: the known transmitter when one is
+    own path (``pipeline.hyper_for``: the known transmitter when one is
     configured, else ``refine_all``). Under ``every_step`` the kernel comes
-    from the static fit's path too (``pipeline._kernel``: the configured kernel,
-    else a refit) and the covariance-side fix follows the new
+    from the static fit's path too (``pipeline.kernel_for``: the configured
+    kernel, else a refit) and the covariance-side fix follows the new
     hyper-parameters; otherwise both are the state's.
 
     The data term conditions on the snapshot through ``gp.condition``, with L
@@ -124,12 +124,12 @@ def rgp_step(
         raise ValueError("recursive state requires a posterior covariance")
 
     pconf = config.pipeline
-    hyper, centroid = _hyper(snapshot, pconf, state.centroid)
+    hyper, centroid = hyper_for(snapshot, pconf, state.centroid)
     freeze = config.kernel_refit == "freeze_after_init"
     if freeze:
         kernel, cov_tx = state.posterior.kernel, state.cov_tx
     else:
-        kernel, cov_tx = _kernel(snapshot, hyper, pconf), hyper.tx
+        kernel, cov_tx = kernel_for(snapshot, hyper, pconf), hyper.tx
 
     xy = snapshot.positions
     noise_var = pconf.noise.variances(clamped_distances(xy, hyper.tx))
@@ -154,7 +154,7 @@ def rgp_step(
     # over the whole matrix (2.3 against 2.1 ms at 1088 nodes; these blocks:
     # 1.9 ms)
     cov = np.empty(k_grid.shape)
-    for rows in _blocks(*cov.shape):
+    for rows in row_blocks(*cov.shape):
         blk = cov[rows]
         np.subtract(k_grid[rows], state.posterior.cov[rows], out=blk)
         blk *= 1.0 - lam

@@ -6,7 +6,7 @@ from rssfield import recursive
 
 
 class PinnedHyper:
-    """Stand-in for ``recursive._hyper`` that re-estimates nothing: each step
+    """Stand-in for ``recursive.hyper_for`` that re-estimates nothing: each step
     takes the pinned hyper-parameters and the carried centroid. ``calls``
     counts the steps that read it."""
 
@@ -27,7 +27,7 @@ def pin_hyper(monkeypatch):
 
     def pin(hyper):
         fake = PinnedHyper(hyper)
-        monkeypatch.setattr(recursive, "_hyper", fake)
+        monkeypatch.setattr(recursive, "hyper_for", fake)
         return fake
 
     return pin

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 import rssfield as rf
 from rssfield.baseline import _DUP_EPS, VariogramModel, _empirical_semivariogram, fit_variogram, okd_predict
 from rssfield.empbayes import HyperEstimate
-from rssfield.gp import _blocks, matvec, prior_mean
+from rssfield.gp import matvec, prior_mean, row_blocks
 from rssfield.model import Grid, Position, distance_matrix
 from rssfield.synth import _correlation
 
@@ -154,14 +155,16 @@ def test_okd_matches_directly_solved_bordered_system():
 
 
 def _okd_full_weights_oracle(xy, z, grid_xy, vg, solve):
-    """Prediction from the weights of every node: sol = solve(B, rhs)."""
+    """(prediction, variance c0 - w^T c - nu) from the weights w and Lagrange
+    multiplier nu of every node: [w; nu] = solve(B, [c; 1])."""
     n = xy.shape[0]
     bordered = np.zeros((n + 1, n + 1))
     bordered[:n, :n] = vg.covariance(distance_matrix(xy, xy))
     bordered[:n, n] = bordered[n, :n] = 1.0
-    rhs = np.vstack([vg.covariance(distance_matrix(xy, grid_xy)), np.ones((1, grid_xy.shape[0]))])
-    sol = solve(bordered, rhs)
-    return sol[:n].T @ (z - prior_mean(xy, HYPER)) + prior_mean(grid_xy, HYPER)
+    cov_to_nodes = vg.covariance(distance_matrix(xy, grid_xy))
+    sol = solve(bordered, np.vstack([cov_to_nodes, np.ones((1, grid_xy.shape[0]))]))
+    pred = sol[:n].T @ (z - prior_mean(xy, HYPER)) + prior_mean(grid_xy, HYPER)
+    return pred, vg.sill + vg.nugget - np.sum(sol[:n] * cov_to_nodes, axis=0) - sol[n]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -172,22 +175,24 @@ def test_okd_one_solve_prediction_matches_full_weights_formula(seed):
     z = rng.uniform(-95, -40, n)
     grid = Grid(rng.uniform(0, 400, (m, 2)))
     vg = VariogramModel(nugget=rng.uniform(0, 2), sill=rng.uniform(1, 12), range_m=rng.uniform(10, 150))
-    expected = _okd_full_weights_oracle(xy, z, grid.xy, vg, np.linalg.solve)
+    expected, expected_var = _okd_full_weights_oracle(xy, z, grid.xy, vg, np.linalg.solve)
     pred = okd_predict((xy, z), grid, HYPER, vg)
-    pred_v, _ = okd_predict((xy, z), grid, HYPER, vg, return_variance=True)
+    pred_v, var = okd_predict((xy, z), grid, HYPER, vg, return_variance=True)
     assert_allclose(pred, expected, rtol=1e-10, atol=0.0)
     assert np.array_equal(pred_v, pred)
+    assert_allclose(var, expected_var, rtol=1e-10, atol=0.0)
 
 
 def test_okd_prediction_over_several_node_blocks_equals_one_product():
     # N = 600 reports put a few hundred nodes in a block; 1008 nodes span
-    # several blocks, and the prediction is the one product over all nodes
+    # several blocks, the prediction is the one product over all nodes and
+    # the variance is the one solve for the weights of all nodes
     rng = np.random.default_rng(7)
     n, m = 600, 1008
     xy = rng.uniform(0, 400, (n, 2))
     z = rng.uniform(-95, -40, n)
     grid = Grid(rng.uniform(0, 400, (m, 2)))
-    assert len(list(_blocks(m, n))) > 2
+    assert len(list(row_blocks(m, n))) > 2
     vg = VariogramModel(nugget=0.5, sill=8.0, range_m=60.0)
     pred = okd_predict((xy, z), grid, HYPER, vg)
 
@@ -198,9 +203,44 @@ def test_okd_prediction_over_several_node_blocks_equals_one_product():
     sol0, _ = dgetrs(lu, piv, np.append(z - prior_mean(xy, HYPER), 0.0))
     cov_to_nodes = vg.covariance(distance_matrix(xy, grid.xy))
     assert np.array_equal(pred, matvec(cov_to_nodes.T, sol0[:n]) + sol0[n] + prior_mean(grid.xy, HYPER))
-    assert_allclose(pred, _okd_full_weights_oracle(xy, z, grid.xy, vg, np.linalg.solve), rtol=1e-10, atol=0.0)
+    rhs = np.ones((n + 1, m), order="F")
+    rhs[:n] = cov_to_nodes
+    sol, _ = dgetrs(lu, piv, rhs)
+    one_solve_var = vg.sill + vg.nugget - np.sum(sol[:n] * cov_to_nodes, axis=0) - sol[n]
+    expected, expected_var = _okd_full_weights_oracle(xy, z, grid.xy, vg, np.linalg.solve)
+    assert_allclose(pred, expected, rtol=1e-10, atol=0.0)
     pred_v, var = okd_predict((xy, z), grid, HYPER, vg, return_variance=True)
-    assert np.array_equal(pred_v, pred) and np.all(var >= 0.0)
+    assert np.array_equal(pred_v, pred)
+    assert_allclose(var, one_solve_var, rtol=1e-13, atol=0.0)
+    assert_allclose(var, expected_var, rtol=1e-10, atol=0.0)
+
+
+def _traced_peak(fn):
+    """Peak bytes traced above the level at the call of fn()."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_okd_variance_holds_no_reports_by_nodes_array():
+    # the covariance to the nodes and the weights are built and reduced one
+    # block of nodes at a time, so four times the nodes cost less than two
+    # blocks' covariance more
+    rng = np.random.default_rng(11)
+    n = 300
+    xy = rng.uniform(0, 400, (n, 2))
+    z = rng.uniform(-95, -40, n)
+    vg = VariogramModel(nugget=0.5, sill=8.0, range_m=60.0)
+    small, large = (Grid(rng.uniform(0, 400, (m, 2))) for m in (2048, 8192))
+    peaks = [_traced_peak(lambda: okd_predict((xy, z), g, HYPER, vg, return_variance=True)) for g in (small, large)]
+    block_bytes = 8 * n * next(row_blocks(10**9, n)).stop
+    assert len(list(row_blocks(small.n_nodes, n))) > 2
+    assert peaks[1] - peaks[0] < 2 * block_bytes, f"peaks {peaks[0] / 1e6:.1f} and {peaks[1] / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("return_variance", [False, True])
@@ -214,28 +254,35 @@ def test_okd_singular_system_falls_back_to_pseudo_inverse(return_variance):
     vg = VariogramModel(nugget=0.0, sill=0.0, range_m=50.0)
     with pytest.raises(np.linalg.LinAlgError):
         _okd_full_weights_oracle(xy, z, grid.xy, vg, np.linalg.solve)
-    expected = _okd_full_weights_oracle(xy, z, grid.xy, vg, lambda b, r: np.linalg.pinv(b) @ r)
+    expected, expected_var = _okd_full_weights_oracle(xy, z, grid.xy, vg, lambda b, r: np.linalg.pinv(b) @ r)
     with pytest.warns(RuntimeWarning, match="singular kriging system; using pseudo-inverse"):
         out = okd_predict((xy, z), grid, HYPER, vg, return_variance=return_variance)
     pred = out[0] if return_variance else out
     assert_allclose(pred, expected, rtol=1e-10, atol=0.0)
     if return_variance:
-        assert np.all(out[1] >= 0.0)
+        assert_allclose(out[1], expected_var, rtol=1e-10, atol=0.0)
 
 
-@pytest.mark.parametrize("dup", [(3, 7), (0, 1)], ids=["rows 3 and 7", "rows 0 and 1"])
-def test_okd_merges_coincident_positions(dup):
+@pytest.mark.parametrize(
+    "rows, step",
+    [((3, 7), 0.0), ((0, 1), 0.0), ((2, 5, 11), 6e-10)],
+    ids=["rows 3 and 7", "rows 0 and 1", "chain of rows 2, 5 and 11"],
+)
+def test_okd_merges_coincident_positions(rows, step):
     # a duplicated position used to leave a nearly singular system and
-    # predictions of 1e23 dBm; kriging now sees one report with the mean residual
+    # predictions of 1e23 dBm; kriging now sees one report with the mean
+    # residual. In the chain each row lies step east of the one before, closer
+    # than _DUP_EPS to it but not to the first, and all three still merge
+    assert step == 0.0 or step < _DUP_EPS < 2 * step
     rng = np.random.default_rng(9)
     xy = rng.uniform(10, 200, (14, 2))
-    keep, drop = dup
-    xy[drop] = xy[keep]
+    keep, *drop = rows
+    xy[drop] = xy[keep] + np.outer(np.arange(1, len(rows)), [step, 0.0])
     z = rng.uniform(-90, -50, 14)
     grid = Grid(rng.uniform(10, 200, (20, 2)))
     vg = VariogramModel(nugget=0.4, sill=6.0, range_m=50.0)
     merged_z = z.copy()
-    merged_z[keep] = 0.5 * (z[keep] + z[drop])
+    merged_z[keep] = np.mean(z[list(rows)])
     merged = (np.delete(xy, drop, axis=0), np.delete(merged_z, drop))
     for return_variance in (False, True):
         with warnings.catch_warnings():

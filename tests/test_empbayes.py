@@ -523,16 +523,16 @@ def test_known_transmitter_at_refine_alls_fix_gives_refine_alls_hyper(sigma_v_sq
     snap, _ = rf.sample_snapshot(sc, 0)
     noise = rf.NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
     tx, _ = refine_all(snap, CentroidState(), sc.area_bounds)
-    # the known variances as pipeline._hyper builds them from the config
+    # the known variances as pipeline.hyper_for builds them from the config
     known = None if sigma_v_sq is None else sigma_v_sq + noise.variances(rf.clamped_distances(snap.positions, tx))
     hyper = hyper_at(snap, tx, known)
     config = PipelineConfig(noise=noise, area_bounds=sc.area_bounds, sigma_v_sq=sigma_v_sq, fixed_tx=hyper.tx)
-    known_tx, centroid = pipeline._hyper(snap, config, CentroidState())
+    known_tx, centroid = pipeline.hyper_for(snap, config, CentroidState())
     assert known_tx == hyper
     assert (sigma_v_sq is None) == (hyper.var_p == hyper.var_alpha == KERNEL_PATH_VAR)
     assert not centroid.has_fix  # a known transmitter leaves the centroid alone
-    # without the fix configured, _hyper is refine_all with the same variances
-    assert pipeline._hyper(snap, dataclasses.replace(config, fixed_tx=None), CentroidState())[0] == hyper
+    # without the fix configured, hyper_for is refine_all with the same variances
+    assert pipeline.hyper_for(snap, dataclasses.replace(config, fixed_tx=None), CentroidState())[0] == hyper
 
 
 @pytest.mark.parametrize("known", [None, np.ones(25)], ids=["kernel_path", "empirical_path"])

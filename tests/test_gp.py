@@ -109,7 +109,7 @@ def _kernel_matrix_one_shot(a, b, params, tx):
 
 
 def _rows_per_block(width):
-    return next(gp._blocks(10**9, width)).stop
+    return next(gp.row_blocks(10**9, width)).stop
 
 
 @pytest.mark.parametrize("width", [1, 37, 1000])
@@ -134,7 +134,7 @@ def test_blocked_kernel_matrix_is_bit_identical_to_one_shot_assembly(width):
 def test_blocks_cover_the_range_in_whole_blocks():
     for n, width in [(0, 5), (1, 5), (100, 4096), (4096, 4096), (4097, 1024), (5000, 7)]:
         step = _rows_per_block(width)
-        blocks = list(gp._blocks(n, width))
+        blocks = list(gp.row_blocks(n, width))
         assert blocks[0].start == 0 and blocks[-1].stop == n
         assert all(x.stop == y.start for x, y in zip(blocks, blocks[1:]))
         assert all(x.stop - x.start == step for x in blocks[:-1])
