@@ -17,7 +17,7 @@ from scipy.linalg.blas import dgemm
 
 from .empbayes import HyperEstimate
 # chol_with_jitter and kernel_matrix are unused here; the benchmark tracer resolves them by module name
-from .gp import KernelParams, chol_with_jitter, condition, kernel_diag, kernel_matrix, prior_mean  # noqa: F401
+from .gp import KernelParams, chol_with_jitter, condition_w, kernel_diag, kernel_matrix, prior_mean  # noqa: F401
 from .model import LOG10_E, Grid, NoiseModel, NumericalError, clamped_distances, log_distance_feature
 
 _SINGULAR_RCOND = 1e-10
@@ -60,13 +60,18 @@ def hcrb_all(
     (L^-1 A)^T (L^-1 B), with W = L^-1 K_Xg shared by the GP variance
     k(g, g) - sum(W^2) and by the predictive-mean derivative terms; the
     information matrix is (L^-1 J)^T (L^-1 J).
+
+    L and W come from ``gp.condition_w``: right after ``posterior`` with its
+    covariance on the same reports, grid, kernel, fix and noise, they are
+    the posterior's own, taken from gp's handoff slot, and u = C^-1 m_X is
+    one potrs on L; otherwise this conditions anew. Both give the same bits.
     """
     xy, _ = train
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     tx = hyper.tx
     d_hat = clamped_distances(xy, tx)
-    # u = C^-1 m_X; k_gx is (m, N) and k_gx.T is K_Xg
-    low, k_gx, u = condition(xy, grid.xy, prior_mean(xy, hyper), kernel, tx, noise.variances(d_hat))
+    # u = C^-1 m_X; w is (N, m)
+    low, w, u = condition_w(xy, grid.xy, prior_mean(xy, hyper), kernel, tx, noise.variances(d_hat))
 
     # Jacobian of the training prior mean w.r.t. (mu_p, mu_alpha, tx)
     jac = grid_mean_gradient(xy, tx, hyper.mu_alpha)  # (N, 4)
@@ -90,7 +95,6 @@ def hcrb_all(
     else:
         info_inv = np.linalg.inv(info)
 
-    w = solve_triangular(low, k_gx.T, lower=True, overwrite_b=True)  # (N, m), reuses k_gx
     gp_var = kernel_diag(grid.xy, kernel, tx) - np.einsum("ij,ij->j", w, w)
 
     # g = dm_g/dtheta - J^T C^-1 K_Xg + (u*a1, u*a2)^T C^-1 K_Xg, one row per node

@@ -34,7 +34,9 @@ matrix and goes to BLAS and LAPACK without a copy.
   time (distances, exp, the rank-one term and the constant, each in place),
   so its only temporaries are one block.
 - ``subtract_gram`` accumulates -alpha W^T W straight into one triangle of c
-  with dsyrk (beta = 1, overwrite_c) and mirrors that triangle.
+  with dsyrk (beta = 1, overwrite_c) and mirrors that triangle. ``posterior``
+  builds K_g only on that triangle (``kernel_matrix(..., upper_only=True)``);
+  the other comes zeroed from calloc and the mirror overwrites it.
 - ``chol_with_jitter`` factors its matrix in place with potrf, through its
   F-ordered view. The PD check (``check_only=True``) then restores it from
   the other triangle and a saved diagonal; the N x N training factor that
@@ -43,7 +45,18 @@ matrix and goes to BLAS and LAPACK without a copy.
 - Each of these LAPACK/BLAS calls is checked to have written into the
   caller's buffer: f2py silently copies an argument it cannot write into,
   which would lose the update instead of failing.
-- Finiteness is scanned one block of rows at a time.
+- Finiteness is scanned one block of rows at a time, also before each solve
+  for W (``check_finite``), where scipy's own scan would allocate an N x M
+  boolean array.
+- The handoff slot: ``posterior`` with its covariance leaves its
+  conditioning, the training factor L (N x N) and W = L^-1 K_Xg (N x M), in
+  one private slot, keyed on an exact copy of its inputs (report positions,
+  target nodes, kernel, covariance-side fix and noise variances), once the
+  PD check has passed. ``condition_w`` (which ``bounds.hcrb_all`` calls)
+  takes them when its inputs equal the key, so a report's bound conditions
+  no second time. Taking the slot empties it, and so does every
+  ``condition`` call: it holds at most one conditioning, and none beyond
+  the next report.
 
 README's performance notes keep the measured memory and times of this
 path.
@@ -86,6 +99,10 @@ _LOG2PI = math.log(2.0 * math.pi)
 _LBFGS_MAXITER = 200  # iterations per start; measured fits converge within 31
 _BLOCK = 32  # rows or columns per block when mirroring a triangle in place
 _BLOCK_BYTES = 1 << 20  # size of a block of rows when assembling or scanning a matrix
+
+# posterior's last conditioning with its covariance: {key: (L, W)}, at most one
+# entry (see the module docstring's handoff slot and ``condition_w``)
+_handoff: dict = {}
 
 
 @dataclass(frozen=True)
@@ -152,6 +169,13 @@ def all_finite(mat: np.ndarray) -> bool:
     """np.isfinite(mat).all() over one block of rows at a time."""
     rows = mat.T if mat.flags.f_contiguous and not mat.flags.c_contiguous else mat
     return all(np.isfinite(rows[blk]).all() for blk in row_blocks(rows.shape[0], rows.shape[1]))
+
+
+def check_finite(*mats: np.ndarray) -> None:
+    """scipy's check_finite, one block of rows at a time: scipy's own scan
+    allocates a boolean array as large as each input."""
+    if not all(all_finite(m) for m in mats):
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def check_in_place(out: np.ndarray, buf: np.ndarray, routine: str) -> None:
@@ -282,25 +306,32 @@ def subtract_gram(c: np.ndarray, w: np.ndarray, alpha: float = 1.0) -> None:
     _mirror(f.T, from_upper=True)
 
 
-def kernel_matrix(a_xy, b_xy, params: KernelParams, tx: Position) -> np.ndarray:
+def kernel_matrix(a_xy, b_xy, params: KernelParams, tx: Position, *, upper_only: bool = False) -> np.ndarray:
     """Composite kernel between all rows of a_xy and b_xy.
 
     Assembled in the output one block of about _BLOCK_BYTES of rows at a
     time: distances, exp, the rank-one term and the constant, each in place.
     The rank-one term is formed as qa_i qb_j before scaling, so
     kernel_matrix(a, a) is exactly symmetric.
+
+    With upper_only (a and b the same nodes), each block of rows is filled
+    only from the column of its first row on, which covers the triangle
+    ``subtract_gram`` reads (column >= row); every entry there is the one
+    the full build gives, and the rest of the output is zero.
     """
     a = np.asarray(a_xy, dtype=float).reshape(-1, 2)
     b = np.asarray(b_xy, dtype=float).reshape(-1, 2)
     qa = log_distance_feature(clamped_distances(a, tx))
     qb = log_distance_feature(clamped_distances(b, tx))
-    out = np.empty((a.shape[0], b.shape[0]))
+    # np.zeros is calloc: the part left unfilled costs no pass
+    out = (np.zeros if upper_only else np.empty)((a.shape[0], b.shape[0]))
     for rows in row_blocks(a.shape[0], b.shape[0]):
-        blk = out[rows]
-        np.divide(distance_matrix(a[rows], b), -params.decay_scale, out=blk)
+        cols = slice(rows.start if upper_only else 0, None)
+        blk = out[rows, cols]
+        np.divide(distance_matrix(a[rows], b[cols]), -params.decay_scale, out=blk)
         np.exp(blk, out=blk)
         blk *= params.sigma_k**2
-        rank_one = np.multiply.outer(qa[rows], qb)
+        rank_one = np.multiply.outer(qa[rows], qb[cols])
         rank_one *= params.sigma_alpha_k**2
         blk += rank_one
         blk += params.sigma_p_k**2
@@ -323,8 +354,10 @@ def condition(xy, targets_xy, rhs, kernel: KernelParams, kernel_tx: Position, no
     is read only by potrs and lower=True triangular solves. K_gX is the
     kernel between the targets and the reports. Both kernels use (kernel,
     kernel_tx). Callers that need W = L^-1 K_Xg take one triangular solve
-    into K_gX's buffer. (Rasmussen & Williams, GPML 2006, Algorithm 2.1.)
+    into K_gX's buffer (``solve_w``). (Rasmussen & Williams, GPML 2006,
+    Algorithm 2.1.) Every call empties the handoff slot.
     """
+    _handoff.clear()
     if np.size(xy) == 0:
         raise ValueError("cannot condition on zero reports")
     c = kernel_matrix(xy, xy, kernel, kernel_tx)
@@ -333,6 +366,43 @@ def condition(xy, targets_xy, rhs, kernel: KernelParams, kernel_tx: Position, no
     solved, _ = dpotrs(low, rhs, lower=1)
     k_gx = kernel_matrix(targets_xy, xy, kernel, kernel_tx)
     return low, k_gx, solved
+
+
+def solve_w(low: np.ndarray, k_gx: np.ndarray) -> np.ndarray:
+    """W = L^-1 K_Xg (N x m, F-ordered), solved in K_gX's own buffer.
+
+    L and K_gX are scanned by ``check_finite`` instead of scipy's scan, so a
+    non-finite entry still raises scipy's ValueError but no N x m boolean
+    array is made.
+    """
+    check_finite(low, k_gx)
+    w = solve_triangular(low, k_gx.T, lower=True, overwrite_b=True, check_finite=False)
+    check_in_place(w, k_gx, "trtrs")
+    return w
+
+
+def _handoff_key(xy, targets_xy, kernel: KernelParams, kernel_tx: Position, noise_var) -> tuple:
+    """An exact copy of the inputs of a conditioning: report positions, target
+    nodes, noise variances, kernel and fix (the last two are frozen)."""
+    arrays = (xy, targets_xy, noise_var)
+    return (*(np.asarray(a, dtype=float).tobytes() for a in arrays), kernel, kernel_tx)
+
+
+def condition_w(xy, targets_xy, rhs, kernel: KernelParams, kernel_tx: Position, noise_var) -> tuple:
+    """(L, W, (K_X + S)^-1 rhs) with W = L^-1 K_Xg, as ``condition`` and
+    ``solve_w`` give them.
+
+    When the handoff slot holds ``posterior``'s conditioning on exactly these
+    inputs (see the module docstring), L and W are taken from it instead, and
+    rhs costs one potrs on L. The slot is empty afterwards either way.
+    """
+    taken = _handoff.pop(_handoff_key(xy, targets_xy, kernel, kernel_tx, noise_var), None)
+    if taken is None:
+        low, k_gx, solved = condition(xy, targets_xy, rhs, kernel, kernel_tx, noise_var)
+        return low, solve_w(low, k_gx), solved
+    low, w = taken
+    solved, _ = dpotrs(low, rhs, lower=1)
+    return low, w, solved
 
 
 def prior_mean(positions, hyper: HyperEstimate) -> np.ndarray:
@@ -471,9 +541,12 @@ def posterior(
     and cov = K_g - W^T W with W = L^-1 K_Xg, which is exactly symmetric.
     Zero reports raise ValueError (see ``condition``). K_g is built after the
     training covariance is factored, so that factorization never runs beside
-    an M x M array, and the returned covariance is assembled and verified
-    positive definite (after the jitter ladder) in K_g's buffer, the only
-    M x M array this makes.
+    an M x M array, and only on the triangle ``subtract_gram`` reads. The
+    returned covariance is assembled and verified positive definite (after
+    the jitter ladder) in K_g's buffer, the only M x M array this makes.
+    Once it has passed that check, L and W stay in the handoff slot for
+    ``condition_w`` (``bounds.hcrb_all``) on the same inputs, until it takes
+    them or the next ``condition`` call.
     """
     xy, z = train
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
@@ -484,8 +557,9 @@ def posterior(
 
     cov = None
     if compute_cov:
-        w = solve_triangular(low, k_gx.T, lower=True, overwrite_b=True)  # reuses k_gx
-        cov = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
+        w = solve_w(low, k_gx)
+        cov = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx, upper_only=True)
         subtract_gram(cov, w)
         chol_with_jitter(cov, "grid posterior covariance", check_only=True)
+        _handoff[_handoff_key(xy, grid.xy, kernel, hyper.tx, noise_var)] = (low, w)
     return FieldPosterior(t=t, mean=mean, cov=cov, hyper=hyper, kernel=kernel)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .gp import (
     FieldPosterior,
@@ -32,6 +31,7 @@ from .gp import (
     matvec,
     prior_mean,
     row_blocks,
+    solve_w,
     subtract_gram,
 )
 from .localize import CentroidState
@@ -136,7 +136,7 @@ def rgp_step(
     resid = snapshot.rss - prior_mean(xy, hyper)
     low, k_gx, beta = condition(xy, grid.xy, resid, kernel, cov_tx, noise_var)
     mu_post = matvec(k_gx, beta)
-    w = solve_triangular(low, k_gx.T, lower=True, overwrite_b=True)  # reuses k_gx
+    w = solve_w(low, k_gx)
 
     m_grid = prior_mean(grid.xy, hyper)
     mu_prior = state.posterior.mean - prior_mean(grid.xy, state.posterior.hyper)

@@ -31,7 +31,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from .gp import all_finite, check_in_place, matvec, subtract_gram
+from .gp import check_finite, check_in_place, matvec, subtract_gram
 from .model import (
     Grid,
     MeasurementSnapshot,
@@ -182,20 +182,13 @@ _grid_draw: dict = {}
 _sensor_draw: dict = {}
 
 
-def _check_finite(*mats: np.ndarray) -> None:
-    """scipy's check_finite, one block of rows at a time: scipy's own scan
-    allocates a boolean array as large as each input (M x M for the grid)."""
-    if not all(all_finite(m) for m in mats):
-        raise ValueError("array must not contain infs or NaNs")
-
-
 def _grid_corr_chol(grid: Grid, d_corr: float) -> np.ndarray:
     key = (grid.xy.tobytes(), float(d_corr))
     if key not in _grid_factor:
         _grid_factor.clear()
         corr = _correlation(grid.xy, grid.xy, d_corr)
         corr[np.diag_indices_from(corr)] += _SHADOW_JITTER
-        _check_finite(corr)
+        check_finite(corr)
         # corr is exactly symmetric, so its F-ordered view is the same matrix:
         # it reaches LAPACK without a transposing copy and is factored in place
         low = cholesky(corr.T, lower=True, overwrite_a=True, check_finite=False)
@@ -228,13 +221,13 @@ def _sensor_factors(grid: Grid, sensor_xy: np.ndarray, d_corr: float) -> tuple:
     """
     low = _grid_corr_chol(grid, d_corr)
     k_gs = _correlation(sensor_xy, grid.xy, d_corr).T  # (M, N), F-ordered
-    _check_finite(low, k_gs)
+    check_finite(low, k_gs)
     v = solve_triangular(low, k_gs, lower=True, overwrite_b=True, check_finite=False)
     check_in_place(v, k_gs, "trtrs")
     cond = _correlation(sensor_xy, sensor_xy, d_corr)
     subtract_gram(cond, v)
     cond[np.diag_indices_from(cond)] += _SHADOW_JITTER
-    _check_finite(cond)
+    check_finite(cond)
     # cond is exactly symmetric, so it is factored in place like the grid's
     low_cond = cholesky(cond.T, lower=True, overwrite_a=True, check_finite=False)
     check_in_place(low_cond, cond, "potrf")

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_factor, cho_solve
 
+from rssfield import gp
 from rssfield.bounds import HcrbReport, grid_mean_gradient, hcrb_all
 from rssfield.empbayes import HyperEstimate
 from rssfield.gp import KernelParams, kernel_matrix, posterior, prior_mean
@@ -26,6 +29,41 @@ def random_setup(rng, n_train=12, n_grid=5):
     )
     noise = NoiseModel(rho_u=rng.uniform(50, 300), sigma_w=rng.uniform(1, 3))
     return (xy, z), grid, hyper, kernel, noise
+
+
+PRIMES = ["cold", "after posterior"]
+
+
+def _counting_conditions(monkeypatch):
+    """A list that gains one entry per gp.condition call from here on."""
+    calls = []
+    real = gp.condition
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(gp, "condition", counting)
+    return calls
+
+
+def _hcrb(prime, monkeypatch, train, grid, hyper, kernel, noise):
+    """hcrb_all with an empty handoff slot ("cold"), or right after posterior on
+    the same inputs, whose conditioning it must take instead of its own."""
+    gp._handoff.clear()
+    if prime == "after posterior":
+        posterior(train, grid, hyper, kernel, noise)
+        assert len(gp._handoff) == 1
+    with monkeypatch.context() as patch:
+        calls = _counting_conditions(patch)
+        reports = hcrb_all(train, grid, hyper, kernel, noise)
+    assert len(calls) == (prime == "cold")
+    assert not gp._handoff
+    return reports
+
+
+def _fields(reports):
+    return np.array([dataclasses.astuple(r) for r in reports])
 
 
 def test_added_term_nonnegative_on_random_scenarios():
@@ -66,11 +104,12 @@ def cho_solve_oracle(train, grid, hyper, kernel, noise):
     return gp_var, np.array(added)
 
 
-def test_matches_cho_solve_formulas():
+@pytest.mark.parametrize("prime", PRIMES)
+def test_matches_cho_solve_formulas(prime, monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(10):
         train, grid, hyper, kernel, noise = random_setup(rng, n_train=25, n_grid=30)
-        reports = hcrb_all(train, grid, hyper, kernel, noise)
+        reports = _hcrb(prime, monkeypatch, train, grid, hyper, kernel, noise)
         assert not any(r.singular for r in reports)
         gp_var, added = cho_solve_oracle(train, grid, hyper, kernel, noise)
         assert_allclose([r.gp_variance for r in reports], gp_var, rtol=1e-10)
@@ -122,14 +161,102 @@ def test_single_node_grid():
     assert_allclose(hcrb_all(train, grid6, hyper, kernel, noise)[2].bound, all_reports[0].bound, rtol=1e-12)
 
 
-def test_invariant_under_sensor_permutation():
+@pytest.mark.parametrize("prime", PRIMES)
+def test_invariant_under_sensor_permutation(prime, monkeypatch):
     rng = np.random.default_rng(4)
     (xy, z), grid, hyper, kernel, noise = random_setup(rng)
-    base = hcrb_all((xy, z), grid, hyper, kernel, noise)
+    base = _hcrb(prime, monkeypatch, (xy, z), grid, hyper, kernel, noise)
     perm = rng.permutation(xy.shape[0])
-    shuffled = hcrb_all((xy[perm], z[perm]), grid, hyper, kernel, noise)
+    shuffled = _hcrb(prime, monkeypatch, (xy[perm], z[perm]), grid, hyper, kernel, noise)
     for a, b in zip(base, shuffled):
         assert_allclose(a.bound, b.bound, rtol=1e-9)
+
+
+CHANGES = ["none", "kernel", "fix", "noise", "grid", "one report", "positions mutated in place"]
+
+
+@pytest.mark.parametrize("change", CHANGES)
+def test_the_handoff_is_taken_only_on_exactly_the_posteriors_inputs(change, monkeypatch):
+    # hcrb_all right after posterior takes posterior's L and W only when every
+    # input of that conditioning is unchanged; otherwise it conditions anew.
+    # Either way it gives the bits a cold call gives, and empties the slot
+    rng = np.random.default_rng(9)
+    train, grid, hyper, kernel, noise = random_setup(rng, n_train=25, n_grid=30)
+    if change == "fix":
+        # without a location-error term the noise variances do not follow the
+        # fix, so the fix is the only input that moves
+        noise = NoiseModel(rho_u=0.0, sigma_w=noise.sigma_w)
+    xy, z = train
+    gp._handoff.clear()
+    posterior((xy, z), grid, hyper, kernel, noise)
+    assert len(gp._handoff) == 1
+    if change == "kernel":
+        kernel = dataclasses.replace(kernel, sigma_k=kernel.sigma_k * 1.5)
+    elif change == "fix":
+        hyper = dataclasses.replace(hyper, tx=Position(hyper.tx.x + 1.0, hyper.tx.y))
+    elif change == "noise":
+        noise = NoiseModel(rho_u=noise.rho_u, sigma_w=noise.sigma_w * 1.1)
+    elif change == "grid":
+        moved = grid.xy.copy()
+        moved[3, 0] += 1.0
+        grid = Grid(moved)
+    elif change == "one report":
+        xy = xy.copy()
+        xy[5, 1] += 1.0
+    elif change == "positions mutated in place":
+        xy[5, 1] += 1.0
+
+    with monkeypatch.context() as patch:
+        calls = _counting_conditions(patch)
+        reports = hcrb_all((xy, z), grid, hyper, kernel, noise)
+    assert len(calls) == (change != "none")
+    assert not gp._handoff
+    cold = hcrb_all((xy, z), grid, hyper, kernel, noise)
+    assert_array_equal(_fields(reports), _fields(cold))
+
+
+def test_every_condition_call_empties_the_handoff_slot():
+    rng = np.random.default_rng(10)
+    train, grid, hyper, kernel, noise = random_setup(rng)
+    xy, z = train
+    gp._handoff.clear()
+    posterior(train, grid, hyper, kernel, noise, compute_cov=False)
+    assert not gp._handoff  # only a posterior with its covariance leaves one
+    posterior(train, grid, hyper, kernel, noise)
+    assert len(gp._handoff) == 1
+    posterior(train, grid, hyper, kernel, noise)
+    assert len(gp._handoff) == 1  # the second conditioning replaced the first
+    # any other conditioning, even on the same inputs, empties it
+    gp.condition(xy, grid.xy, z, kernel, hyper.tx, noise.variances(clamped_distances(xy, hyper.tx)))
+    assert not gp._handoff
+
+
+def _traced_peak(fn):
+    """(fn(), peak bytes traced above the level at the call)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_hcrb_all_after_posterior_builds_no_reports_by_nodes_array():
+    # taking posterior's L and W, the bound makes neither K_gX nor W: its peak
+    # stays below one N x M array, which a cold call exceeds
+    rng = np.random.default_rng(11)
+    n, m = 300, 1000
+    train, grid, hyper, kernel, noise = random_setup(rng, n_train=n, n_grid=m)
+    one_w = n * m * 8
+    gp._handoff.clear()
+    cold, cold_peak = _traced_peak(lambda: hcrb_all(train, grid, hyper, kernel, noise))
+    posterior(train, grid, hyper, kernel, noise)
+    warm, warm_peak = _traced_peak(lambda: hcrb_all(train, grid, hyper, kernel, noise))
+    assert warm_peak < one_w < cold_peak, f"{warm_peak / 1e6:.2f} MB after posterior, {cold_peak / 1e6:.2f} MB cold"
+    assert_array_equal(_fields(warm), _fields(cold))
 
 
 def test_location_error_terms_vanish_continuously():

@@ -441,6 +441,68 @@ def test_posterior_cov_matches_dense_formula_and_is_exactly_symmetric():
         assert_allclose(post.cov, dense, rtol=0, atol=1e-10 * np.max(np.abs(dense)))
 
 
+def test_posterior_builds_the_grid_prior_on_one_triangle_bit_identical_to_the_full_build():
+    # 1000 nodes: no multiple of _BLOCK, and several row blocks of the M x M build
+    m = 1000
+    assert m % gp._BLOCK and len(list(gp.row_blocks(m, m))) > 2
+    grid = rf.uniform_grid(200.0, 200.0, 40, 25)
+    rng = np.random.default_rng(38)
+    (xy, z), _, hyper, kernel, noise = _random_case(rng, n_train=60)
+    post = posterior((xy, z), grid, hyper, kernel, noise)
+
+    # the full-K_g path: kernel_matrix + subtract_gram + the PD check
+    noise_var = noise.variances(clamped_distances(xy, hyper.tx))
+    low, k_gx, _ = gp.condition(xy, grid.xy, z - prior_mean(xy, hyper), kernel, hyper.tx, noise_var)
+    full = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx)
+    cov = full.copy()
+    subtract_gram(cov, solve_triangular(low, k_gx.T, lower=True))
+    chol_with_jitter(cov, "full-K_g posterior covariance", check_only=True)
+    assert np.array_equal(post.cov, cov)
+
+    # each block of rows holds the full build's entries from its first row's
+    # column on, and zeros before it
+    upper = kernel_matrix(grid.xy, grid.xy, kernel, hyper.tx, upper_only=True)
+    for rows in gp.row_blocks(m, m):
+        assert np.array_equal(upper[rows, rows.start:], full[rows, rows.start:])
+        assert not upper[rows, :rows.start].any()
+
+
+@pytest.mark.parametrize("entry", ["posterior", "rgp_step", "hcrb_all"])
+def test_a_non_finite_cross_covariance_raises_before_the_solve_for_w(entry, monkeypatch):
+    # the W solves skip scipy's scan for gp.check_finite's blocked one, and
+    # still raise scipy's error, before the solve
+    rng = np.random.default_rng(39)
+    (xy, z), grid, hyper, kernel, noise = _random_case(rng, n_train=8, n_grid=5)
+    real = gp.kernel_matrix
+
+    def poisoned(a_xy, b_xy, *args, **kwargs):
+        out = real(a_xy, b_xy, *args, **kwargs)
+        if len(a_xy) != len(b_xy):
+            out[-1, 0] = np.nan
+        return out
+
+    solves = []
+    monkeypatch.setattr(gp, "kernel_matrix", poisoned)
+    monkeypatch.setattr(gp, "solve_triangular", lambda *a, **k: solves.append(1))
+    gp._handoff.clear()
+    snapshot = rf.MeasurementSnapshot(t=1, positions=xy, rss=z)
+    state = rf.RecursiveState(
+        posterior=FieldPosterior(t=0, mean=np.zeros(5), cov=np.eye(5), hyper=hyper, kernel=kernel),
+        centroid=rf.CentroidState(), grid_prior_cov=np.eye(5), cov_tx=hyper.tx,
+    )
+    config = rf.RecursiveConfig(
+        pipeline=rf.PipelineConfig(noise=noise, area_bounds=((0, 200), (0, 200)), kernel=kernel, fixed_tx=hyper.tx)
+    )
+    calls = {
+        "posterior": lambda: posterior((xy, z), grid, hyper, kernel, noise),
+        "rgp_step": lambda: rf.rgp_step(state, snapshot, grid, config),
+        "hcrb_all": lambda: rf.hcrb_all((xy, z), grid, hyper, kernel, noise),
+    }
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        calls[entry]()
+    assert not solves
+
+
 @pytest.mark.parametrize("entry", ["condition", "posterior", "hcrb_all"])
 def test_zero_reports_raise_value_error(entry):
     # every caller that takes raw arrays meets the check in condition, before
