@@ -8,6 +8,7 @@ from .model import (
     NumericalError,
     Position,
     PropagationParams,
+    check_reports,
     clamped_distances,
     distance_matrix,
     log_distance_feature,

@@ -18,7 +18,7 @@ from scipy.optimize import least_squares
 
 from .empbayes import DegenerateFitError, HyperEstimate
 from .gp import matvec, prior_mean, row_blocks
-from .model import Grid, distance_matrix
+from .model import Grid, check_reports, distance_matrix
 
 _DUP_EPS = 1e-9
 # distance bins of the empirical semivariogram, before any widening
@@ -78,14 +78,12 @@ def _empirical_semivariogram(residuals, positions, n_bins):
 def fit_variogram(residuals, positions) -> VariogramModel:
     """Least-squares exponential fit of the binned empirical semivariogram.
 
-    Bins are widened (fewer of them) when too sparsely populated. Fewer than
-    10 points or three populated bins raise DegenerateFitError, and so does
-    a binned semivariogram whose weighted sum of squares overflows.
+    The positions and residuals pass ``check_reports`` first, as a snapshot's
+    do. Bins are widened (fewer of them) when too sparsely populated. Fewer
+    than 10 points or three populated bins raise DegenerateFitError, and so
+    does a binned semivariogram whose weighted sum of squares overflows.
     """
-    residuals = np.asarray(residuals, dtype=float).reshape(-1)
-    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-    if residuals.shape[0] != positions.shape[0]:
-        raise ValueError("residuals and positions lengths disagree")
+    positions, residuals = check_reports(positions, residuals)
     if residuals.shape[0] < 10:
         raise DegenerateFitError("need at least 10 points to fit a variogram")
 
@@ -149,11 +147,12 @@ def okd_predict(
 ):
     """Ordinary-kriging field estimate at the grid nodes, dBm.
 
-    Detrends by the estimated path-loss mean, fits the variogram on all
-    reports unless given, merges coincident positions into one report with
-    their mean residual, kriges the residuals with the bordered
-    (unbiasedness-constrained) system B shared across all nodes, and re-adds
-    the trend. B is symmetric, so the prediction at the nodes is
+    The reports pass ``check_reports`` first, as a snapshot's do. Detrends by
+    the estimated path-loss mean, fits the variogram on all reports unless
+    given, merges coincident positions into one report with their mean
+    residual, kriges the residuals with the bordered (unbiasedness-
+    constrained) system B shared across all nodes, and re-adds the trend.
+    B is symmetric, so the prediction at the nodes is
     [c; 1]^T B^-1 [resid; 0]: one LU factorization and a single right-hand side.
     A system that is still exactly singular falls back to the pseudo-inverse
     with a warning. Each block of nodes builds its covariance c to the reports,
@@ -164,12 +163,7 @@ def okd_predict(
     1008, 1088 and 4096 at 1 to 4 threads; at another split, such as M = 2025
     on 2 threads, the rows next to it may differ in the last bit.
     """
-    xy, z = train
-    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if xy.shape[0] == 0:
-        raise ValueError("ordinary kriging needs at least one training point")
-
+    xy, z = check_reports(*train)
     resid = z - prior_mean(xy, hyper)
     if variogram is None:
         variogram = fit_variogram(resid, xy)

@@ -18,7 +18,7 @@ from scipy.linalg.blas import dgemm
 from .empbayes import HyperEstimate
 # chol_with_jitter and kernel_matrix are unused here; the benchmark tracer resolves them by module name
 from .gp import KernelParams, chol_with_jitter, condition_w, kernel_diag, kernel_matrix, prior_mean  # noqa: F401
-from .model import LOG10_E, Grid, NoiseModel, NumericalError, clamped_distances, log_distance_feature
+from .model import LOG10_E, Grid, NoiseModel, NumericalError, check_reports, clamped_distances, log_distance_feature
 
 _SINGULAR_RCOND = 1e-10
 
@@ -59,15 +59,16 @@ def hcrb_all(
     Every C^-1 product is a pair of triangular solves, A^T C^-1 B =
     (L^-1 A)^T (L^-1 B), with W = L^-1 K_Xg shared by the GP variance
     k(g, g) - sum(W^2) and by the predictive-mean derivative terms; the
-    information matrix is (L^-1 J)^T (L^-1 J).
+    information matrix is (L^-1 J)^T (L^-1 J). The reports pass
+    ``check_reports`` first, as a snapshot's do; only their positions are
+    read.
 
     L and W come from ``gp.condition_w``: right after ``posterior`` with its
     covariance on the same reports, grid, kernel, fix and noise, they are
     the posterior's own, taken from gp's handoff slot, and u = C^-1 m_X is
     one potrs on L; otherwise this conditions anew. Both give the same bits.
     """
-    xy, _ = train
-    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    xy, _ = check_reports(*train)
     tx = hyper.tx
     d_hat = clamped_distances(xy, tx)
     # u = C^-1 m_X; w is (N, m)

@@ -201,7 +201,7 @@ def cmd_cases(args):
     cfg = _load(args)
     records, path = ex.run_cases(cfg)
     print(f"wrote {path}")
-    for case, sv, n, mean in ex._summarize(records):
+    for case, sv, n, mean in ex.summarize(records):
         print(f"{case} sigma_v_sq={sv:g} n={n} mean_mse={mean:.4f}")
     return EXIT_OK
 

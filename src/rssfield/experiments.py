@@ -368,7 +368,8 @@ _METRICS_HEADER = ["case", "sigma_v_sq", "replicate", "t", "mse", "mu_alpha", "m
 _TIMINGS_HEADER = ["case", "sigma_v_sq", "replicate", "t", "runtime_ms"]
 
 
-def _summarize(records):
+def summarize(records):
+    """(case, sigma_v_sq, n, mean_mse) per case and shadowing variance, sorted."""
     keys = sorted({(r.case, r.sigma_v_sq) for r in records})
     rows = []
     for case, sv in keys:
@@ -383,7 +384,7 @@ def _write_cases(records, out: Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     for name, header in (("metrics", _METRICS_HEADER), ("timings", _TIMINGS_HEADER)):
         _write_rows(out / f"cases_{name}.csv", header, ([getattr(rec, h) for h in header] for rec in records))
-    _write_rows(out / "cases_summary.csv", ("case", "sigma_v_sq", "n", "mean_mse"), _summarize(records))
+    _write_rows(out / "cases_summary.csv", ("case", "sigma_v_sq", "n", "mean_mse"), summarize(records))
     return out / "cases_metrics.csv"
 
 

@@ -88,6 +88,7 @@ from .model import (
     NoiseModel,
     NumericalError,
     Position,
+    check_reports,
     clamped_distances,
     distance_matrix,
     log_distance_feature,
@@ -471,9 +472,7 @@ def _nlml_objective(dists, noise_diag, resid, qouter, frozen):
 def _nlml_inputs(train, hyper, noise: NoiseModel) -> tuple:
     """(dists, noise_diag, resid, qouter): the per-snapshot arguments of
     ``_nlml_objective`` before ``frozen``."""
-    xy, z = train
-    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-    z = np.asarray(z, dtype=float).reshape(-1)
+    xy, z = check_reports(*train)
     d_hat = clamped_distances(xy, hyper.tx)
     q = log_distance_feature(d_hat)
     return distance_matrix(xy, xy), noise.variances(d_hat), z - prior_mean(xy, hyper), np.outer(q, q)
@@ -491,10 +490,10 @@ def _starts(resid, dists):
 def fit_kernel(train, hyper: HyperEstimate, noise: NoiseModel) -> KernelParams:
     """Spatial kernel scales minimizing the negative log marginal likelihood.
 
-    Fits sigma_k^2 and the decay scale by bounded L-BFGS-B from every start
-    of ``_starts``, in log-parameter space with analytic gradients; the
-    result is the deterministic argmin over the starts (ties broken by start
-    order).
+    The reports pass ``check_reports`` first, as a snapshot's do. Fits
+    sigma_k^2 and the decay scale by bounded L-BFGS-B from every start of
+    ``_starts``, in log-parameter space with analytic gradients; the result
+    is the deterministic argmin over the starts (ties broken by start order).
     sigma_alpha_k^2 and sigma_p_k^2 are frozen at hyper.var_alpha and
     hyper.var_p. One ``_nlml_objective``, with its N x N buffers, serves
     every start; a theta whose C does not factor scores 1e25 with a zero
@@ -539,18 +538,17 @@ def posterior(
     With L the lower Cholesky factor of K_X + S (never an explicit inverse):
     mean = m_g + K_gX (K_X + S)^-1 (z - m_X) through two triangular solves,
     and cov = K_g - W^T W with W = L^-1 K_Xg, which is exactly symmetric.
-    Zero reports raise ValueError (see ``condition``). K_g is built after the
-    training covariance is factored, so that factorization never runs beside
-    an M x M array, and only on the triangle ``subtract_gram`` reads. The
+    The reports pass ``check_reports`` first, as a snapshot's do. K_g is
+    built after the training covariance is factored, so that factorization
+    never runs beside an M x M array, and only on the triangle
+    ``subtract_gram`` reads. The
     returned covariance is assembled and verified positive definite (after
     the jitter ladder) in K_g's buffer, the only M x M array this makes.
     Once it has passed that check, L and W stay in the handoff slot for
     ``condition_w`` (``bounds.hcrb_all``) on the same inputs, until it takes
     them or the next ``condition`` call.
     """
-    xy, z = train
-    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-    z = np.asarray(z, dtype=float).reshape(-1)
+    xy, z = check_reports(*train)
     noise_var = noise.variances(clamped_distances(xy, hyper.tx))
     low, k_gx, beta = condition(xy, grid.xy, z - prior_mean(xy, hyper), kernel, hyper.tx, noise_var)
     mean = prior_mean(grid.xy, hyper) + matvec(k_gx, beta)

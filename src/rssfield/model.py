@@ -86,11 +86,30 @@ def uniform_grid(width: float, height: float, nx: int, ny: int) -> Grid:
     return Grid(np.column_stack([gx.ravel(), gy.ravel()]))
 
 
+def check_reports(positions, values) -> tuple:
+    """(positions, values) of a report set as read-only float copies, (N, 2)
+    and (N,), after checking equal lengths, at least one report and finite
+    entries (else ValueError). A snapshot and every function that takes a raw
+    (positions, rss) tuple check it here, so the two are checked alike."""
+    pos = _readonly(positions).reshape(-1, 2)
+    vals = _readonly(values).reshape(-1)
+    if pos.shape[0] != vals.shape[0]:
+        raise ValueError(f"{pos.shape[0]} report positions but {vals.shape[0]} report values")
+    if vals.size == 0:
+        raise ValueError("a report set needs at least one report, got zero reports")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("report values must be finite")
+    if not np.all(np.isfinite(pos)):
+        raise ValueError("report positions must be finite")
+    return pos, vals
+
+
 @dataclass(frozen=True)
 class MeasurementSnapshot:
-    """One time step of crowdsourced reports, at least one, each an estimated
-    position and an RSS value. A report carries no sensor identity: no
-    estimator reads one, and two reports from one sensor are two reports."""
+    """One time step of crowdsourced reports that pass ``check_reports``: at
+    least one, each an estimated position and an RSS value. A report carries
+    no sensor identity: no estimator reads one, and two reports from one
+    sensor are two reports."""
 
     t: int
     positions: np.ndarray  # (N, 2) reported (estimated) locations, meters
@@ -99,16 +118,7 @@ class MeasurementSnapshot:
     def __post_init__(self):
         if self.t < 0:
             raise ValueError("time index must be >= 0")
-        pos = _readonly(self.positions).reshape(-1, 2)
-        rss = _readonly(self.rss).reshape(-1)
-        if pos.shape[0] != rss.shape[0]:
-            raise ValueError("positions and rss lengths disagree")
-        if rss.size == 0:
-            raise ValueError("a snapshot needs at least one report")
-        if not np.all(np.isfinite(rss)):
-            raise ValueError("rss values must be finite")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("sensor positions must be finite")
+        pos, rss = check_reports(self.positions, self.rss)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "rss", rss)
 

@@ -7,8 +7,11 @@ command-line runners.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .empbayes import HyperEstimate, hyper_at, refine_all
 from .gp import FieldPosterior, KernelParams, fit_kernel, posterior
@@ -18,7 +21,8 @@ from .model import Grid, MeasurementSnapshot, NoiseModel, Position, clamped_dist
 
 @dataclass
 class PipelineConfig:
-    """Knobs of the static fit."""
+    """Knobs of the static fit. Construction checks the area box and the
+    shadowing variance; assigning a field later is not re-checked."""
 
     noise: NoiseModel
     # ((x_lo, x_hi), (y_lo, y_hi)): the box the transmitter fix is searched in
@@ -29,6 +33,13 @@ class PipelineConfig:
     kernel: Optional[KernelParams] = None
     # known transmitter location; bypasses localization entirely
     fixed_tx: Optional[Position] = None
+
+    def __post_init__(self):
+        box = np.array(self.area_bounds, dtype=float)
+        if box.shape != (2, 2) or not (np.isfinite(box).all() and (box[:, 0] < box[:, 1]).all()):
+            raise ValueError(f"area_bounds must be two finite (lo, hi) pairs with lo < hi, got {self.area_bounds!r}")
+        if self.sigma_v_sq is not None and not (math.isfinite(self.sigma_v_sq) and self.sigma_v_sq >= 0):
+            raise ValueError(f"sigma_v_sq must be None or finite and >= 0, got {self.sigma_v_sq!r}")
 
 
 @dataclass(frozen=True)

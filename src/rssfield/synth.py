@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cholesky
 
-from .gp import check_finite, check_in_place, matvec, subtract_gram
+from .gp import check_finite, check_in_place, matvec, solve_w, subtract_gram
 from .model import (
     Grid,
     MeasurementSnapshot,
@@ -182,18 +182,22 @@ _grid_draw: dict = {}
 _sensor_draw: dict = {}
 
 
+def _factor_in_place(corr: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of corr + _SHADOW_JITTER I in corr's own buffer,
+    after a blocked finiteness scan. corr is exactly symmetric, so its
+    F-ordered view is the same matrix and reaches LAPACK without a copy."""
+    corr[np.diag_indices_from(corr)] += _SHADOW_JITTER
+    check_finite(corr)
+    low = cholesky(corr.T, lower=True, overwrite_a=True, check_finite=False)
+    check_in_place(low, corr, "potrf")
+    return low
+
+
 def _grid_corr_chol(grid: Grid, d_corr: float) -> np.ndarray:
     key = (grid.xy.tobytes(), float(d_corr))
     if key not in _grid_factor:
         _grid_factor.clear()
-        corr = _correlation(grid.xy, grid.xy, d_corr)
-        corr[np.diag_indices_from(corr)] += _SHADOW_JITTER
-        check_finite(corr)
-        # corr is exactly symmetric, so its F-ordered view is the same matrix:
-        # it reaches LAPACK without a transposing copy and is factored in place
-        low = cholesky(corr.T, lower=True, overwrite_a=True, check_finite=False)
-        check_in_place(low, corr, "potrf")
-        _grid_factor[key] = low
+        _grid_factor[key] = _factor_in_place(_correlation(grid.xy, grid.xy, d_corr))
     return _grid_factor[key]
 
 
@@ -217,21 +221,12 @@ def _sensor_factors(grid: Grid, sensor_xy: np.ndarray, d_corr: float) -> tuple:
     V = L^-1 K_gs (M x N) and L_c L_c^T = K_ss - V^T V, the conditional
     correlation, so the joint correlation of [grid; sensors] is
     [[L L^T, L V], [V^T L^T, V^T V + L_c L_c^T]]. V is solved in the buffer
-    of K_gs and L_c is factored in the buffer of K_ss.
+    of K_gs (``gp.solve_w``) and L_c is factored in the buffer of K_ss.
     """
-    low = _grid_corr_chol(grid, d_corr)
-    k_gs = _correlation(sensor_xy, grid.xy, d_corr).T  # (M, N), F-ordered
-    check_finite(low, k_gs)
-    v = solve_triangular(low, k_gs, lower=True, overwrite_b=True, check_finite=False)
-    check_in_place(v, k_gs, "trtrs")
+    v = solve_w(_grid_corr_chol(grid, d_corr), _correlation(sensor_xy, grid.xy, d_corr))
     cond = _correlation(sensor_xy, sensor_xy, d_corr)
     subtract_gram(cond, v)
-    cond[np.diag_indices_from(cond)] += _SHADOW_JITTER
-    check_finite(cond)
-    # cond is exactly symmetric, so it is factored in place like the grid's
-    low_cond = cholesky(cond.T, lower=True, overwrite_a=True, check_finite=False)
-    check_in_place(low_cond, cond, "potrf")
-    return v, low_cond
+    return v, _factor_in_place(cond)
 
 
 def _unit_sensor_draw(grid: Grid, sensor_xy: np.ndarray, d_corr: float, seed: int, step: int) -> np.ndarray:

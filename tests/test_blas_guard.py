@@ -61,14 +61,10 @@ FACTORIZATIONS = {
         "kernel-fit objective factors the C it rebuilt in its own buffer, with clean=1 so that "
         "after potri the flat buffer holds only C^-1's triangle for the trace ddots",
     ("synth.py", "cholesky(corr.T, lower=True, overwrite_a=True, check_finite=False)"):
-        "grid correlation, exactly symmetric: its F-ordered view is the same matrix, factored "
-        "in place in the correlation buffer; gp.check_finite scans it one block of rows "
-        "at a time instead of scipy's M x M boolean scan",
-    ("synth.py", "cholesky(cond.T, lower=True, overwrite_a=True, check_finite=False)"):
-        "sensor conditional K_ss - V^T V: subtract_gram leaves it exactly symmetric, so its "
-        "F-ordered view is the same matrix, factored in place in its buffer; runs once per "
-        "sensor roster; gp.check_finite scans it one block of rows at a time instead of "
-        "scipy's N x N boolean scan",
+        "synth._factor_in_place, for the grid correlation and the sensor conditional K_ss - V^T V "
+        "(once per sensor roster), both exactly symmetric (subtract_gram leaves the conditional "
+        "so): the F-ordered view is the same matrix, factored in place in its buffer; "
+        "gp.check_finite scans it one block of rows at a time instead of scipy's boolean scan",
 }
 
 

@@ -505,8 +505,9 @@ def test_a_non_finite_cross_covariance_raises_before_the_solve_for_w(entry, monk
 
 @pytest.mark.parametrize("entry", ["condition", "posterior", "hcrb_all"])
 def test_zero_reports_raise_value_error(entry):
-    # every caller that takes raw arrays meets the check in condition, before
-    # any factorization (NumericalError and f2py's copy check are RuntimeErrors)
+    # condition checks for zero reports itself, and posterior and hcrb_all meet
+    # model.check_reports first, before any factorization (NumericalError and
+    # f2py's copy check are RuntimeErrors)
     rng = np.random.default_rng(3)
     (_, _), grid, hyper, kernel, noise = _random_case(rng)
     xy, z = np.zeros((0, 2)), np.zeros(0)
@@ -732,6 +733,25 @@ def test_fit_kernel_freezes_known_prior_variances():
     fitted = fit_kernel((xy, z), hyper, NoiseModel(rho_u=0.0, sigma_w=1.0))
     assert_allclose(fitted.sigma_p_k, 1.2, rtol=1e-12)
     assert_allclose(fitted.sigma_alpha_k, 0.08, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # a reversed box used to return a fix on its edge, a single pair a TypeError
+        # from hypot, a negative variance var_p = 0 and a NaN one an "overflow"
+        ("area_bounds", ((500.0, 0.0), (0.0, 500.0)), "area_bounds must be two finite"),
+        ("area_bounds", ((0.0, 500.0),), "area_bounds must be two finite"),
+        ("sigma_v_sq", -50.0, "sigma_v_sq must be None or finite and >= 0"),
+        ("sigma_v_sq", math.nan, "sigma_v_sq must be None or finite and >= 0"),
+    ],
+    ids=["reversed_area", "one_pair_area", "negative_sigma_v_sq", "nan_sigma_v_sq"],
+)
+def test_pipeline_config_checks_its_fields_at_construction(field, value, message):
+    fields = {"noise": NoiseModel(rho_u=0.0, sigma_w=1.0), "area_bounds": ((0.0, 500.0), (0.0, 500.0))}
+    rf.PipelineConfig(**fields, sigma_v_sq=10.0)
+    with pytest.raises(ValueError, match=message):
+        rf.PipelineConfig(**{**fields, field: value})
 
 
 @pytest.mark.parametrize("variance_path", ["kernel", "empirical"])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import rssfield as rf
+from rssfield import baseline, bounds, gp
 from rssfield.model import (
     D_MIN,
     Grid,
@@ -129,6 +131,61 @@ def test_snapshot_validation():
     snap = MeasurementSnapshot(t=3, positions=np.zeros((2, 2)), rss=np.array([-70.0, -60.0]))
     assert snap.n_sensors == 2
     assert not snap.rss.flags.writeable
+
+
+_REPORT_CASES = {
+    # case -> (what is spoiled, the value put there, the check's message)
+    "nan_rss": ("rss", math.nan, "report values must be finite"),
+    "inf_rss": ("rss", math.inf, "report values must be finite"),
+    "nan_position": ("positions", math.nan, "report positions must be finite"),
+    "unequal_lengths": ("length", None, "30 report positions but 29 report values"),
+    "zero_reports": ("empty", None, "a report set needs at least one report, got zero reports"),
+}
+
+
+def _report_entries():
+    """The snapshot and the five public functions that take raw (positions, rss)."""
+    grid = uniform_grid(200.0, 200.0, 4, 4)
+    hyper = rf.HyperEstimate(mu_p=-10.0, mu_alpha=3.0, var_p=1.0, var_alpha=0.1, tx=Position(100.0, 100.0))
+    kernel = rf.KernelParams.from_decay(sigma_k=3.0, decay_scale=50.0, sigma_alpha_k=0.3, sigma_p_k=1.0)
+    noise = NoiseModel(rho_u=100.0, sigma_w=2.0)
+    variogram = rf.VariogramModel(nugget=1.0, sill=9.0, range_m=40.0)
+    return {
+        "snapshot": lambda xy, z: MeasurementSnapshot(t=0, positions=xy, rss=z),
+        "posterior": lambda xy, z: rf.posterior((xy, z), grid, hyper, kernel, noise, compute_cov=False),
+        "fit_kernel": lambda xy, z: rf.fit_kernel((xy, z), hyper, noise),
+        "hcrb_all": lambda xy, z: rf.hcrb_all((xy, z), grid, hyper, kernel, noise),
+        "okd_predict": lambda xy, z: rf.okd_predict((xy, z), grid, hyper, variogram),
+        "fit_variogram": lambda xy, z: rf.fit_variogram(z, xy),
+    }
+
+
+@pytest.mark.parametrize("case", list(_REPORT_CASES))
+@pytest.mark.parametrize("entry", list(_report_entries()))
+def test_a_raw_report_tuple_is_checked_like_a_snapshot_before_any_work(entry, case, monkeypatch):
+    # every kernel, distance and LAPACK call past the check fails the test
+    def reached(*args, **kwargs):
+        raise AssertionError("a malformed report set got past the report check")
+
+    names = ("kernel_matrix", "distance_matrix", "clamped_distances", "prior_mean", "condition_w",
+             "dpotrf", "dpotrs", "dgetrf", "dgetrs", "solve_triangular", "least_squares", "minimize")
+    for module in (gp, bounds, baseline):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, reached)
+    rng = np.random.default_rng(5)
+    xy, z = rng.uniform(0.0, 200.0, (30, 2)), rng.normal(-60.0, 3.0, 30)
+    what, value, message = _REPORT_CASES[case]
+    if what == "rss":
+        z[7] = value
+    elif what == "positions":
+        xy[7, 1] = value
+    elif what == "length":
+        z = z[:-1]
+    else:
+        xy, z = xy[:0], z[:0]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _report_entries()[entry](xy, z)
 
 
 def test_propagation_params_validation():

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import rssfield as rf
-from rssfield import synth
+from rssfield import gp, synth
 from rssfield.model import Position, PropagationParams
 from rssfield.synth import (
     Intermittent,
@@ -317,9 +317,9 @@ def test_warm_caches_draw_what_fresh_caches_draw(monkeypatch):
 
 @pytest.mark.parametrize("shape", [(9, 9), (12, 9), (12, 12)], ids=["grid", "grid-sensor", "sensor"])
 def test_non_finite_correlation_raises_before_lapack(monkeypatch, shape):
-    # synth scans the grid correlation, K_gs and the sensor conditional itself,
-    # one block of rows at a time, and tells LAPACK not to: a NaN still raises
-    # scipy's ValueError
+    # synth scans the grid correlation and the sensor conditional, and
+    # gp.solve_w scans K_gs, one block of rows at a time, and tells LAPACK not
+    # to: a NaN still raises scipy's ValueError
     _empty_caches(monkeypatch)
     real = synth._correlation
 
@@ -331,11 +331,12 @@ def test_non_finite_correlation_raises_before_lapack(monkeypatch, shape):
         return corr
 
     calls = []
-    for name in ("cholesky", "solve_triangular"):
-        def recording(*args, _name=name, _real=getattr(synth, name), **kwargs):
+    # the factorizations run in synth, the solve for V in gp.solve_w
+    for module, name in ((synth, "cholesky"), (gp, "solve_triangular")):
+        def recording(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
-        monkeypatch.setattr(synth, name, recording)
+        monkeypatch.setattr(module, name, recording)
     monkeypatch.setattr(synth, "_correlation", poisoned)
     with pytest.raises(ValueError, match="infs or NaNs"):
         sample_snapshot(small_scenario(3), 0)
