@@ -24,7 +24,7 @@ import configparser
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -403,11 +403,9 @@ def run_single_case(scenario, truth, snapshot, positions, rho_u, config: Experim
     at the given transmitter fix if one is passed."""
     snap = MeasurementSnapshot(t=snapshot.t, positions=positions, rss=snapshot.rss)
     pcfg = config.pipeline_config()
-    pcfg.noise = NoiseModel(rho_u=rho_u, sigma_w=config.sigma_w)
-    if fix is not None:
-        pcfg.fixed_tx = fix
-    if pcfg.sigma_v_sq is not None:
-        pcfg.sigma_v_sq = scenario.params.sigma_v**2  # the swept shadowing
+    swept = None if pcfg.sigma_v_sq is None else scenario.params.sigma_v**2  # the swept shadowing
+    pcfg = replace(pcfg, noise=NoiseModel(rho_u=rho_u, sigma_w=config.sigma_w),
+                   fixed_tx=pcfg.fixed_tx if fix is None else fix, sigma_v_sq=swept)
     result = run_static(snap, scenario.grid, pcfg, compute_cov=False)
     mse = compute_mse(result.posterior.mean, truth.grid_field)
     tx = result.hyper.tx
@@ -420,15 +418,17 @@ def run_cases(config: ExperimentConfig, out_dir=None):
     reported positions with the error modeled (case 2) and ignored (case 3),
     swept over the shadowing variance. Cases share draws within a replicate,
     so the comparison is paired. Cases 2 and 3 feed the fix the same reports,
-    and rho_u does not enter it, so case 3 takes case 2's fix."""
+    and rho_u does not enter it, so case 3 takes case 2's fix. All worlds of
+    the call share one ``synth.Draws``: one grid factor, one draw per roster."""
     out_dir = Path(out_dir if out_dir is not None else config.out_dir)
     rho_model = config.effective_rho_u()
     records = []
+    draws = synth.Draws()
     for rep in range(config.replicates):
         seed = _replicate_seed(config.seed, rep)
         for sv_sq in config.sigma_v_sq_sweep:
             scenario = config.scenario(seed=seed, sigma_v_sq=sv_sq)
-            snapshot, truth = sample_snapshot(scenario, 0)
+            snapshot, truth = sample_snapshot(scenario, 0, draws=draws)
             reported_fix = None
             for case, positions, rho_u in (
                 ("case1", truth.sensor_true_positions, 0.0),

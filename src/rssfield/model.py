@@ -148,6 +148,9 @@ class PropagationParams:
         # the shadowing correlation exp(-d / d_corr) is nan on its diagonal at 0
         if not self.d_corr > 0:
             raise ValueError("d_corr must be > 0")
+        for name in ("alpha", "power", "sigma_v", "d_corr", "sigma_w", "sigma_d"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

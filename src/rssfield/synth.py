@@ -13,13 +13,13 @@ and syrk split their work differently at different thread counts, so
 reference-size snapshots hash differently at OPENBLAS_NUM_THREADS=1 and =2;
 the library sets no thread count.
 
-The generator caches one world's unit draws (M grid floats, N sensor
-floats), not the M x M grid factor L that made them (keys and reasons at the
-caches below). L is factored in place in the correlation buffer, and a world
-whose roster does not move (Static, Intermittent, PowerSchedule) releases it
-when sampled at t >= 1; a case sweep and a Moving world keep it. V is solved
-in the buffer of K_gs and L_c is factored in the buffer of K_ss; neither
-outlives the draw of its roster.
+Each Scenario owns its unit draws (M grid floats, N sensor floats; see
+``Draws``), so they live exactly as long as the world. A world whose roster
+does not move (Static, Intermittent, PowerSchedule) makes them all at its
+first sample and keeps no M x M grid factor L; a Moving world conditions its
+roster anew at every step and keeps L for as long as it lives. L is factored
+in place in the correlation buffer, V is solved in the buffer of K_gs and L_c
+is factored in the buffer of K_ss; neither outlives the draw of its roster.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ class Moving:
     step_std: float  # meters, per axis
 
     def __post_init__(self):
-        if self.step_std < 0:
-            raise ValueError("step_std must be >= 0")
+        if not (math.isfinite(self.step_std) and self.step_std >= 0):
+            raise ValueError(f"step_std must be finite and >= 0, got {self.step_std!r}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,8 @@ class PowerSchedule:
         times = [t for t, _ in sched]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("power_schedule times must be strictly increasing")
+        if not all(math.isfinite(p) for _, p in sched):
+            raise ValueError(f"power_schedule powers must be finite, got {sched!r}")
         object.__setattr__(self, "schedule", sched)
 
 
@@ -103,7 +105,8 @@ class Scenario:
     """Ground-truth world configuration for the synthetic generator.
 
     The seed (an integer >= 0) roots the seed tree of every draw: sensor
-    placement, field, noise and dynamics.
+    placement, field, noise and dynamics. Its own ``Draws`` is not a field:
+    it is not compared, shown or copied by ``dataclasses.replace``.
     """
 
     params: PropagationParams
@@ -119,8 +122,9 @@ class Scenario:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         w, h = self.area
-        if w <= 0 or h <= 0:
-            raise ValueError("area must be positive")
+        if not (math.isfinite(w) and math.isfinite(h) and w > 0 and h > 0):
+            raise ValueError(f"area must be finite and positive, got {self.area!r}")
+        object.__setattr__(self, "_draws", Draws(keep_factor=isinstance(self.dynamics, Moving)))
 
     @property
     def area_bounds(self) -> tuple:
@@ -161,27 +165,6 @@ def _correlation(a_xy, b_xy, d_corr: float) -> np.ndarray:
     return corr
 
 
-# One world's draws at a time, each under its key: every workload and
-# subcommand draws from one grid and one sensor roster at a time, so a second
-# slot would only hold entries that are never read again, and a new key drops
-# the old entry before its replacement is built.
-# - _grid_draw: the unit grid draw u_g = L xi_g (M floats), keyed on
-#   (grid, d_corr, seed); the grid shadowing is sigma_v u_g.
-# - _sensor_draw: the unit sensor draw u_s (N floats, see _unit_sensor_draw),
-#   keyed on (grid, roster, d_corr, seed, step); the step is t for a Moving
-#   world and 0 otherwise. The sensor shadowing is sigma_v u_s, so a sweep
-#   over sigma_v^2 factors each roster's conditional once.
-# - _grid_factor: the grid correlation's Cholesky factor L (M x M), keyed on
-#   (grid, d_corr). Only the two entries above read it, so a world whose
-#   roster does not move drops it when sampled at t >= 1: from then on that
-#   world reads only its draws. A case sweep samples only t = 0 and keeps L
-#   for the next replicate's world on the same grid; moving sensors need a new
-#   conditional every step and keep it too.
-_grid_factor: dict = {}
-_grid_draw: dict = {}
-_sensor_draw: dict = {}
-
-
 def _factor_in_place(corr: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of corr + _SHADOW_JITTER I in corr's own buffer,
     after a blocked finiteness scan. corr is exactly symmetric, so its
@@ -193,56 +176,72 @@ def _factor_in_place(corr: np.ndarray) -> np.ndarray:
     return low
 
 
-def _grid_corr_chol(grid: Grid, d_corr: float) -> np.ndarray:
-    key = (grid.xy.tobytes(), float(d_corr))
-    if key not in _grid_factor:
-        _grid_factor.clear()
-        _grid_factor[key] = _factor_in_place(_correlation(grid.xy, grid.xy, d_corr))
-    return _grid_factor[key]
-
-
 def _grid_normals(grid: Grid, seed: int) -> np.ndarray:
     """xi_g: the seed's standard normal vector behind its grid shadowing."""
     return _rng(seed, _K_GRID_FIELD).standard_normal(grid.n_nodes)
 
 
-def _unit_grid_draw(grid: Grid, d_corr: float, seed: int) -> np.ndarray:
-    """u_g = L xi_g: the grid shadowing of the seed's world per unit sigma_v."""
-    key = (grid.xy.tobytes(), float(d_corr), seed)
-    if key not in _grid_draw:
-        _grid_draw.clear()
-        _grid_draw[key] = matvec(_grid_corr_chol(grid, d_corr), _grid_normals(grid, seed))
-    return _grid_draw[key]
-
-
-def _sensor_factors(grid: Grid, sensor_xy: np.ndarray, d_corr: float) -> tuple:
-    """(V, L_c) of the sensor correlation given the grid's, with L L^T = K_gg.
+def _sensor_factors(low: np.ndarray, grid: Grid, sensor_xy: np.ndarray, d_corr: float) -> tuple:
+    """(V, L_c) of the sensor correlation given the grid's, with L L^T = K_gg
+    and ``low`` = L.
 
     V = L^-1 K_gs (M x N) and L_c L_c^T = K_ss - V^T V, the conditional
     correlation, so the joint correlation of [grid; sensors] is
     [[L L^T, L V], [V^T L^T, V^T V + L_c L_c^T]]. V is solved in the buffer
     of K_gs (``gp.solve_w``) and L_c is factored in the buffer of K_ss.
     """
-    v = solve_w(_grid_corr_chol(grid, d_corr), _correlation(sensor_xy, grid.xy, d_corr))
+    v = solve_w(low, _correlation(sensor_xy, grid.xy, d_corr))
     cond = _correlation(sensor_xy, sensor_xy, d_corr)
     subtract_gram(cond, v)
     return v, _factor_in_place(cond)
 
 
-def _unit_sensor_draw(grid: Grid, sensor_xy: np.ndarray, d_corr: float, seed: int, step: int) -> np.ndarray:
+def _unit_sensor_draw(low, grid: Grid, sensor_xy: np.ndarray, d_corr: float, seed: int, step: int) -> np.ndarray:
     """u_s = V^T xi_g + L_c xi_s: the sensor shadowing per unit sigma_v, drawn
     from its exact conditional given the grid's u_g = L xi_g.
 
     The conditional mean K_sg K_gg^-1 u_g is V^T xi_g, so one triangular solve
     (GPML Algorithm 2.1's V = L^-1 k) stands in for a full solve with K_gg.
     """
-    key = (grid.xy.tobytes(), sensor_xy.tobytes(), float(d_corr), seed, step)
-    if key not in _sensor_draw:
-        _sensor_draw.clear()
-        v, low_cond = _sensor_factors(grid, sensor_xy, d_corr)
-        xi_s = _rng(seed, _K_SENSOR_FIELD, step).standard_normal(sensor_xy.shape[0])
-        _sensor_draw[key] = matvec(v.T, _grid_normals(grid, seed)) + matvec(low_cond, xi_s)
-    return _sensor_draw[key]
+    v, low_cond = _sensor_factors(low, grid, sensor_xy, d_corr)
+    xi_s = _rng(seed, _K_SENSOR_FIELD, step).standard_normal(sensor_xy.shape[0])
+    return matvec(v.T, _grid_normals(grid, seed)) + matvec(low_cond, xi_s)
+
+
+class Draws:
+    """Unit draws of synthetic worlds as (key, array) pairs: the grid draw
+    u_g = L xi_g under (grid, d_corr, seed), the roster's sensor draw u_s
+    under that key, the roster and the step (t if the roster moves, else 0)
+    and, with ``keep_factor``, the grid factor L under (grid, d_corr). A new
+    key replaces its entry. Every Scenario owns one; worlds on one grid that
+    share one, as a case sweep's do, factor the grid once and draw each
+    roster once for every sigma_v."""
+
+    def __init__(self, keep_factor: bool = True):
+        self.keep_factor = keep_factor
+        self.factor = self.grid = self.sensor = (None, None)
+
+    def unit(self, grid: Grid, roster_xy: np.ndarray, d_corr: float, seed: int, step: int) -> tuple:
+        """(u_g, u_s), drawn from L only where the held draw's key differs.
+        Each entry is read and replaced as one pair, so a caller always gets
+        the draws of its own keys."""
+        factor_key = (grid.xy.tobytes(), float(d_corr))
+        grid_key = factor_key + (seed,)
+        sensor_key = grid_key + (roster_xy.tobytes(), step)
+        (held_grid, u_g), (held_sensor, u_s) = self.grid, self.sensor
+        if held_grid == grid_key and held_sensor == sensor_key:
+            return u_g, u_s
+        held_factor, low = self.factor
+        if held_factor != factor_key:
+            low = _factor_in_place(_correlation(grid.xy, grid.xy, d_corr))
+            if self.keep_factor:
+                self.factor = (factor_key, low)
+        if held_grid != grid_key:
+            u_g = matvec(low, _grid_normals(grid, seed))
+            self.grid = (grid_key, u_g)
+        u_s = _unit_sensor_draw(low, grid, roster_xy, d_corr, seed, step)
+        self.sensor = (sensor_key, u_s)
+        return u_g, u_s
 
 
 def base_positions(scenario: Scenario) -> np.ndarray:
@@ -281,7 +280,7 @@ def _advance(scenario: Scenario, t: int) -> _Step:
     return _Step(roster, reporting, power, 0)
 
 
-def _shadowing_at(scenario: Scenario, t: int, step: _Step):
+def _shadowing_at(scenario: Scenario, step: _Step, draws: Draws):
     """(v_grid, v_roster) sharing one correlated field.
 
     The grid component is fixed per scenario seed. The roster's shadowing is
@@ -292,25 +291,23 @@ def _shadowing_at(scenario: Scenario, t: int, step: _Step):
     p = scenario.params
     if p.sigma_v == 0.0:
         return np.zeros(scenario.grid.n_nodes), np.zeros(scenario.n_sensors)
-    u_g = _unit_grid_draw(scenario.grid, p.d_corr, scenario.seed)
-    u_s = _unit_sensor_draw(scenario.grid, step.roster_xy, p.d_corr, scenario.seed, step.shadow_step)
-    if t >= 1 and step.shadow_step == 0:
-        _grid_factor.clear()  # this world reads only its cached draws from now on
+    u_g, u_s = draws.unit(scenario.grid, step.roster_xy, p.d_corr, scenario.seed, step.shadow_step)
     return p.sigma_v * u_g, p.sigma_v * u_s
 
 
-def sample_snapshot(scenario: Scenario, t: int = 0) -> tuple:
+def sample_snapshot(scenario: Scenario, t: int = 0, *, draws: Optional[Draws] = None) -> tuple:
     """Draw the measurement snapshot and matching ground truth for step t.
 
     The truth names the reporting sensors by their roster indices. Reported
     sensor positions are the true positions plus an isotropic Gaussian
     perturbation with per-axis std sigma_d, which makes the reported
     transmitter-distance error std approach sigma_d at distances >> sigma_d.
+    The unit draws come from ``draws`` if given, else from the scenario's own.
     """
     p = scenario.params
     step = _advance(scenario, t)
     ids = step.reporting
-    v_g, v_roster = _shadowing_at(scenario, t, step)
+    v_g, v_roster = _shadowing_at(scenario, step, scenario._draws if draws is None else draws)
 
     d_grid = clamped_distances(scenario.grid.xy, p.tx_position)
     grid_field = step.power - 10.0 * p.alpha * np.log10(d_grid) + v_g

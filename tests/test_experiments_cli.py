@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rssfield as rf
-from rssfield import cli
+from rssfield import cli, synth
 from rssfield.experiments import (
     ConfigError,
     DataError,
@@ -286,6 +286,25 @@ def test_run_cases_metrics_are_byte_identical_across_runs(tmp_path):
     s1 = (tmp_path / "a" / "cases_summary.csv").read_bytes()
     s2 = (tmp_path / "b" / "cases_summary.csv").read_bytes()
     assert s1 == s2
+
+
+def test_run_cases_factors_the_grid_once_and_each_roster_once_per_call(tmp_path, monkeypatch):
+    # one Draws per call: the grid (25 nodes) is factored once, and each
+    # replicate's roster (40 sensors) once across the sigma_v^2 sweep, since
+    # the unit draws do not depend on sigma_v; a second call starts afresh
+    built, real = [], synth.cholesky
+
+    def counting(a, **kwargs):
+        built.append(a.shape[0])
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(synth, "cholesky", counting)
+    cfg = _tiny_cases_config(tmp_path)
+    cfg.sigma_v_sq_sweep = (4.0, 10.0, 16.0)
+    for _ in range(2):
+        built.clear()
+        run_cases(cfg)
+        assert built == [25, 40, 40]
 
 
 def test_run_cases_noise_free_degenerate(tmp_path):

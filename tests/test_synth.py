@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -39,6 +40,42 @@ def test_scenario_needs_a_sensor():
     # every snapshot holds a report: Intermittent keeps ceil((1 - f) n) >= 1 of n >= 1
     with pytest.raises(ValueError, match="n_sensors must be >= 1"):
         small_scenario(0, n_sensors=0)
+
+
+def _params(**fields):
+    return dataclasses.replace(small_scenario(0).params, **fields)
+
+
+def _area(area):
+    return dataclasses.replace(small_scenario(0), area=area)
+
+
+# case -> (construction, the field its ValueError names)
+_NON_FINITE = {
+    "alpha-nan": (lambda: _params(alpha=math.nan), "alpha"),
+    "power-nan": (lambda: _params(power=math.nan), "power"),
+    "power-inf": (lambda: _params(power=-math.inf), "power"),
+    "sigma_v-nan": (lambda: _params(sigma_v=math.nan), "sigma_v"),
+    "d_corr-inf": (lambda: _params(d_corr=math.inf), "d_corr"),
+    "sigma_w-nan": (lambda: _params(sigma_w=math.nan), "sigma_w"),
+    "sigma_w-inf": (lambda: _params(sigma_w=math.inf), "sigma_w"),
+    "sigma_d-nan": (lambda: _params(sigma_d=math.nan), "sigma_d"),
+    "area-nan": (lambda: _area((math.nan, 200.0)), "area"),
+    "area-inf": (lambda: _area((200.0, math.inf)), "area"),
+    "step_std-nan": (lambda: Moving(step_std=math.nan), "step_std"),
+    "step_std-inf": (lambda: Moving(step_std=math.inf), "step_std"),
+    "power_schedule-nan": (lambda: PowerSchedule(((1, math.nan),)), "power_schedule"),
+    "power_schedule-inf": (lambda: PowerSchedule(((0, -10.0), (1, math.inf))), "power_schedule"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE))
+def test_synth_value_types_reject_non_finite_fields_at_construction(case):
+    # a non-finite field would otherwise surface at sample time, if at all: a
+    # nan step_std never moves the roster, a nan area overflows the placement
+    build, field = _NON_FINITE[case]
+    with pytest.raises(ValueError, match=rf"^{field}\b.* finite"):
+        build()
 
 
 def test_shadowing_covariance_matches_entrywise_oracle():
@@ -202,17 +239,8 @@ def test_moving_sensors_share_the_static_grid_field():
     assert not np.allclose(t0.sensor_true_positions, t3.sensor_true_positions)
 
 
-_CACHES = ("_grid_factor", "_grid_draw", "_sensor_draw")
-
-
-def _empty_caches(monkeypatch):
-    for name in _CACHES:
-        monkeypatch.setattr(synth, name, {})
-
-
 def _counting_cholesky(monkeypatch):
-    """Empty synth caches, and the list of the sizes synth.cholesky factors."""
-    _empty_caches(monkeypatch)
+    """The list of the sizes synth.cholesky factors from now on."""
     built, real = [], synth.cholesky
 
     def counting(a, **kwargs):
@@ -223,26 +251,16 @@ def _counting_cholesky(monkeypatch):
     return built
 
 
-def test_synth_keeps_one_worlds_factors(monkeypatch):
-    # a sweep over seeds on one grid factors the grid once, and each world's
-    # roster gets its own conditional
-    built = _counting_cholesky(monkeypatch)
-    for seed in range(4):
-        sample_snapshot(small_scenario(seed), 0)
-    assert built == [9, 12, 12, 12, 12]
-    assert len(synth._grid_factor) == len(synth._grid_draw) == len(synth._sensor_draw) == 1
-
-    # a fixed-roster world releases the grid factor at t >= 1 and reads only its
-    # draws from then on; a later new world rebuilds the factor
+def test_a_world_factors_its_grid_once_and_keeps_the_factor_only_if_it_moves(monkeypatch):
+    # a fixed-roster world makes all its draws at its first sample and reads
+    # them at every later t; a new world on the same seed draws its own
     for dynamics in (Static(), Intermittent(0.5), PowerSchedule(((1, -4.0),))):
         built = _counting_cholesky(monkeypatch)
         world = small_scenario(0, dynamics=dynamics)
-        sample_snapshot(world, 0)
-        assert built == [9, 12] and len(synth._grid_factor) == 1
-        for t in (1, 2, 0):
+        for t in (0, 1, 2, 0):
             sample_snapshot(world, t)
-        assert built == [9, 12] and synth._grid_factor == {}
-        sample_snapshot(small_scenario(1, dynamics=dynamics), 0)
+        assert built == [9, 12]
+        sample_snapshot(small_scenario(0, dynamics=dynamics), 0)
         assert built == [9, 12, 9, 12]
 
     # a moving world needs a new conditional every step, so it keeps the factor
@@ -251,21 +269,27 @@ def test_synth_keeps_one_worlds_factors(monkeypatch):
     for t in range(4):
         sample_snapshot(world, t)
     assert built == [9, 12, 12, 12, 12]
-    assert len(synth._grid_factor) == 1
+
+    # worlds on one grid that share one Draws, as a case sweep's do, factor the
+    # grid once, and each world's roster gets its own conditional
+    built = _counting_cholesky(monkeypatch)
+    draws = synth.Draws()
+    for seed in range(4):
+        sample_snapshot(small_scenario(seed), 0, draws=draws)
+    assert built == [9, 12, 12, 12, 12]
 
 
 @pytest.mark.parametrize("dynamics", [Static(), Moving(5.0)], ids=["static", "moving"])
-def test_sensor_factors_rebuild_the_joint_correlation(monkeypatch, dynamics):
+def test_sensor_factors_rebuild_the_joint_correlation(dynamics):
     # dense oracle: with L L^T the grid's correlation, V = L^-1 K_gs and L_c the
     # conditional's factor, [[L L^T, L V], [V^T L^T, V^T V + L_c L_c^T]] is the
     # correlation of [grid; sensors] with the jitter on its diagonal
-    _empty_caches(monkeypatch)
     sc = small_scenario(2, dynamics=dynamics)
     d_corr = sc.params.d_corr
     for t in (0, 2):
         xy = synth._advance(sc, t).roster_xy
-        low = synth._grid_corr_chol(sc.grid, d_corr)
-        v, low_c = synth._sensor_factors(sc.grid, xy, d_corr)
+        low = synth._factor_in_place(_correlation(sc.grid.xy, sc.grid.xy, d_corr))
+        v, low_c = synth._sensor_factors(low, sc.grid, xy, d_corr)
         assert v.shape == (9, 12) and low_c.shape == (12, 12)
         joint = np.block([[low @ low.T, low @ v], [v.T @ low.T, v.T @ v + low_c @ low_c.T]])
         pts = np.vstack([sc.grid.xy, xy])
@@ -275,13 +299,15 @@ def test_sensor_factors_rebuild_the_joint_correlation(monkeypatch, dynamics):
 
 @pytest.mark.parametrize("dynamics", [Static(), Moving(5.0)], ids=["static", "moving"])
 def test_sensor_shadowing_is_sigma_v_times_one_unit_draw_per_roster(monkeypatch, dynamics):
-    # a sweep over sigma_v^2 scales one unit draw, as the grid's does, and
-    # factors each roster's conditional once
+    # a sweep over sigma_v^2 through one Draws scales one unit draw, as the
+    # grid's does, and factors each roster's conditional once
     built = _counting_cholesky(monkeypatch)
+    draws = synth.Draws()
     for t in (0, 1):
         for sigma_v in (1.0, math.sqrt(10), 4.0):
-            _, truth = sample_snapshot(small_scenario(3, sigma_v=sigma_v, dynamics=dynamics), t)
-            (u_s,) = synth._sensor_draw.values()
+            _, truth = sample_snapshot(small_scenario(3, sigma_v=sigma_v, dynamics=dynamics), t, draws=draws)
+            if sigma_v == 1.0:
+                u_s = truth.sensor_shadowing
             assert_array_equal(truth.sensor_shadowing, sigma_v * u_s)
     assert built == ([9, 12, 12] if isinstance(dynamics, Moving) else [9, 12])
 
@@ -295,24 +321,41 @@ def _assert_same_snapshot(a, b):
         assert_array_equal(x, y)
 
 
-def test_warm_caches_draw_what_fresh_caches_draw(monkeypatch):
-    # order-independence oracle: a sweep, then tracked worlds of every dynamics,
-    # then the sweep again, each snapshot against one drawn from empty caches
-    def world(seed, dynamics=Static()):
-        return rf.benchmark_scenario(seed=seed, nx=8, ny=9, n_sensors=30, dynamics=dynamics)
+def _small_world(seed, dynamics=Static()):
+    return rf.benchmark_scenario(seed=seed, nx=8, ny=9, n_sensors=30, dynamics=dynamics)
 
-    sweep = [(world(seed), 0) for seed in range(3)]
+
+def test_shared_and_warm_draws_draw_what_a_fresh_world_draws():
+    # order-independence oracle: a sweep, then tracked worlds of every dynamics,
+    # then the sweep again, drawn through one shared Draws and through each
+    # world's own, each snapshot against one from a fresh copy of its world
+    sweep = [(_small_world(seed), 0) for seed in range(3)]
     tracked = [
-        (world(seed, dynamics), t)
+        (_small_world(seed, dynamics), t)
         for seed, dynamics in [(3, Intermittent(0.2)), (4, Moving(5.0)), (5, PowerSchedule(((2, -4.0),)))]
         for t in range(4)
     ]
     order = sweep + tracked + sweep
-    _empty_caches(monkeypatch)
-    warm = [sample_snapshot(sc, t) for sc, t in order]
-    for (sc, t), drawn in zip(order, warm):
-        _empty_caches(monkeypatch)
-        _assert_same_snapshot(drawn, sample_snapshot(sc, t))
+    shared = synth.Draws()
+    through_shared = [sample_snapshot(sc, t, draws=shared) for sc, t in order]
+    through_own = [sample_snapshot(sc, t) for sc, t in order]
+    for (sc, t), a, b in zip(order, through_shared, through_own):
+        fresh = sample_snapshot(dataclasses.replace(sc), t)
+        _assert_same_snapshot(a, fresh)
+        _assert_same_snapshot(b, fresh)
+
+
+def test_two_worlds_sampled_in_turn_factor_nothing_after_their_first_samples(monkeypatch):
+    alone = {seed: [sample_snapshot(_small_world(seed, Intermittent(0.2)), t) for t in range(11)]
+             for seed in (1, 2)}
+    worlds = {seed: _small_world(seed, Intermittent(0.2)) for seed in (1, 2)}
+    for world in worlds.values():
+        sample_snapshot(world, 0)
+    built = _counting_cholesky(monkeypatch)
+    for t in range(1, 11):
+        for seed, world in worlds.items():
+            _assert_same_snapshot(sample_snapshot(world, t), alone[seed][t])
+    assert built == []
 
 
 @pytest.mark.parametrize("shape", [(9, 9), (12, 9), (12, 12)], ids=["grid", "grid-sensor", "sensor"])
@@ -320,7 +363,6 @@ def test_non_finite_correlation_raises_before_lapack(monkeypatch, shape):
     # synth scans the grid correlation and the sensor conditional, and
     # gp.solve_w scans K_gs, one block of rows at a time, and tells LAPACK not
     # to: a NaN still raises scipy's ValueError
-    _empty_caches(monkeypatch)
     real = synth._correlation
 
     def poisoned(a_xy, b_xy, d_corr):
@@ -347,10 +389,14 @@ def test_non_finite_correlation_raises_before_lapack(monkeypatch, shape):
     assert calls == expected[shape]
 
 
-def test_first_snapshot_factors_in_place_and_t1_holds_no_grid_matrix(monkeypatch):
-    _empty_caches(monkeypatch)
-    sc = rf.benchmark_scenario(seed=2, nx=32, ny=32, n_sensors=50, dynamics=Intermittent(0.2))
-    one_matrix = sc.grid.n_nodes**2 * 8
+@pytest.mark.parametrize("dynamics", [Static(), Intermittent(0.2), Moving(5.0)],
+                         ids=["static", "intermittent", "moving"])
+def test_first_snapshot_factors_in_place_and_the_world_frees_its_draws_with_itself(dynamics):
+    # lazy imports and first-call set-up happen outside the trace
+    sample_snapshot(rf.benchmark_scenario(seed=1, nx=4, ny=4, n_sensors=5, dynamics=dynamics), 1)
+    sc = rf.benchmark_scenario(seed=2, nx=32, ny=32, n_sensors=50, dynamics=dynamics)
+    n_nodes, n_sensors = sc.grid.n_nodes, sc.n_sensors
+    one_matrix = n_nodes**2 * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -360,15 +406,18 @@ def test_first_snapshot_factors_in_place_and_t1_holds_no_grid_matrix(monkeypatch
         held_t0 = tracemalloc.get_traced_memory()[0] - base
         sample_snapshot(sc, 1)
         held_t1 = tracemalloc.get_traced_memory()[0] - base
+        del sc
+        left = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
     # the grid factor is the correlation buffer itself: a copy would double it,
     # and scipy's finiteness scan of it (one byte per entry) would add 0.125
     assert peak < 1.1 * one_matrix, f"first snapshot peak {peak / one_matrix:.2f} grid matrices"
-    assert held_t0 > one_matrix  # the factor stays for the next world's draws
-    # besides L, synth keeps the unit draws and their keys, O(M + N) floats:
-    # no M x N array outlives the draw
-    beside_factor = held_t0 - one_matrix
-    assert beside_factor < 16 * 8 * (sc.grid.n_nodes + sc.n_sensors), f"{beside_factor / 1e3:.0f} kB beside L"
-    assert held_t1 < 0.1 * one_matrix, f"synth holds {held_t1 / 1e6:.1f} MB after t = 1"
-    assert synth._grid_factor == {}
+    # only a moving world keeps L, for its next step's conditional; besides L
+    # the world keeps its unit draws and their keys, O(M + N) floats: no M x N
+    # array outlives the draw
+    factor = one_matrix if isinstance(dynamics, Moving) else 0
+    for held in (held_t0, held_t1):
+        beside_factor = held - factor
+        assert 0 <= beside_factor < 16 * 8 * (n_nodes + n_sensors), f"{beside_factor / 1e3:.0f} kB beside L"
+    assert left < 8 * n_nodes, f"{left} bytes left after the world is dropped"
