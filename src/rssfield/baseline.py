@@ -18,7 +18,7 @@ from scipy.optimize import least_squares
 
 from .empbayes import DegenerateFitError, HyperEstimate
 from .gp import matvec, prior_mean, row_blocks
-from .model import Grid, check_reports, distance_matrix
+from .model import Grid, check_reports, distance_matrix, require_finite
 
 _DUP_EPS = 1e-9
 # distance bins of the empirical semivariogram, before any widening
@@ -34,6 +34,7 @@ class VariogramModel:
     range_m: float  # meters
 
     def __post_init__(self):
+        require_finite(self, "nugget", "sill", "range_m")
         if self.nugget < 0 or self.sill < 0:
             raise ValueError("nugget and sill must be >= 0")
         if self.range_m <= 0:

@@ -2,9 +2,12 @@
 
 The GP posterior variance alone is a bound when the prior-mean parameters are
 known. Estimating them (power level, path-loss exponent and the transmitter
-fix) adds g^T M^-1 g, a quadratic form in the derivative of the predictive
-mean with respect to those four parameters, where M is their information
-matrix under the training covariance.
+fix) adds g^T M^-1 g, a quadratic form in the derivative g of the predictive
+mean with respect to those four parameters, where M = J^T C^-1 J is their
+information matrix under the training covariance C, J the derivative of the
+reports' prior mean (the mean term of Kay, Estimation Theory, 1993, eq. 3.31;
+C's dependence on the fix is not in M). Neither reads the reported levels,
+so the bound does not follow them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from scipy.linalg.blas import dgemm
 
 from .empbayes import HyperEstimate
 # chol_with_jitter and kernel_matrix are unused here; the benchmark tracer resolves them by module name
-from .gp import KernelParams, chol_with_jitter, condition_w, kernel_diag, kernel_matrix, prior_mean  # noqa: F401
+from .gp import KernelParams, chol_with_jitter, condition_w, kernel_diag, kernel_matrix  # noqa: F401
 from .model import LOG10_E, Grid, NoiseModel, NumericalError, check_reports, clamped_distances, log_distance_feature
 
 _SINGULAR_RCOND = 1e-10
@@ -58,37 +61,23 @@ def hcrb_all(
 
     Every C^-1 product is a pair of triangular solves, A^T C^-1 B =
     (L^-1 A)^T (L^-1 B), with W = L^-1 K_Xg shared by the GP variance
-    k(g, g) - sum(W^2) and by the predictive-mean derivative terms; the
-    information matrix is (L^-1 J)^T (L^-1 J). The reports pass
-    ``check_reports`` first, as a snapshot's do; only their positions are
-    read.
+    k(g, g) - sum(W^2) and by g = dm_g - J^T C^-1 K_Xg; the information
+    matrix is (L^-1 J)^T (L^-1 J). The reports pass ``check_reports``
+    first, as a snapshot's do; only their positions are read, so a common
+    dB offset on them leaves the bound where it is.
 
     L and W come from ``gp.condition_w``: right after ``posterior`` with its
     covariance on the same reports, grid, kernel, fix and noise, they are
-    the posterior's own, taken from gp's handoff slot, and u = C^-1 m_X is
-    one potrs on L; otherwise this conditions anew. Both give the same bits.
+    the posterior's own, taken from gp's handoff slot; otherwise this
+    conditions anew. Both give the same bits.
     """
     xy, _ = check_reports(*train)
     tx = hyper.tx
-    d_hat = clamped_distances(xy, tx)
-    # u = C^-1 m_X; w is (N, m)
-    low, w, u = condition_w(xy, grid.xy, prior_mean(xy, hyper), kernel, tx, noise.variances(d_hat))
+    low, w = condition_w(xy, grid.xy, kernel, tx, noise.variances(clamped_distances(xy, tx)))  # w is (N, m)
 
-    # Jacobian of the training prior mean w.r.t. (mu_p, mu_alpha, tx)
-    jac = grid_mean_gradient(xy, tx, hyper.mu_alpha)  # (N, 4)
-
-    # derivative of the training covariance w.r.t. the fix, through 1/d^2
-    rho_sq = noise.rho_u**2
-    with np.errstate(over="ignore", invalid="ignore"):
-        a1_diag = -2.0 * rho_sq * (tx.x - xy[:, 0]) / d_hat**4
-        a2_diag = -2.0 * rho_sq * (tx.y - xy[:, 1]) / d_hat**4
-        loc_cols = np.column_stack([u * a1_diag, u * a2_diag])
-    if not np.all(np.isfinite(loc_cols)):
-        raise NumericalError(f"the bound's location-error columns u * a are not finite (rho_u = {noise.rho_u:g})")
-
-    # L^-1 [J, u*a1, u*a2]
-    v = solve_triangular(low, np.column_stack([jac, loc_cols]), lower=True)
-    info = v[:, :4].T @ v[:, :4]  # (4, 4)
+    # V = L^-1 J, J the Jacobian of the training prior mean w.r.t. (mu_p, mu_alpha, tx)
+    v = solve_triangular(low, grid_mean_gradient(xy, tx, hyper.mu_alpha), lower=True)  # (N, 4)
+    info = v.T @ v  # (4, 4)
     eig = np.linalg.eigvalsh(info)
     singular = bool(eig[0] <= _SINGULAR_RCOND * max(eig[-1], 0.0) or eig[0] <= 0.0)
     if singular:
@@ -98,11 +87,8 @@ def hcrb_all(
 
     gp_var = kernel_diag(grid.xy, kernel, tx) - np.einsum("ij,ij->j", w, w)
 
-    # g = dm_g/dtheta - J^T C^-1 K_Xg + (u*a1, u*a2)^T C^-1 K_Xg, one row per node
-    terms = dgemm(1.0, v, w, trans_a=1)  # V^T W, (6, m); both operands F-ordered
-    g = grid_mean_gradient(grid.xy, tx, hyper.mu_alpha) - terms[:4].T
-    g[:, 2] += terms[4]
-    g[:, 3] += terms[5]
+    # g = dm_g/dtheta - J^T C^-1 K_Xg, one row per node; V^T W is (4, m), both operands F-ordered
+    g = grid_mean_gradient(grid.xy, tx, hyper.mu_alpha) - dgemm(1.0, v, w, trans_a=1).T
     added = np.maximum(np.sum((g @ info_inv) * g, axis=1), 0.0)
     if not np.all(np.isfinite(added)):
         raise NumericalError("the bound's added term g^T M^-1 g is not finite")

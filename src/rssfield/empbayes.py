@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import D_MIN, MeasurementSnapshot, Position, clamped_distances, log_distance_feature
+from .model import D_MIN, MeasurementSnapshot, Position, clamped_distances, log_distance_feature, require_finite
 from .localize import CentroidState, NoFixError, centroid_update
 
 ALPHA_MIN = 2.0
@@ -62,6 +62,7 @@ class HyperEstimate:
     tx: Position
 
     def __post_init__(self):
+        require_finite(self, "mu_p", "mu_alpha", "var_p", "var_alpha")
         if self.mu_alpha < ALPHA_MIN - 1e-12:
             raise ValueError("mu_alpha must be >= 2")
         if min(self.var_p, self.var_alpha) < 0:

@@ -177,8 +177,8 @@ class ExperimentConfig:
         for name in ("steps", "replicates"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if not self.sigma_v_sq_sweep or not all(v >= 0 for v in self.sigma_v_sq_sweep):
-            raise ConfigError("sigma_v_sq_sweep needs one or more values >= 0")
+        if not self.sigma_v_sq_sweep or not all(math.isfinite(v) and v >= 0 for v in self.sigma_v_sq_sweep):
+            raise ConfigError(f"sigma_v_sq_sweep needs one or more finite values >= 0, got {self.sigma_v_sq_sweep!r}")
         # the scenario takes sigma_v squared, so it cannot see the sign, and
         # squaring a huge sigma_v overflows before the scenario sees it
         if self.sigma_v < 0:

@@ -92,6 +92,7 @@ from .model import (
     clamped_distances,
     distance_matrix,
     log_distance_feature,
+    require_finite,
 )
 
 _VAR_LO, _VAR_HI = 1e-4, 1e4  # bounds on sigma_k^2
@@ -116,6 +117,7 @@ class KernelParams:
     sigma_p_k: float  # dBm
 
     def __post_init__(self):
+        require_finite(self, "sigma_k", "ell", "sigma_alpha_k", "sigma_p_k")
         if min(self.sigma_k, self.sigma_alpha_k, self.sigma_p_k) < 0 or self.ell <= 0:
             raise ValueError("kernel scales must be >= 0 and ell > 0")
 
@@ -389,21 +391,19 @@ def _handoff_key(xy, targets_xy, kernel: KernelParams, kernel_tx: Position, nois
     return (*(np.asarray(a, dtype=float).tobytes() for a in arrays), kernel, kernel_tx)
 
 
-def condition_w(xy, targets_xy, rhs, kernel: KernelParams, kernel_tx: Position, noise_var) -> tuple:
-    """(L, W, (K_X + S)^-1 rhs) with W = L^-1 K_Xg, as ``condition`` and
-    ``solve_w`` give them.
+def condition_w(xy, targets_xy, kernel: KernelParams, kernel_tx: Position, noise_var) -> tuple:
+    """(L, W) with W = L^-1 K_Xg, as ``condition`` (on no right-hand side)
+    and ``solve_w`` give them.
 
     When the handoff slot holds ``posterior``'s conditioning on exactly these
-    inputs (see the module docstring), L and W are taken from it instead, and
-    rhs costs one potrs on L. The slot is empty afterwards either way.
+    inputs (see the module docstring), it is taken instead. The slot is
+    empty afterwards either way.
     """
     taken = _handoff.pop(_handoff_key(xy, targets_xy, kernel, kernel_tx, noise_var), None)
     if taken is None:
-        low, k_gx, solved = condition(xy, targets_xy, rhs, kernel, kernel_tx, noise_var)
-        return low, solve_w(low, k_gx), solved
-    low, w = taken
-    solved, _ = dpotrs(low, rhs, lower=1)
-    return low, w, solved
+        low, k_gx, _ = condition(xy, targets_xy, np.empty((len(xy), 0)), kernel, kernel_tx, noise_var)
+        return low, solve_w(low, k_gx)
+    return taken
 
 
 def prior_mean(positions, hyper: HyperEstimate) -> np.ndarray:

@@ -25,6 +25,14 @@ class NumericalError(RuntimeError):
     bound is not finite."""
 
 
+def require_finite(obj, *names) -> None:
+    """Raise ValueError naming the first of obj's fields that is NaN or infinite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Position:
     """A 2-D location in meters."""
@@ -148,9 +156,7 @@ class PropagationParams:
         # the shadowing correlation exp(-d / d_corr) is nan on its diagonal at 0
         if not self.d_corr > 0:
             raise ValueError("d_corr must be > 0")
-        for name in ("alpha", "power", "sigma_v", "d_corr", "sigma_w", "sigma_d"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        require_finite(self, "alpha", "power", "sigma_v", "d_corr", "sigma_w", "sigma_d")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ every posterior and recursive step, so any non-positive-definite grid
 covariance in these runs would surface as a NumericalError.
 """
 
+import dataclasses
+import functools
 import math
 import time
 
@@ -270,6 +272,78 @@ def test_criterion_5_hcrb_dominates_and_is_nearly_achieved():
         f"bound >= variance on 50 scenarios: {dominated}; "
         f"MC MSE {np.round(mc_mse, 2).tolist()} vs 0.8*bound {np.round(0.8 * bounds, 2).tolist()}",
     )
+
+
+# Where the bound is a bound: criterion 5's world (its 40 sensors, and 200 drawn
+# from the same seed, whose first 40 are those), probed on rings of eight nodes,
+# one every 45 degrees, at these distances from the transmitter
+RING_DISTANCES_M = (5.4, 10.0, 20.0, 40.0, 71.0, 80.0)
+RING_SENSORS = (40, 200)
+# rings where the Monte-Carlo MSE falls below 0.8 x bound, with the measured ratios
+BOUND_FAILS = {
+    (40, 5.4): "MC MSE / bound is 0.68 to 0.89 around the ring (0.68 at 135 degrees): with 40 sensors the "
+               "fitted means are biased next to the transmitter, and a Cramer-Rao-type bound holds only for "
+               "unbiased estimators",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _ring_mse_over_bound(n):
+    """MC MSE of the full static estimator over 2000 replays, divided by the
+    bound at the true parameters, as a (distance, direction) array."""
+    rng = np.random.default_rng(51)
+    sensors = rng.uniform(0, 240, (n, 2))
+    tx = Position(120.0, 120.0)
+    angle = np.arange(8) * np.pi / 4
+    ring = np.column_stack([np.cos(angle), np.sin(angle)])
+    probe = Grid((tx.as_array() + np.multiply.outer(RING_DISTANCES_M, ring)).reshape(-1, 2))
+    sigma_v, d_corr, sigma_w, sigma_d = math.sqrt(6.0), 50.0, 2.0, 8.0
+    mu_alpha_true, sigma_alpha = 3.5, 0.1
+    mu_p_true, sigma_p = -10.0, 1.0
+    noise = NoiseModel(rho_u=rf.rho_u_from(mu_alpha_true, sigma_d), sigma_w=sigma_w)
+    kernel = KernelParams.from_decay(sigma_v, d_corr, sigma_alpha, sigma_p)
+
+    joint = np.vstack([sensors, probe.xy])
+    cov_v = sigma_v**2 * _correlation(joint, joint, d_corr)
+    cov_v[np.diag_indices_from(cov_v)] += 1e-10
+    chol_v = np.linalg.cholesky(cov_v)
+    d_true = rf.clamped_distances(sensors, tx)
+    d_probe = rf.clamped_distances(probe.xy, tx)
+
+    sq_err = np.zeros(probe.n_nodes)
+    n_rep = 2000
+    for _ in range(n_rep):
+        alpha = rng.normal(mu_alpha_true, sigma_alpha)
+        power = rng.normal(mu_p_true, sigma_p)
+        v = chol_v @ rng.standard_normal(n + probe.n_nodes)
+        z = power - 10 * alpha * np.log10(d_true) + v[:n] + rng.normal(0, sigma_w, n)
+        truth = power - 10 * alpha * np.log10(d_probe) + v[n:]
+        reported = sensors + rng.normal(0, sigma_d, (n, 2))
+        snap = MeasurementSnapshot(t=0, positions=reported, rss=z)
+        fix, _ = rf.refine_all(snap, CentroidState(), ((0, 240), (0, 240)))
+        hyper = dataclasses.replace(hyper_at(snap, fix), var_p=sigma_p**2, var_alpha=sigma_alpha**2)
+        post = posterior((reported, z), probe, hyper, kernel, noise, compute_cov=False)
+        sq_err += (post.mean - truth) ** 2
+
+    hyper_true = HyperEstimate(
+        mu_p=mu_p_true, mu_alpha=mu_alpha_true, var_p=sigma_p**2, var_alpha=sigma_alpha**2, tx=tx
+    )
+    bounds = np.array([r.bound for r in rf.hcrb_all((sensors, np.zeros(n)), probe, hyper_true, kernel, noise)])
+    return (sq_err / n_rep / bounds).reshape(len(RING_DISTANCES_M), len(angle))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, dist", [
+    pytest.param(n, dist, id=f"{n}-sensors-{dist:g}m", marks=[
+        pytest.mark.xfail(strict=True, reason=BOUND_FAILS[n, dist])
+    ] if (n, dist) in BOUND_FAILS else [])
+    for n in RING_SENSORS
+    for dist in RING_DISTANCES_M
+])
+def test_bound_is_nearly_achieved_on_rings_around_the_transmitter(n, dist):
+    ratio = _ring_mse_over_bound(n)[RING_DISTANCES_M.index(dist)]
+    print(f"\n{n} sensors, {dist:g} m: MC MSE / bound {np.round(ratio, 3).tolist()}")
+    assert np.all(ratio >= 0.8), f"MC MSE / bound down to {ratio.min():.3f} at {n} sensors, {dist:g} m"
 
 
 def test_criterion_6_location_error_linearization():

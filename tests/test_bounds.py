@@ -10,7 +10,7 @@ from scipy.linalg import cho_factor, cho_solve
 from rssfield import gp
 from rssfield.bounds import HcrbReport, grid_mean_gradient, hcrb_all
 from rssfield.empbayes import HyperEstimate
-from rssfield.gp import KernelParams, kernel_matrix, posterior, prior_mean
+from rssfield.gp import KernelParams, kernel_matrix, posterior
 from rssfield.model import LOG10_E, Grid, NoiseModel, NumericalError, Position, clamped_distances
 
 
@@ -92,14 +92,9 @@ def cho_solve_oracle(train, grid, hyper, kernel, noise):
     ])
     cinv_jac = cho_solve(factor, jac)
     info_inv = np.linalg.inv(jac.T @ cinv_jac)
-    u = cho_solve(factor, prior_mean(xy, hyper))
-    a1 = -2 * noise.rho_u**2 * (tx.x - xy[:, 0]) / d_hat**4
-    a2 = -2 * noise.rho_u**2 * (tx.y - xy[:, 1]) / d_hat**4
     added = []
     for j, node in enumerate(grid.xy):
         g = grid_mean_gradient(node.reshape(1, 2), tx, hyper.mu_alpha)[0] - cinv_jac.T @ k_xg[:, j]
-        g[2] += (u * a1) @ cinv_k[:, j]
-        g[3] += (u * a2) @ cinv_k[:, j]
         added.append(g @ info_inv @ g)
     return gp_var, np.array(added)
 
@@ -260,8 +255,8 @@ def test_hcrb_all_after_posterior_builds_no_reports_by_nodes_array():
 
 
 def test_location_error_terms_vanish_continuously():
-    # rho_u -> 0 sends the covariance-derivative corrections to zero without
-    # a jump at zero
+    # rho_u -> 0 sends the location-error variances in the training covariance
+    # to zero without a jump at zero
     rng = np.random.default_rng(5)
     train, grid, hyper, kernel, _ = random_setup(rng)
     bounds = []
@@ -289,9 +284,6 @@ def test_singular_information_matrix_uses_pseudo_inverse():
 def test_non_finite_bound_raises_numerical_error():
     rng = np.random.default_rng(3)
     train, grid, hyper, kernel, _ = random_setup(rng)
-    # the location-error columns scale with rho_u^2 = 1e308
-    with pytest.raises(NumericalError, match="location-error columns"):
-        hcrb_all(train, grid, hyper, kernel, NoiseModel(rho_u=1e154, sigma_w=1.0))
     # under sigma_w^2 = 1e308 the information matrix is near 1e-308, and its inverse overflows
     with pytest.raises(NumericalError, match="added term"):
         hcrb_all(train, grid, hyper, kernel, NoiseModel(rho_u=0.0, sigma_w=1e154))

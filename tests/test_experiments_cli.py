@@ -107,6 +107,14 @@ def test_parse_config_rejects_unknown_keys_and_bad_values():
         dataclasses.replace(ExperimentConfig(), lam=2.0)
 
 
+@pytest.mark.parametrize("sweep", [(4.0, math.inf), (math.nan,), (-math.inf, 4.0)])
+def test_experiment_config_rejects_a_non_finite_sweep_value(sweep):
+    # the INI parser already rejects a non-finite value; a config built in code
+    # is checked at construction, not first in run_cases
+    with pytest.raises(ConfigError, match="sigma_v_sq_sweep needs one or more finite values >= 0"):
+        ExperimentConfig(sigma_v_sq_sweep=sweep)
+
+
 def test_parse_config_blank_value_keeps_default_and_overrides_win():
     cfg = parse_config("[estimator]\nrho_u =\nlambda = 0.7\n", {"estimator": {"lambda": "0.25"}})
     assert cfg.rho_u is None
@@ -778,6 +786,9 @@ def test_fit_recursive_fills_up_to_max_empty_steps_and_rejects_more(tmp_path, ca
     *[("six sensors", command) for command in _FIT_COMMANDS if command != "baseline-okd"],
     # a training diagonal near 1e308 (the bound, whose added term overflows, exits 3)
     *[("sigma_w 1e154", command) for command in _FIT_COMMANDS if command != "bound"],
+    # location-error variances near 1e308 / d^2: the bound takes no derivative of
+    # them, so it stays finite
+    ("rho_u 1e154", "bound"),
 ])
 def test_cli_fittable_hostile_data_exits_0_with_finite_fields(tmp_path, capsys, case, command):
     # no warning of any kind, raised as an error, stops a fit; fit-recursive
@@ -827,11 +838,10 @@ def test_synth_sensor_id_column_lists_the_active_roster(tmp_path):
     assert len(ids[1]) < len(ids[0])  # the intermittent world dropped sensors at t = 1
 
 
-@pytest.mark.parametrize("case", ["sigma_w 1e154", "rho_u 1e154"])
+@pytest.mark.parametrize("case", ["sigma_w 1e154"])
 def test_cli_bound_that_is_not_finite_exits_3_with_one_line(tmp_path, capsys, case):
-    # valid noise scales whose bound overflows: its location-error columns
-    # scale with rho_u^2, and under sigma_w^2 = 1e308 the information matrix
-    # it inverts for the added term is near 1e-308
+    # valid noise scales whose bound overflows: under sigma_w^2 = 1e308 the
+    # information matrix it inverts for the added term is near 1e-308
     rc, err, fields = _run_hostile(case, "bound", tmp_path, capsys)
     assert rc == 3
     assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")

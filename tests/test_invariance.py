@@ -132,21 +132,7 @@ def _run(seed, name):
     }
 
 
-def _cases(offset_marks=()):
-    return [
-        pytest.param(name, seed, id=f"{name}-seed{seed}", marks=offset_marks if name == "offset" else ())
-        for name in TRANSFORMS
-        for seed in SEEDS
-    ]
-
-
-CASES = _cases()
-# the bound's location-error columns are u * a with u = C^-1 m_X, which follows
-# the absolute level of the prior mean at the sensors: a common offset on the
-# reports moves the bound by 2.5e-2 to 7.2e-2 relative on these seeds
-HCRB_CASES = _cases(pytest.mark.xfail(
-    strict=True, reason="hcrb_all's location-error columns follow the reports' absolute dB level",
-))
+CASES = [pytest.param(name, seed, id=f"{name}-seed{seed}") for name in TRANSFORMS for seed in SEEDS]
 
 
 def _assert_fit_matches(fit, ref, tr):
@@ -174,7 +160,7 @@ def _bound(seed, name, hyper, kernel):
     return np.array([r.bound for r in reports])
 
 
-@pytest.mark.parametrize("name, seed", HCRB_CASES)
+@pytest.mark.parametrize("name, seed", CASES)
 def test_hcrb_all_is_invariant(name, seed):
     run, ref = _run(seed, name), _run(seed, None)
     bound = _bound(seed, name, run["static"][2], run["kernel"])

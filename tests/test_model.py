@@ -198,6 +198,28 @@ def test_propagation_params_validation():
                               tx_position=Position(0, 0))
 
 
+_HYPER = dict(mu_p=-10.0, mu_alpha=3.0, var_p=1.0, var_alpha=0.01, tx=Position(0.0, 0.0))
+_KERNEL = dict(sigma_k=2.0, ell=5.0, sigma_alpha_k=0.1, sigma_p_k=1.0)
+_VARIOGRAM = dict(nugget=1.0, sill=4.0, range_m=50.0)
+# (value type, its valid fields, the field set non-finite, the value)
+_NON_FINITE_HYPER = [
+    *((rf.HyperEstimate, _HYPER, name, bad) for name in ("mu_p", "mu_alpha", "var_p", "var_alpha")
+      for bad in (math.nan, math.inf)),
+    *((gp.KernelParams, _KERNEL, name, bad) for name in _KERNEL for bad in (math.nan, math.inf)),
+    *((baseline.VariogramModel, _VARIOGRAM, name, bad) for name in _VARIOGRAM for bad in (math.nan, math.inf)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, name, bad", _NON_FINITE_HYPER, ids=[f"{c.__name__}-{n}-{b}" for c, _, n, b in _NON_FINITE_HYPER]
+)
+def test_hyper_parameter_types_reject_non_finite_fields_at_construction(cls, fields, name, bad):
+    # a nan mu_p or sill would otherwise give an all-nan field without an
+    # error, and a nan sigma_k would fail only in the conditioning's Cholesky
+    with pytest.raises(ValueError, match=rf"^{name}\b.* finite"):
+        cls(**{**fields, name: bad})
+
+
 def test_noise_model_variances():
     nm = NoiseModel(rho_u=200.0, sigma_w=math.sqrt(7.0))
     assert_allclose(nm.variances(np.array([100.0])), [11.0], rtol=1e-12)
